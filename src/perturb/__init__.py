@@ -65,13 +65,11 @@ from .matcore import (
 )
 from .rs_solver import (
     PartitionedPerturbation,
-    ShiftedGapOperator,
     SolverReport,
     assemble_eigvec,
     build_shifted_gaps,
     coordinate_bounds,
     eigenvalue_from_q,
-    jacobi_apply_Linv,
     partition,
     solve,
     solve_q,

@@ -38,8 +38,6 @@ __all__ = [
     "sample_inconsistency_instance",
 ]
 
-GUE_CONVENTION = "offdiag re,im ~ N(0,1/2) each; diag ~ N(0,1)"
-
 
 def derive_stream(master: int, *indices: int) -> int:
     """Derive a per-trial 64-bit stream id from the master seed.

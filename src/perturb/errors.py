@@ -39,7 +39,11 @@ class ContractionFailureError(PerturbError):
 
 
 class NonConvergenceError(PerturbError):
-    """Outer fixed-point iteration diverged or hit its iteration cap."""
+    """Fixed-point iteration diverged or hit its step cap; carries the norm bound."""
+
+    def __init__(self, message: str, certified_norm: float = float("nan")):
+        super().__init__(message)
+        self.certified_norm = certified_norm
 
 
 class InconsistentEigenvalueError(PerturbError):

@@ -280,9 +280,9 @@ def _trial_event_diagnostics(cfg: ExperimentConfig, n: int, stream: int) -> dict
     root_log = math.sqrt(math.log(n))
     e_inf_ratio = float(np.abs(E).max()) / root_log
     try:
-        D = rs_solver.build_shifted_gaps(spectrum, part.e11)
-        cert = rs_solver.contraction_certificate(D, part.e22, cfg.p)
-        d21 = lp_norm(part.e21 / D.d, dual_exponent(cfg.p))
+        d = rs_solver.build_shifted_gaps(spectrum, part.e11)
+        cert = rs_solver.contraction_certificate(d, part.e22, cfg.p)
+        d21 = lp_norm(part.e21 / d, dual_exponent(cfg.p))
     except GapCollapseError:
         cert, d21 = math.inf, math.inf
     return {

@@ -105,8 +105,6 @@ def lp_norm(v, p) -> float:
         return top
     if p == 1:
         return float(mags.sum())
-    if p == 2:
-        return float(np.sqrt(np.sum(mags * mags)))
     return top * float(np.sum((mags / top) ** p)) ** (1.0 / p)
 
 

@@ -6,11 +6,11 @@ solves the quadratic system
 
     L q = E21 - q (E12 q),      L = (lambda1 + E11) I - (diag(lambda_2..n) + E22).
 
-Two nested iterations solve it: an inner Jacobi loop applies L^{-1} (valid
-whenever E22 D^{-1} is certified contracting, D = shifted gaps), and an outer
-loop relinearizes the quadratic term. Every solve carries its contraction
-certificate, fixed-point residual, and a leading-eigenvalue certificate from
-the dense oracle.
+One loop solves it: with D = diag(lambda1 - lambda_j + E11) the shifted gaps,
+q <- D^{-1}(E22 q + E21 - (E12 q) q) from q = 0, one E22 matvec per step. The
+loop runs only when ||E22 D^{-1}||_p is certified contracting. Every solve
+carries that certificate, its step count, the fixed-point residual, and a
+leading-eigenvalue certificate from the dense oracle.
 """
 
 from __future__ import annotations
@@ -27,24 +27,23 @@ from .errors import (
     InconsistentEigenvalueError,
     InvalidSpectrumError,
     NonConvergenceError,
-    NumericFailureError,
+    PerturbError,
 )
 from .matcore import (
     EigDecomposition,
     Spectrum,
     force_hermitian,
     hermitian_eig,
+    is_hermitian,
     lp_norm,
 )
 
 __all__ = [
     "PartitionedPerturbation",
-    "ShiftedGapOperator",
     "SolverReport",
     "partition",
     "build_shifted_gaps",
     "contraction_certificate",
-    "jacobi_apply_Linv",
     "solve_q",
     "assemble_eigvec",
     "eigenvalue_from_q",
@@ -58,10 +57,6 @@ DEFAULT_TOL = 1e-12
 # The norm guarantees assume a certificate <= 1/2, but any rho < 1 still
 # contracts; 0.9 accepts the slow-but-convergent band and flags it in reports.
 CERTIFICATE_CAP = 0.9
-
-
-def _iteration_cap(tol: float) -> int:
-    return max(200, int(math.ceil(10.0 * math.log2(1.0 / tol))))
 
 
 @dataclass(frozen=True)
@@ -93,18 +88,6 @@ class PartitionedPerturbation:
         return out
 
 
-@dataclass(frozen=True)
-class ShiftedGapOperator:
-    """Diagonal D = D_lambda + E11 I of shifted gaps, all entries positive."""
-
-    d: np.ndarray
-    lambda_head: float
-
-    @property
-    def n_minus_1(self) -> int:
-        return int(self.d.size)
-
-
 @dataclass
 class SolverReport:
     """Everything a solve produced, including its certificates."""
@@ -112,8 +95,7 @@ class SolverReport:
     q: np.ndarray
     u_tilde: np.ndarray
     lambda_tilde: float
-    outer_iters: int
-    inner_iters_total: int
+    iterations: int
     contraction_upper: float
     residual2: float = math.nan
     orth_residual: float = math.nan
@@ -132,8 +114,7 @@ class SolverReport:
             "q": seq(self.q),
             "u_tilde": seq(self.u_tilde),
             "lambda_tilde": self.lambda_tilde,
-            "outer_iters": self.outer_iters,
-            "inner_iters_total": self.inner_iters_total,
+            "iterations": self.iterations,
             "contraction_upper": self.contraction_upper,
             "residual2": self.residual2,
             "orth_residual": self.orth_residual,
@@ -157,68 +138,19 @@ def partition(eig: EigDecomposition, E: np.ndarray) -> PartitionedPerturbation:
     )
 
 
-def build_shifted_gaps(spectrum: Spectrum, e11: float) -> ShiftedGapOperator:
-    """D = diag(lambda1 - lambda_{j+1} + E11); raises if any entry closes."""
+def build_shifted_gaps(spectrum: Spectrum, e11: float) -> np.ndarray:
+    """Shifted gaps d_j = lambda1 - lambda_{j+1} + E11; raises if any entry closes."""
     d = spectrum.gaps() + e11
     if np.any(d <= 0):
         raise GapCollapseError(
             f"shifted gap collapsed: min(lambda1 - lambda_j + E11) = {d.min():.6g}"
         )
-    return ShiftedGapOperator(d=d, lambda_head=float(spectrum.lambdas[0]))
+    return d
 
 
-def contraction_certificate(D: ShiftedGapOperator, e22: np.ndarray, p: float) -> float:
+def contraction_certificate(d: np.ndarray, e22: np.ndarray, p: float) -> float:
     """Certified upper bound on ||E22 D^{-1}||_{p,p} (exact at p in {1,2,inf})."""
-    return opnorm_pp_upper(e22 / D.d[np.newaxis, :], p)
-
-
-def jacobi_apply_Linv(
-    D: ShiftedGapOperator,
-    e22: np.ndarray,
-    y: np.ndarray,
-    p: float = 2.0,
-    tol: float = DEFAULT_TOL,
-    cap: int | None = None,
-    certificate: float | None = None,
-    certificate_cap: float = CERTIFICATE_CAP,
-) -> tuple[np.ndarray, int]:
-    """Solve L x = y by the fixed-point iteration v <- E22 D^{-1} v + y.
-
-    The iterate change equals the equation residual exactly: with x = D^{-1} v,
-    ||L x - y||_2 = ||v - v_next||_2, so convergence is checked for free. The
-    limit v is D L^{-1} y and the solution is x = D^{-1} v.
-
-    Raises ContractionFailureError if the certified norm of the iteration
-    operator exceeds ``certificate_cap``, and NumericFailureError if the
-    residual has not reached tol * ||y||_2 within ``cap`` iterations.
-    """
-    y = np.asarray(y)
-    if certificate is None:
-        certificate = contraction_certificate(D, e22, p)
-    if not certificate <= certificate_cap:
-        raise ContractionFailureError(
-            f"iteration operator norm bound {certificate:.4g} exceeds cap {certificate_cap}",
-            certified_norm=certificate,
-        )
-    cap = _iteration_cap(tol) if cap is None else cap
-    y2 = float(np.linalg.norm(y))
-    v = y.astype(np.complex128 if np.iscomplexobj(e22) or np.iscomplexobj(y) else np.float64)
-    for it in range(1, cap + 1):
-        v_next = e22 @ (v / D.d) + y
-        resid = float(np.linalg.norm(v - v_next))
-        v = v_next
-        if resid <= tol * max(y2, 1e-300):
-            return v / D.d, it
-    raise NumericFailureError(
-        f"inner iteration did not reach tol in {cap} steps", residual=resid
-    )
-
-
-@dataclass
-class _SolveStats:
-    outer_iters: int = 0
-    inner_iters_total: int = 0
-    contraction_upper: float = math.nan
+    return opnorm_pp_upper(e22 / d[np.newaxis, :], p)
 
 
 def solve_q(
@@ -226,56 +158,54 @@ def solve_q(
     spectrum: Spectrum,
     p: float = 2.0,
     tol: float = DEFAULT_TOL,
-    cap: int | None = None,
     certificate_cap: float = CERTIFICATE_CAP,
-) -> tuple[np.ndarray, _SolveStats]:
-    """Solve L q = E21 - q (E12 q) by relinearized fixed-point iteration.
+) -> tuple[np.ndarray, int, float]:
+    """Solve L q = E21 - q (E12 q) by the map q <- D^{-1}(E22 q + E21 - (E12 q) q).
 
-    Outer step: q <- L^{-1}(E21 - (E12 q) q), each application of L^{-1} via
-    the certified inner Jacobi loop. Stops when ||D (q_next - q)||_p <= tol
-    and the quadratic residual is below tol * (||E21||_2 + 1); declares
-    divergence after three consecutive non-contracting steps.
+    Returns q, the number of steps and the certificate on ||E22 D^{-1}||_p.
+    Raises ContractionFailureError before iterating if the certificate
+    exceeds ``certificate_cap``. Stops when ||D (q_next - q)||_p <= tol and
+    the quadratic residual is below tol * (||E21||_2 + 1); raises
+    NonConvergenceError after three consecutive non-contracting steps or at
+    the step cap. Both errors carry the certificate.
     """
-    D = build_shifted_gaps(spectrum, part.e11)
-    stats = _SolveStats()
-    stats.contraction_upper = contraction_certificate(D, part.e22, p)
-    cap = _iteration_cap(tol) if cap is None else cap
-
-    e21 = part.e21
-    e12 = part.e12
+    d = build_shifted_gaps(spectrum, part.e11)
+    certificate = contraction_certificate(d, part.e22, p)
+    if not certificate <= certificate_cap:
+        raise ContractionFailureError(
+            f"iteration operator norm bound {certificate:.4g} exceeds cap {certificate_cap}",
+            certified_norm=certificate,
+        )
+    cap = max(200, int(math.ceil(10.0 * math.log2(1.0 / tol))))
+    e21, e12, e22 = part.e21, part.e12, part.e22
     target = tol * (float(np.linalg.norm(e21)) + 1.0)
 
-    def linv(y):
-        x, iters = jacobi_apply_Linv(
-            D, part.e22, y, p=p, tol=tol, cap=cap,
-            certificate=stats.contraction_upper, certificate_cap=certificate_cap,
-        )
-        stats.inner_iters_total += iters
-        return x
-
     q = np.zeros_like(e21)
+    e22q = np.zeros_like(e21)  # E22 q, carried so each step costs one matvec
     prev_change = math.inf
     bad_steps = 0
-    for _ in range(cap):
-        rhs = e21 - (e12 @ q) * q
-        q_next = linv(rhs)
-        stats.outer_iters += 1
-        change = lp_norm(D.d * (q_next - q), p)
+    for step in range(1, cap + 1):
+        q_next = (e22q + e21 - (e12 @ q) * q) / d
+        change = lp_norm(d * (q_next - q), p)
         if change >= prev_change and change > tol:
             bad_steps += 1
             if bad_steps >= 3:
                 raise NonConvergenceError(
-                    f"outer iteration diverging: ||D dq||_p = {change:.4g}"
+                    f"fixed-point iteration diverging: ||D dq||_p = {change:.4g}",
+                    certified_norm=certificate,
                 )
         else:
             bad_steps = 0
         prev_change = change
         q = q_next
+        e22q = e22 @ q
         if change <= tol:
-            resid = float(np.linalg.norm(D.d * q - part.e22 @ q - (e21 - (e12 @ q) * q)))
+            resid = float(np.linalg.norm(d * q - e22q - (e21 - (e12 @ q) * q)))
             if resid <= target:
-                return q, stats
-    raise NonConvergenceError(f"outer iteration exceeded cap {cap}")
+                return q, step, certificate
+    raise NonConvergenceError(
+        f"fixed-point iteration exceeded cap {cap}", certified_norm=certificate
+    )
 
 
 def assemble_eigvec(eig: EigDecomposition, q: np.ndarray) -> np.ndarray:
@@ -354,6 +284,19 @@ def verify_solution(
     return report
 
 
+def _check_operands(A: np.ndarray, E: np.ndarray) -> None:
+    """Raise ValueError unless A and E are finite, square, alike in shape and self-adjoint."""
+    for name, M in (("A", A), ("E", E)):
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise ValueError(f"{name} must be a square matrix, got shape {M.shape}")
+        if not np.all(np.isfinite(M)):
+            raise ValueError(f"{name} has non-finite entries")
+        if not is_hermitian(M):
+            raise ValueError(f"{name} is not exactly self-adjoint (M != M*)")
+    if A.shape != E.shape:
+        raise ValueError(f"A has shape {A.shape} but E has shape {E.shape}")
+
+
 def solve(
     A: np.ndarray,
     E: np.ndarray,
@@ -365,11 +308,16 @@ def solve(
 ) -> SolverReport:
     """End-to-end solve with oracle fallback.
 
-    Runs the partition / fixed-point / assembly chain; on gap collapse,
-    contraction failure, or divergence it falls back to the dense oracle's
-    leading eigenpair and tags the report method "oracle-fallback" so
-    pipelines never silently lose a trial.
+    A and E must be finite, square, of one shape and exactly self-adjoint;
+    anything else raises ValueError. Runs the partition / fixed-point /
+    assembly chain; on any PerturbError there (gap collapse, contraction
+    failure, divergence, a complex eigenvalue) it falls back to the dense
+    oracle's leading eigenpair and tags the report method "oracle-fallback"
+    so pipelines never silently lose a trial. The contraction certificate is
+    computed once either way; it is inf when the shifted gaps collapse.
     """
+    A, E = np.asarray(A), np.asarray(E)
+    _check_operands(A, E)
     if eig is None:
         eig = hermitian_eig(A)
     spectrum = eig.spectrum
@@ -377,22 +325,20 @@ def solve(
         raise InvalidSpectrumError("solver requires a simple top eigenvalue of A")
     part = partition(eig, E)
     tilde_eig = None
+    cert = math.inf
     try:
-        q, stats = solve_q(
+        q, iterations, cert = solve_q(
             part, spectrum, p=p, tol=tol, certificate_cap=certificate_cap
         )
-        u_tilde = assemble_eigvec(eig, q)
-        lam = eigenvalue_from_q(spectrum.lambdas[0], part.e11, part.e12, q)
         report = SolverReport(
             q=q,
-            u_tilde=u_tilde,
-            lambda_tilde=lam,
-            outer_iters=stats.outer_iters,
-            inner_iters_total=stats.inner_iters_total,
-            contraction_upper=stats.contraction_upper,
+            u_tilde=assemble_eigvec(eig, q),
+            lambda_tilde=eigenvalue_from_q(spectrum.lambdas[0], part.e11, part.e12, q),
+            iterations=iterations,
+            contraction_upper=cert,
             method="rs",
         )
-    except (GapCollapseError, ContractionFailureError, NonConvergenceError):
+    except PerturbError as err:
         tilde_eig = hermitian_eig(A + E)
         u_top = tilde_eig.basis[:, 0]
         head = complex(np.vdot(eig.leading_vector(), u_top))
@@ -401,17 +347,12 @@ def solve(
             head = abs(head)
         overlaps = eig.tail_basis().conj().T @ u_top
         q = overlaps / max(float(abs(head)), np.finfo(np.float64).eps)
-        try:
-            cert = contraction_certificate(build_shifted_gaps(spectrum, part.e11), part.e22, p)
-        except GapCollapseError:
-            cert = math.inf
         report = SolverReport(
             q=q,
             u_tilde=u_top,
             lambda_tilde=float(tilde_eig.spectrum.lambdas[0]),
-            outer_iters=0,
-            inner_iters_total=0,
-            contraction_upper=cert,
+            iterations=0,
+            contraction_upper=getattr(err, "certified_norm", cert),
             method="oracle-fallback",
         )
     if verify:

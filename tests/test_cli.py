@@ -190,6 +190,17 @@ class TestExitCodes:
         assert code == 2
         assert "InvalidSpectrumError" in err
 
+    def test_usage_error_nan_noise(self, capsys, tmp_path):
+        E = np.zeros((3, 3))
+        E[1, 2] = E[2, 1] = math.nan
+        (tmp_path / "A.json").write_text(matrix_to_json(np.diag([3.0, 2.0, 1.0])))
+        (tmp_path / "E.json").write_text(matrix_to_json(E))
+        code, _, err = run_cli(
+            capsys, "solve", "--matrix", str(tmp_path / "A.json"), "--noise", str(tmp_path / "E.json")
+        )
+        assert code == 1
+        assert "E has non-finite entries" in err
+
     def test_usage_error_bad_json(self, capsys, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")

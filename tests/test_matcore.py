@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perturb.ensembles import rng_from_stream
@@ -45,6 +45,8 @@ class TestLpNorm:
            st.sampled_from([1.0, 1.5, 2.0, 3.0, 7.0, math.inf]),
            st.sampled_from([1.0, 1.5, 2.0, 3.0, 7.0, math.inf]))
     @settings(max_examples=200, deadline=None)
+    @example([3.63e-257], 3.0, 2.0)  # squares underflow: the 2-norm must rescale
+    @example([1.66e-180], 3.0, 2.0)
     def test_monotone_in_exponent(self, vals, r, s):
         # ||v||_r <= ||v||_s whenever s <= r
         if s > r:

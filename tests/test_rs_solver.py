@@ -13,7 +13,13 @@ from perturb.ensembles import (
     sample_goe,
     sample_subgaussian_hermitian,
 )
-from perturb.errors import ContractionFailureError, GapCollapseError, InvalidSpectrumError
+from perturb import rs_solver
+from perturb.errors import (
+    ContractionFailureError,
+    GapCollapseError,
+    InconsistentEigenvalueError,
+    InvalidSpectrumError,
+)
 from perturb.matcore import (
     EigDecomposition,
     Spectrum,
@@ -28,7 +34,6 @@ from perturb.rs_solver import (
     contraction_certificate,
     coordinate_bounds,
     eigenvalue_from_q,
-    jacobi_apply_Linv,
     partition,
     solve,
     solve_q,
@@ -83,81 +88,102 @@ class TestPartition:
 
 class TestShiftedGaps:
     def test_plain(self):
-        D = build_shifted_gaps(spectrum(3, 2, 1), 0.0)
-        np.testing.assert_allclose(D.d, [1.0, 2.0])
+        d = build_shifted_gaps(spectrum(3, 2, 1), 0.0)
+        np.testing.assert_allclose(d, [1.0, 2.0])
 
     def test_collapse(self):
         with pytest.raises(GapCollapseError):
             build_shifted_gaps(spectrum(3, 2, 1), -1.0)
 
     def test_positive_shift(self):
-        D = build_shifted_gaps(spectrum(3, 2, 1), 0.5)
-        np.testing.assert_allclose(D.d, [1.5, 2.5])
+        d = build_shifted_gaps(spectrum(3, 2, 1), 0.5)
+        np.testing.assert_allclose(d, [1.5, 2.5])
+
+
+def scaled_noise(s: Spectrum, rng, scale: float, coupling: float | None = None) -> np.ndarray:
+    """Real symmetric noise, E11 = 0, whose E22 block has certificate ``scale`` at p = 2.
+
+    With ``coupling`` set, E12 is rescaled so that ||E21||_2 = coupling * d_1.
+    """
+    E = force_hermitian(rng.standard_normal((s.n, s.n)))
+    E[0, 0] = 0.0
+    d = build_shifted_gaps(s, 0.0)
+    E[1:, 1:] *= scale / contraction_certificate(d, E[1:, 1:], 2.0)
+    if coupling is not None:
+        k = coupling * d[0] / np.linalg.norm(E[1:, 0])
+        E[0, 1:] *= k
+        E[1:, 0] *= k
+    return E
 
 
 class TestJacobiInner:
+    """solve_q's loop: the Jacobi splitting L = D - E22 with the quadratic term carried along."""
+
     def test_zero_block_single_iteration(self):
-        D = build_shifted_gaps(spectrum(3, 2, 1), 0.0)
-        y = np.array([1.0, 4.0])
-        x, iters = jacobi_apply_Linv(D, np.zeros((2, 2)), y)
-        np.testing.assert_allclose(x, y / D.d)
-        assert iters == 1
+        # E12 = 0: q = 0 is the fixed point, reached and checked in one step
+        s = spectrum(3, 2, 1)
+        part = partition(diag_eig(s), np.diag([0.3, 0.1, -0.2]))
+        q, iterations, _ = solve_q(part, s)
+        assert np.all(q == 0)
+        assert iterations == 1
 
     def test_matches_dense_solve(self):
+        # q is the dense oracle's leading eigenvector scaled to unit head
         rng = rng_from_stream(37)
         s = Spectrum(np.arange(7, 0, -1.0) * 3.0)
-        D = build_shifted_gaps(s, 0.0)
         for t in range(10):
-            e22 = force_hermitian(rng.standard_normal((6, 6)))
-            e22 *= 0.4 / contraction_certificate(D, e22, 2.0)
-            y = rng.standard_normal(6)
-            x, _ = jacobi_apply_Linv(D, e22, y)
-            direct = np.linalg.solve(np.diag(D.d) - e22, y)
-            assert np.linalg.norm(x - direct) <= 1e-10 * np.linalg.norm(direct)
+            E = scaled_noise(s, rng, 0.4)
+            part = partition(diag_eig(s), E)
+            q, _, _ = solve_q(part, s)
+            top = hermitian_eig(np.diag(s.lambdas) + E).basis[:, 0]
+            direct = top[1:] / top[0]
+            assert np.linalg.norm(q - direct) <= 1e-10 * np.linalg.norm(direct)
 
     @pytest.mark.parametrize("p", [2.0, math.inf])
     def test_inverse_norm_bound(self, p):
-        # ||D L^{-1} y||_p <= 2 ||y||_p whenever the certificate is <= 1/2
+        # D q = D L^{-1}(E21 - (E12 q) q), and ||D L^{-1}||_p <= 2 whenever
+        # the certificate is <= 1/2
         rng = rng_from_stream(43)
         s = Spectrum(np.arange(9, 0, -1.0) * 2.0)
-        D = build_shifted_gaps(s, 0.0)
         done = 0
-        t = 0
         while done < 100:
-            t += 1
-            e22 = force_hermitian(rng.standard_normal((8, 8))) * 0.4
-            if contraction_certificate(D, e22, p) > 0.5:
+            E = force_hermitian(rng.standard_normal((9, 9))) * 0.4
+            part = partition(diag_eig(s), E)
+            try:
+                q, _, _ = solve_q(part, s, p=p, certificate_cap=0.5)
+            except ContractionFailureError:
                 continue
-            y = rng.standard_normal(8)
-            x, _ = jacobi_apply_Linv(D, e22, y, p=p)
-            assert lp_norm(D.d * x, p) <= 2.0 * lp_norm(y, p) + 1e-9
+            d = build_shifted_gaps(s, part.e11)
+            rhs = part.e21 - (part.e12 @ q) * q
+            assert lp_norm(d * q, p) <= 2.0 * lp_norm(rhs, p) + 1e-9
             done += 1
 
     def test_certificate_rejection(self):
-        D = build_shifted_gaps(spectrum(3, 2, 1), 0.0)
-        e22 = np.array([[2.0, 0.0], [0.0, 0.0]])  # norm 2 > cap
+        s = spectrum(3, 2, 1)
+        part = partition(diag_eig(s), np.diag([0.0, 2.0, 0.0]))  # E22 D^{-1} has norm 2 > cap
         with pytest.raises(ContractionFailureError) as err:
-            jacobi_apply_Linv(D, e22, np.ones(2))
+            solve_q(part, s)
         assert err.value.certified_norm > 0.9
 
     def test_iteration_budget(self):
-        # iters <= 10 log2(1/tol) whenever the certificate is <= 0.5
+        # iterations <= 10 log2(1/tol) when the certificate is <= 1/2 and
+        # ||E21||_2 <= d_1 / 8: the map then sends the ball ||D q||_2 <= 4 ||E21||_2
+        # into itself with Lipschitz constant <= 1/2 + 8 / 8^2 = 5/8
         rng = rng_from_stream(47)
         s = Spectrum(np.arange(9, 0, -1.0) * 2.0)
-        D = build_shifted_gaps(s, 0.0)
         budget = 10 * math.log2(1e12)
         for t in range(20):
-            e22 = force_hermitian(rng.standard_normal((8, 8)))
-            e22 *= 0.5 / contraction_certificate(D, e22, 2.0)
-            _, iters = jacobi_apply_Linv(D, e22, rng.standard_normal(8), tol=1e-12)
-            assert iters <= budget
+            part = partition(diag_eig(s), scaled_noise(s, rng, 0.5, coupling=1 / 8))
+            _, iterations, cert = solve_q(part, s, tol=1e-12)
+            assert cert <= 0.5 + 1e-12
+            assert iterations <= budget
 
 
 class TestSolveQ:
     def test_zero_noise(self):
         s = spectrum(3, 2, 1)
         part = partition(diag_eig(s), np.zeros((3, 3)))
-        q, stats = solve_q(part, s)
+        q, _, _ = solve_q(part, s)
         assert np.all(q == 0)
         u = assemble_eigvec(diag_eig(s), q)
         np.testing.assert_allclose(u, [1.0, 0.0, 0.0])
@@ -169,7 +195,7 @@ class TestSolveQ:
         for t in range(20):
             E = force_hermitian(rng.standard_normal((2, 2))) * 0.4
             part = partition(diag_eig(s), E)
-            q, _ = solve_q(part, s)
+            q, _, _ = solve_q(part, s)
             b = s.delta + part.e11 - part.e22[0, 0]
             e12, e21 = part.e12[0], part.e21[0]
             disc = math.sqrt(b * b + 4 * e12 * e21)
@@ -185,7 +211,7 @@ class TestSolveQ:
         for t in range(10):
             E = sample_goe(n, derive_stream(59, t))
             part = partition(diag_eig(s), E)
-            q, _ = solve_q(part, s)
+            q, _, _ = solve_q(part, s)
             assert np.linalg.norm(q) <= 0.25
 
     def test_fixed_point_residual(self):
@@ -195,18 +221,18 @@ class TestSolveQ:
         for t in range(10):
             E = sample_goe(n, derive_stream(61, t))
             part = partition(diag_eig(s), E)
-            q, stats = solve_q(part, s, tol=tol)
-            D = build_shifted_gaps(s, part.e11)
-            resid = np.linalg.norm(D.d * q - part.e22 @ q - (part.e21 - (part.e12 @ q) * q))
+            q, iterations, _ = solve_q(part, s, tol=tol)
+            d = build_shifted_gaps(s, part.e11)
+            resid = np.linalg.norm(d * q - part.e22 @ q - (part.e21 - (part.e12 @ q) * q))
             assert resid <= tol * (np.linalg.norm(part.e21) + 1.0)
-            assert stats.outer_iters <= 10 * math.log2(1 / tol)
+            assert iterations <= 10 * math.log2(1 / tol)
 
     def test_complex_noise(self):
         n = 16
         s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
         E = sample_subgaussian_hermitian(n, EntryDistribution("gaussian"), "complex", 5)
         part = partition(diag_eig(s), E)
-        q, _ = solve_q(part, s)
+        q, _, _ = solve_q(part, s)
         lam = eigenvalue_from_q(s.lambdas[0], part.e11, part.e12, q)
         u = assemble_eigvec(diag_eig(s), q)
         A_tilde = np.diag(s.lambdas) + E
@@ -245,7 +271,7 @@ class TestEigenvalueFromQ:
         s = spectrum(3.0, 1.0)
         E = force_hermitian(rng_from_stream(71).standard_normal((2, 2))) * 0.3
         part = partition(diag_eig(s), E)
-        q, _ = solve_q(part, s)
+        q, _, _ = solve_q(part, s)
         lam = eigenvalue_from_q(s.lambdas[0], part.e11, part.e12, q)
         top = hermitian_eig(np.diag(s.lambdas) + E).spectrum.lambdas[0]
         assert lam == pytest.approx(top, abs=1e-11)
@@ -255,7 +281,7 @@ class TestEigenvalueFromQ:
         s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
         E = sample_goe(n, 73)
         part = partition(diag_eig(s), E)
-        q, _ = solve_q(part, s)
+        q, _, _ = solve_q(part, s)
         lam = eigenvalue_from_q(s.lambdas[0], part.e11, part.e12, q)
         u = assemble_eigvec(diag_eig(s), q)
         direct = float(u @ (np.diag(s.lambdas) + E) @ u)
@@ -298,14 +324,13 @@ class TestVerifySolution:
         E = (s.delta + 0.1) * np.outer([0, 1, 0], [0, 1, 0])
         eig = diag_eig(s)
         part = partition(eig, E)
-        q, stats = solve_q(part, s, certificate_cap=math.inf)
+        q, iterations, cert = solve_q(part, s, certificate_cap=math.inf)
         rep = SolverReport(
             q=q,
             u_tilde=assemble_eigvec(eig, q),
             lambda_tilde=eigenvalue_from_q(s.lambdas[0], part.e11, part.e12, q),
-            outer_iters=stats.outer_iters,
-            inner_iters_total=stats.inner_iters_total,
-            contraction_upper=stats.contraction_upper,
+            iterations=iterations,
+            contraction_upper=cert,
         )
         verify_solution(A, E, rep, s, eig=eig)
         assert np.allclose(rep.q, 0)
@@ -351,11 +376,63 @@ class TestSolveDriver:
         rep = solve(np.diag(s.lambdas), np.zeros((3, 3)))
         d = rep.to_dict()
         for key in (
-            "q", "u_tilde", "lambda_tilde", "outer_iters", "inner_iters_total",
+            "q", "u_tilde", "lambda_tilde", "iterations",
             "contraction_upper", "residual2", "orth_residual", "coord_ratios",
             "q_norm2", "leading_certified", "method",
         ):
             assert key in d
+
+    def test_inconsistent_eigenvalue_falls_back(self, monkeypatch):
+        def complex_eigenvalue(*args, **kwargs):
+            raise InconsistentEigenvalueError("E12 q has imaginary part 1")
+
+        monkeypatch.setattr(rs_solver, "eigenvalue_from_q", complex_eigenvalue)
+        s = spectrum(3, 2, 1)
+        rep = solve(np.diag(s.lambdas), 0.1 * sample_goe(3, 7))
+        assert rep.method == "oracle-fallback"
+        assert rep.leading_certified
+        assert 0.0 < rep.contraction_upper <= 0.9  # the certificate solve_q computed
+
+    def test_strong_coupling_still_solved(self):
+        # ||E21||_2 near the gap: on some draws the fixed-point loop does not
+        # converge and solve falls back; every report is still the leading pair
+        rng = rng_from_stream(47)
+        s = Spectrum(np.arange(9, 0, -1.0) * 2.0)
+        A = np.diag(s.lambdas)
+        for t in range(20):
+            E = scaled_noise(s, rng, 0.5)
+            rep = solve(A, E, eig=diag_eig(s))
+            assert rep.leading_certified
+            oracle = hermitian_eig(A + E)
+            assert 1 - abs(np.vdot(rep.u_tilde, oracle.basis[:, 0])) <= 1e-9
+
+    @pytest.mark.parametrize("method", ["rs", "oracle-fallback"])
+    def test_certificate_computed_once(self, monkeypatch, method):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return contraction_certificate(*args, **kwargs)
+
+        monkeypatch.setattr(rs_solver, "contraction_certificate", counted)
+        s = spectrum(3, 2, 1)
+        if method == "rs":
+            E = 0.1 * sample_goe(3, 7)
+        else:  # E22 D^{-1} has norm 1.1, above the cap
+            E = (s.delta + 0.1) * np.outer([0, 1, 0], [0, 1, 0])
+        rep = solve(np.diag(s.lambdas), E)
+        assert rep.method == method
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("A,E,message", [
+        (np.diag([3.0, 2.0, 1.0]), np.diag([0.0, math.nan, 0.0]), "E has non-finite entries"),
+        (np.diag([3.0, 2.0, 1.0]), np.triu(np.ones((3, 3))), "E is not exactly self-adjoint"),
+        (np.ones((3, 2)), np.zeros((3, 2)), "A must be a square matrix"),
+        (np.diag([3.0, 2.0, 1.0]), np.zeros((2, 2)), "A has shape"),
+    ])
+    def test_bad_operands_rejected(self, A, E, message):
+        with pytest.raises(ValueError, match=message):
+            solve(A, E, verify=False)
 
     def test_degenerate_top_eigenvalue_rejected(self):
         with pytest.raises(InvalidSpectrumError):
@@ -381,9 +458,9 @@ class TestLinearizedStatistic:
             for t in range(50):
                 E = sample_goe(n, derive_stream(97, n, t))
                 part = partition(diag_eig(s), E)
-                D = build_shifted_gaps(s, part.e11)
-                x, _ = jacobi_apply_Linv(D, part.e22, part.e21)
-                vals.append(np.abs(D.d * x).max() / math.sqrt(math.log(n)))
+                d = build_shifted_gaps(s, part.e11)
+                x = np.linalg.solve(np.diag(d) - part.e22, part.e21)
+                vals.append(np.abs(d * x).max() / math.sqrt(math.log(n)))
             vals.sort()
             p99[n] = vals[int(0.99 * (len(vals) - 1))]
         assert p99[256] <= 1.25 * p99[64]
