@@ -119,16 +119,43 @@ def dual_exponent(p) -> float:
     return p / (p - 1.0)
 
 
+_HERMITIAN_TILE = 128
+
+
 def is_hermitian(M: np.ndarray) -> bool:
-    """Exact self-adjointness check (0 ulp); samplers construct by mirroring."""
+    """Exact self-adjointness check (0 ulp); samplers construct by mirroring.
+
+    Compares each tile of the upper triangle with the conjugate transpose of
+    its mirror tile, so every read stays within a cache-sized block instead
+    of striding down whole columns of M*.
+    """
     M = np.asarray(M)
-    return M.ndim == 2 and M.shape[0] == M.shape[1] and np.array_equal(M, M.conj().T)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        return False
+    n, t = M.shape[0], _HERMITIAN_TILE
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            if not np.array_equal(M[i:i + t, j:j + t], M[j:j + t, i:i + t].conj().T):
+                return False
+    return True
 
 
 def force_hermitian(M: np.ndarray) -> np.ndarray:
-    """Return (M + M*)/2, which is exactly self-adjoint in IEEE arithmetic."""
+    """Return (M + M*)/2, which is exactly self-adjoint in IEEE arithmetic.
+
+    Large square matrices are done tile by tile, like is_hermitian; every
+    entry comes from the same expression either way.
+    """
     M = np.asarray(M)
-    return (M + M.conj().T) / 2.0
+    t = _HERMITIAN_TILE
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] <= t:
+        return (M + M.conj().T) / 2.0
+    n = M.shape[0]
+    out = np.empty(M.shape, dtype=np.result_type(M, 2.0))
+    for i in range(0, n, t):
+        for j in range(0, n, t):
+            out[i:i + t, j:j + t] = (M[i:i + t, j:j + t] + M[j:j + t, i:i + t].conj().T) / 2.0
+    return out
 
 
 def operator_norm_exact(M, p) -> float:

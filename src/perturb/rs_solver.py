@@ -10,7 +10,10 @@ One loop solves it: with D = diag(lambda1 - lambda_j + E11) the shifted gaps,
 q <- D^{-1}(E22 q + E21 - (E12 q) q) from q = 0, one E22 matvec per step. The
 loop runs only when ||E22 D^{-1}||_p is certified contracting. Every solve
 carries that certificate, its step count, the fixed-point residual, and a
-leading-eigenvalue certificate from the dense oracle.
+leading-eigenvalue certificate. That certificate needs no eigendecomposition
+of A + E: the residual bound puts an eigenvalue near lambda~ and one Cholesky
+factorization shows that none lies above it. Only when that proof is
+inconclusive does it consult the dense oracle.
 """
 
 from __future__ import annotations
@@ -54,8 +57,11 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-12
-# The norm guarantees assume a certificate <= 1/2, but any rho < 1 still
-# contracts; 0.9 accepts the slow-but-convergent band and flags it in reports.
+# The norm guarantees assume a certificate <= 1/2. Any rho < 1 makes the
+# linear part q -> D^{-1} E22 q contract, but the quadratic term adds
+# -(E12 q) D^{-1} to the map's Jacobian, so convergence also needs E12 small
+# against the gaps. 0.9 accepts the slow band and flags it in reports; inputs
+# that still fail to converge fall back to the oracle.
 CERTIFICATE_CAP = 0.9
 
 
@@ -103,6 +109,7 @@ class SolverReport:
     q_norm2: float = math.nan
     leading_certified: bool = False
     method: str = "rs"
+    fallback_reason: str = ""
 
     def to_dict(self) -> dict:
         def seq(v):
@@ -122,15 +129,24 @@ class SolverReport:
             "q_norm2": self.q_norm2,
             "leading_certified": self.leading_certified,
             "method": self.method,
+            "fallback_reason": self.fallback_reason,
         }
 
 
 def partition(eig: EigDecomposition, E: np.ndarray) -> PartitionedPerturbation:
-    """Conjugate E into the eigenbasis of A and split blocks around u1."""
+    """Conjugate E into the eigenbasis of A and split blocks around u1.
+
+    When the basis is the identity (A diagonal) the two products are skipped:
+    I* E I equals E entry for entry in IEEE arithmetic.
+    """
     E = np.asarray(E)
     if E.shape != (eig.n, eig.n):
         raise ValueError(f"noise shape {E.shape} does not match basis dimension {eig.n}")
-    tilde = force_hermitian(eig.basis.conj().T @ E @ eig.basis)
+    basis = eig.basis
+    if np.all(basis.diagonal() == 1) and np.count_nonzero(basis) == eig.n:
+        tilde = force_hermitian(E.astype(np.result_type(E, basis), copy=False))
+    else:
+        tilde = force_hermitian(basis.conj().T @ E @ basis)
     return PartitionedPerturbation(
         e11=float(tilde[0, 0].real),
         e12=tilde[0, 1:].copy(),
@@ -252,6 +268,49 @@ def _orthogonal_complement_residual(
     return float(np.linalg.norm(raw))
 
 
+def _top_eigenvalue_within(
+    A_tilde: np.ndarray, lam: float, residual2: float, tau: float
+) -> bool:
+    """True when |lambda_max(A~) - lam| <= tau is proved; False when the proof is inconclusive.
+
+    A~ is the floating-point matrix A + E, and u~ the report's vector. With
+    u = eps/2 the unit roundoff and pad = 2 (n+2) u, two inequalities make
+    the proof, without an eigendecomposition:
+
+    * lower side: r = residual2 + pad ||A~||_inf bounds the exact
+      ||A~ u~ - lam u~||_2 / ||u~||_2, so some eigenvalue of A~ lies within
+      r of lam (the residual bound; Parlett, The Symmetric Eigenvalue
+      Problem). r <= tau gives lambda_max >= lam - tau.
+    * upper side: let t = lam + tau, rounded down, M = (t - s) I - A~ and
+      s = pad trace(t I - A~). If the Cholesky factorization of M runs to
+      completion in floating point, its factor R satisfies R* R = M + dM
+      with ||dM||_2 <= (n+1) u trace(M) / (1 - (n+1) u) (Demmel's
+      backward-error bound, the one Rump's isspd relies on). So
+      lambda_min(M) > -s and t I - A~ is positive definite: lambda_max < t.
+
+    pad is twice the first-order rounding bounds, which absorbs the
+    second-order terms, ||u~||_2 - 1 and the rounding of the diagonal
+    shifts. Assumes no underflow. s < 0, s >= tau, r > tau or a failed
+    factorization leaves the question to the caller.
+    """
+    n = A_tilde.shape[0]
+    pad = 2.0 * (n + 2) * (np.finfo(np.float64).eps / 2.0)
+    if not residual2 + pad * float(np.abs(A_tilde).sum(axis=1).max()) <= tau:
+        return False
+    t = float(np.nextafter(lam + tau, -math.inf))
+    shifted = -A_tilde
+    shifted.flat[:: n + 1] += t
+    s = pad * float(shifted.diagonal().real.sum())
+    if not 0.0 <= s < tau:
+        return False
+    shifted.flat[:: n + 1] -= s
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def verify_solution(
     A: np.ndarray,
     E: np.ndarray,
@@ -262,9 +321,14 @@ def verify_solution(
 ) -> SolverReport:
     """Fill residuals and the leading-eigenpair certificate on a report.
 
-    Certification needs both lambda~ > (lambda1 + lambda2)/2 and agreement of
-    lambda~ with the dense oracle's top eigenvalue of A + E to 1e-9 relative.
-    Failures are recorded, never raised.
+    Certification needs both lambda~ > (lambda1 + lambda2)/2 and
+    |lambda_max(A + E) - lambda~| <= tau with tau = 1e-9 (1 + |lambda~|).
+    Without ``tilde_eig`` the second condition is proved by the residual
+    bound (lower side) and one Cholesky factorization (upper side); see
+    _top_eigenvalue_within. When that proof is inconclusive, or when
+    ``tilde_eig`` is passed, lambda_max is read from the dense oracle.
+    Neither is tried when the first condition fails. Failures are recorded,
+    never raised.
     """
     if eig is None:
         eig = hermitian_eig(A)
@@ -274,13 +338,17 @@ def verify_solution(
     report.orth_residual = _orthogonal_complement_residual(eig, report.q, A_tilde, u)
     report.coord_ratios = coordinate_bounds(report.q, spectrum)
     report.q_norm2 = float(np.linalg.norm(report.q))
-    if tilde_eig is None:
-        tilde_eig = hermitian_eig(A_tilde)
-    top = float(tilde_eig.spectrum.lambdas[0])
     half = (spectrum.lambdas[0] + spectrum.lambdas[1]) / 2.0
-    report.leading_certified = bool(
-        lam > half and abs(lam - top) <= 1e-9 * (1.0 + abs(lam))
-    )
+    tau = 1e-9 * (1.0 + abs(lam))
+    if not lam > half:
+        report.leading_certified = False
+    elif tilde_eig is None and _top_eigenvalue_within(A_tilde, lam, report.residual2, tau):
+        report.leading_certified = True
+    else:
+        if tilde_eig is None:
+            tilde_eig = hermitian_eig(A_tilde)
+        top = float(tilde_eig.spectrum.lambdas[0])
+        report.leading_certified = bool(abs(lam - top) <= tau)
     return report
 
 
@@ -312,9 +380,11 @@ def solve(
     anything else raises ValueError. Runs the partition / fixed-point /
     assembly chain; on any PerturbError there (gap collapse, contraction
     failure, divergence, a complex eigenvalue) it falls back to the dense
-    oracle's leading eigenpair and tags the report method "oracle-fallback"
-    so pipelines never silently lose a trial. The contraction certificate is
-    computed once either way; it is inf when the shifted gaps collapse.
+    oracle's leading eigenpair, tags the report method "oracle-fallback"
+    and records the caught error as "<ErrorType>: <message>" in
+    ``fallback_reason`` (empty on "rs"), so pipelines never silently lose a
+    trial. The contraction certificate is computed once either way; it is
+    inf when the shifted gaps collapse.
     """
     A, E = np.asarray(A), np.asarray(E)
     _check_operands(A, E)
@@ -354,6 +424,7 @@ def solve(
             iterations=0,
             contraction_upper=getattr(err, "certified_norm", cert),
             method="oracle-fallback",
+            fallback_reason=f"{type(err).__name__}: {err}",
         )
     if verify:
         verify_solution(A, E, report, spectrum, eig=eig, tilde_eig=tilde_eig)

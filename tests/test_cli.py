@@ -85,6 +85,18 @@ class TestSolve:
         assert report["q"] == [0.0, 0.0]
         assert report["lambda_tilde"] == 3.0
         assert report["leading_certified"] is True
+        assert report["fallback_reason"] == ""
+
+    def test_fallback_reason_exported(self, capsys, tmp_path):
+        (tmp_path / "A.json").write_text(matrix_to_json(np.diag([3.0, 2.0, 1.0])))
+        (tmp_path / "E.json").write_text(matrix_to_json(np.diag([-2.0, 0.0, 0.0])))
+        code, out, _ = run_cli(
+            capsys, "solve", "--matrix", str(tmp_path / "A.json"), "--noise", str(tmp_path / "E.json")
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["method"] == "oracle-fallback"
+        assert report["fallback_reason"].startswith("GapCollapseError: ")
 
     def test_goe_noise_certifies(self, capsys, tmp_path):
         run_cli(capsys, "gen", "--kind", "diag", "--spectrum",

@@ -180,6 +180,42 @@ class TestHermitianHelpers:
         assert is_hermitian(H)
         assert np.all(H.diagonal().imag == 0.0)
 
+    @pytest.mark.parametrize("complex_case", [False, True])
+    def test_force_hermitian_tiles_match_formula(self, complex_case):
+        # the tiled path (n > 128, last tile partial) gives the bytes of (M + M*)/2,
+        # signed zeros included
+        rng = rng_from_stream(4)
+        M = rng.standard_normal((300, 300))
+        if complex_case:
+            M = M + 1j * rng.standard_normal((300, 300))
+        M[3, 290] = M[290, 3] = -0.0
+        H = force_hermitian(M)
+        expected = (M + M.conj().T) / 2.0
+        assert H.dtype == expected.dtype
+        assert H.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [200, 300])
+    def test_is_hermitian_last_partial_tile(self, n):
+        # n is not a multiple of the 128-wide tiles; one entry in the last,
+        # partial tile breaks symmetry by one ulp
+        H = force_hermitian(rng_from_stream(5).standard_normal((n, n)))
+        assert is_hermitian(H)
+        H[n - 1, n - 3] = np.nextafter(H[n - 1, n - 3], np.inf)
+        assert not is_hermitian(H)
+        assert not is_hermitian(H.T)
+
+    def test_is_hermitian_imaginary_diagonal(self):
+        rng = rng_from_stream(6)
+        M = rng.standard_normal((150, 150)) + 1j * rng.standard_normal((150, 150))
+        H = force_hermitian(M)
+        assert is_hermitian(H)
+        H[140, 140] += 1e-300j  # a diagonal entry equals itself, not its conjugate
+        assert not is_hermitian(H)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (130, 129), (4,), (2, 2, 2)])
+    def test_is_hermitian_not_square(self, shape):
+        assert not is_hermitian(np.zeros(shape))
+
 
 class TestJsonRoundTrip:
     def test_real_matrix(self):

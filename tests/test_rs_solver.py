@@ -25,6 +25,7 @@ from perturb.matcore import (
     Spectrum,
     force_hermitian,
     hermitian_eig,
+    is_hermitian,
     lp_norm,
 )
 from perturb.rs_solver import (
@@ -84,6 +85,36 @@ class TestPartition:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             partition(diag_eig(spectrum(3, 2, 1)), np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("case", ["real", "complex", "non-hermitian", "complex-basis"])
+    def test_identity_basis_matches_general_path(self, case):
+        # the identity basis skips I* E I; -I is not detected as the identity and
+        # takes the general path, whose products are exact as well
+        n = 200
+        s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
+        rng = rng_from_stream(29)
+        E = rng.standard_normal((n, n))
+        if case == "complex":
+            E = E + 1j * rng.standard_normal((n, n))
+        if case != "non-hermitian":
+            E = force_hermitian(E)
+        eye = np.eye(n, dtype=complex if case == "complex-basis" else float)
+        expected = force_hermitian(eye.T @ E @ eye)
+        for basis in (eye, -eye):
+            part = partition(EigDecomposition(s, basis), E)
+            assert part.e11 == expected[0, 0].real
+            assert np.array_equal(part.e12, expected[0, 1:])
+            assert np.array_equal(part.e22, expected[1:, 1:])
+            assert part.e22.dtype == expected.dtype
+            assert is_hermitian(part.reassemble())
+
+    def test_unit_diagonal_basis_is_conjugated(self):
+        # a unit diagonal alone does not make the identity
+        s = spectrum(3, 2, 1)
+        basis = np.eye(3) + np.triu(np.ones((3, 3)), 1)
+        E = sample_goe(3, 11)
+        part = partition(EigDecomposition(s, basis), E)
+        assert np.array_equal(part.reassemble(), force_hermitian(basis.T @ E @ basis))
 
 
 class TestShiftedGaps:
@@ -337,6 +368,61 @@ class TestVerifySolution:
         assert rep.lambda_tilde == pytest.approx(3.0)
         assert not rep.leading_certified
 
+    def test_second_eigenpair_rejected(self):
+        # the exact second eigenpair of A~ clears lambda~ > (lambda1 + lambda2)/2
+        # and has a zero residual: the proof's upper side fails, the oracle rejects
+        s = spectrum(3, 2, 1)
+        A = np.diag(s.lambdas)
+        E = np.array([[1.0, 0.3, 0.0], [0.3, 0.8, 0.1], [0.0, 0.1, 0.0]])
+        w, V = np.linalg.eigh(A + E)
+        lam, u = float(w[-2]), V[:, -2] * np.sign(V[0, -2])
+        assert lam > 2.5
+        rep = SolverReport(
+            q=u[1:] / u[0], u_tilde=u, lambda_tilde=lam, iterations=0, contraction_upper=0.0
+        )
+        verify_solution(A, E, rep, s, eig=diag_eig(s))
+        assert rep.residual2 <= 1e-14
+        assert not rep.leading_certified
+
+    @pytest.mark.parametrize("cause", ["shift", "cholesky"])
+    def test_inconclusive_proof_uses_oracle(self, monkeypatch, cause):
+        if cause == "shift":
+            # ||A~||_inf ~ 1e6 keeps the lower side under tau ~ 2e-9, while
+            # s = 12 u trace(t I - A~) ~ 2.7e-9 reaches tau: Cholesky is never tried
+            s = spectrum(1.0, 0.0, -1e6, -1e6 - 1)
+            E = 1e-3 * sample_goe(4, 23)
+
+            def cholesky(*args, **kwargs):
+                raise AssertionError("Cholesky attempted although s >= tau")
+        else:
+            s = realize_spectrum(SpectrumSpec("multiscale", 32, {"eps": 1.0}))
+            E = sample_goe(32, 23)
+
+            def cholesky(*args, **kwargs):
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+        A = np.diag(s.lambdas)
+        rep = solve(A, E, eig=diag_eig(s), verify=False)
+        assert rep.method == "rs"
+        if cause == "shift":
+            A_tilde, lam, u = A + E, rep.lambda_tilde, rep.u_tilde
+            pad, tau = 12 * np.finfo(float).eps / 2, 1e-9 * (1 + abs(rep.lambda_tilde))
+            r = np.linalg.norm(A_tilde @ u - lam * u) + pad * np.abs(A_tilde).sum(axis=1).max()
+            assert r <= tau <= pad * np.trace(lam * np.eye(4) - A_tilde)
+        oracle = verify_solution(
+            A, E, SolverReport(**vars(rep)), s, eig=diag_eig(s), tilde_eig=hermitian_eig(A + E)
+        )
+        calls = []
+
+        def counted(M):
+            calls.append(1)
+            return hermitian_eig(M)
+
+        monkeypatch.setattr(rs_solver, "hermitian_eig", counted)
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        verify_solution(A, E, rep, s, eig=diag_eig(s))
+        assert len(calls) == 1
+        assert rep.leading_certified == oracle.leading_certified
+
     def test_random_certified_residual(self):
         n = 32
         s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
@@ -378,9 +464,43 @@ class TestSolveDriver:
         for key in (
             "q", "u_tilde", "lambda_tilde", "iterations",
             "contraction_upper", "residual2", "orth_residual", "coord_ratios",
-            "q_norm2", "leading_certified", "method",
+            "q_norm2", "leading_certified", "method", "fallback_reason",
         ):
             assert key in d
+        assert d["fallback_reason"] == ""
+
+    @pytest.mark.parametrize("E,reason", [
+        # E22 D^{-1} has norm 1.1, above the cap
+        (1.1 * np.outer([0, 1, 0], [0, 1, 0]), "ContractionFailureError: iteration operator norm bound 1.1"),
+        # E11 = -2 closes the shifted gaps 1 and 2
+        (np.diag([-2.0, 0.0, 0.0]), "GapCollapseError: shifted gap collapsed"),
+    ])
+    def test_fallback_reason(self, E, reason):
+        s = spectrum(3, 2, 1)
+        rep = solve(np.diag(s.lambdas), E)
+        assert rep.method == "oracle-fallback"
+        assert rep.fallback_reason.startswith(reason)
+        assert rep.to_dict()["fallback_reason"] == rep.fallback_reason
+
+    @pytest.mark.parametrize("method", ["rs", "oracle-fallback"])
+    def test_no_oracle_on_rs_path(self, monkeypatch, method):
+        # with eig passed, only the fallback itself runs the dense oracle
+        calls = []
+
+        def counted(M):
+            calls.append(1)
+            return hermitian_eig(M)
+
+        monkeypatch.setattr(rs_solver, "hermitian_eig", counted)
+        n = 32
+        s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
+        E = sample_goe(n, 31)
+        if method == "oracle-fallback":
+            E = 40.0 * E
+        rep = solve(np.diag(s.lambdas), E, eig=diag_eig(s), verify=True)
+        assert rep.method == method
+        assert rep.leading_certified
+        assert len(calls) == (method == "oracle-fallback")
 
     def test_inconsistent_eigenvalue_falls_back(self, monkeypatch):
         def complex_eigenvalue(*args, **kwargs):
@@ -390,6 +510,7 @@ class TestSolveDriver:
         s = spectrum(3, 2, 1)
         rep = solve(np.diag(s.lambdas), 0.1 * sample_goe(3, 7))
         assert rep.method == "oracle-fallback"
+        assert rep.fallback_reason == "InconsistentEigenvalueError: E12 q has imaginary part 1"
         assert rep.leading_certified
         assert 0.0 < rep.contraction_upper <= 0.9  # the certificate solve_q computed
 
