@@ -164,7 +164,8 @@ def operator_norm_exact(M, p) -> float:
     p=1 is the max column abs-sum, p=inf the max row abs-sum, and p=2 the
     largest singular value, computed from the eigendecomposition of M (when
     self-adjoint) or of M*M. Other exponents raise UnsupportedExponentError;
-    callers wanting general p use bounds.opnorm_pp_upper.
+    callers wanting general p use bounds.opnorm_pp_upper. An eigensolver
+    failure (e.g. on overflowed entries) raises NumericFailureError.
     """
     M = np.atleast_2d(np.asarray(M))
     if p == 1:
@@ -172,10 +173,13 @@ def operator_norm_exact(M, p) -> float:
     if p == math.inf:
         return float(np.abs(M).sum(axis=1).max())
     if p == 2:
-        if M.shape[0] == M.shape[1] and is_hermitian(M):
-            return float(np.abs(np.linalg.eigvalsh(M)).max())
-        gram = M.conj().T @ M
-        top = float(np.linalg.eigvalsh(force_hermitian(gram)).max())
+        try:
+            if M.shape[0] == M.shape[1] and is_hermitian(M):
+                return float(np.abs(np.linalg.eigvalsh(M)).max())
+            gram = M.conj().T @ M
+            top = float(np.linalg.eigvalsh(force_hermitian(gram)).max())
+        except np.linalg.LinAlgError as exc:
+            raise NumericFailureError(f"spectral norm eigensolver failed: {exc}") from exc
         return math.sqrt(max(top, 0.0))
     raise UnsupportedExponentError(f"exact operator norm only at p in {{1, 2, inf}}, got {p}")
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perturb import bounds
 from perturb.bounds import (
     assumption_report,
     best_p,
@@ -19,9 +20,23 @@ from perturb.bounds import (
     opnorm_pp_upper,
     rs_sin_theta_bound,
 )
-from perturb.ensembles import SpectrumSpec, realize_spectrum, rng_from_stream, sample_goe
+from perturb.ensembles import (
+    SpectrumSpec,
+    realize_spectrum,
+    rng_from_stream,
+    sample_goe,
+    sample_gue,
+)
 from perturb.errors import InvalidSpectrumError
-from perturb.matcore import Spectrum, dual_exponent, lp_norm, operator_norm_exact
+from perturb.matcore import (
+    Spectrum,
+    dual_exponent,
+    force_hermitian,
+    hermitian_eig,
+    lp_norm,
+    operator_norm_exact,
+)
+from perturb.rs_solver import build_shifted_gaps, partition
 
 
 def spectrum(*vals):
@@ -180,6 +195,87 @@ class TestOpnormUpper:
         for _ in range(10):
             M = rng.standard_normal((8, 8))
             assert opnorm_pp_upper(M, 2) >= operator_norm_exact(M, 2) - 1e-12
+
+
+def random_matrix(kind: str, shape: tuple[int, int], seed: int) -> np.ndarray:
+    """Gaussian test input: real, complex, graded columns or flat singular values."""
+    rng = rng_from_stream(seed)
+    M = rng.standard_normal(shape)
+    if kind == "complex":
+        M = M + 1j * rng.standard_normal(shape)
+    elif kind == "graded":
+        M = M * np.geomspace(1.0, 1e-6, shape[1])
+    elif kind == "flat":
+        M = np.linalg.qr(M)[0] * np.linspace(1.0, 0.9, shape[1])
+    return M
+
+
+def dense_certificate_input(n: int, scale: float, seed: int) -> np.ndarray:
+    """E22 D^{-1} as solve forms it on a solve_dense-like input.
+
+    A is dense complex with a random unitary eigenbasis and a multiscale
+    spectrum, E is scaled GUE noise, and E22 lives in A's eigenbasis.
+    """
+    rng = rng_from_stream(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
+    eig = hermitian_eig(force_hermitian((Q * s.lambdas) @ Q.conj().T))
+    part = partition(eig, scale * sample_gue(n, seed))
+    return part.e22 / build_shifted_gaps(eig.spectrum, part.e11)
+
+
+class TestSpectralNormCertificate:
+    """opnorm_pp_upper at p = 2: a Lanczos estimate proved by one Cholesky factorization."""
+
+    @pytest.mark.parametrize("kind,shape", [
+        *[(kind, (n, n)) for n in (2, 9, 70, 200) for kind in ("real", "complex")],
+        ("real", (40, 90)), ("graded", (90, 40)), ("flat", (200, 200)),
+    ])
+    def test_within_relative_margin(self, kind, shape):
+        M = random_matrix(kind, shape, 6)
+        exact = operator_norm_exact(M, 2)
+        assert exact <= opnorm_pp_upper(M, 2) <= exact * (1 + 1e-9)
+
+    @pytest.mark.parametrize("scale", [8.5, 12.0])
+    def test_within_relative_margin_dense_solve(self, scale):
+        M = dense_certificate_input(128, scale, 41)
+        exact = operator_norm_exact(M, 2)
+        assert exact <= opnorm_pp_upper(M, 2) <= exact * (1 + 1e-9)
+
+    def test_failed_factorization_uses_exact(self, monkeypatch):
+        def cholesky(*args, **kwargs):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        M = dense_certificate_input(64, 8.5, 43)
+        exact = operator_norm_exact(M, 2)
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        assert opnorm_pp_upper(M, 2) == exact
+
+    def test_low_estimate_not_certified(self, monkeypatch):
+        # the estimate only chooses the shift: an estimate 1 % low makes the
+        # factorization fail, and the exact norm decides
+        M = random_matrix("real", (50, 50), 45)
+        exact = operator_norm_exact(M, 2)
+        top = bounds._lanczos_top
+        monkeypatch.setattr(bounds, "_lanczos_top", lambda G: 0.99 * top(G))
+        assert opnorm_pp_upper(M, 2) == exact
+
+    @pytest.mark.parametrize("complex_case", [False, True])
+    def test_shift_covers_rounding(self, monkeypatch, complex_case):
+        # the factorized matrix is (t - s) I - G with t + s + g <= c^2, where
+        # g = 2 (m+2) u ||M||_F^2 bounds the rounding of G = M* M and
+        # s = 2 (m+2) u trace(t I - G) the factorization's backward error
+        M = random_matrix("complex" if complex_case else "real", (200, 200), 47)
+        seen = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda H: seen.append(H.copy()) or cholesky(H))
+        c = opnorm_pp_upper(M, 2)
+        H, G = seen[0], M.conj().T @ M
+        pad = 2 * (200 + 2) * np.finfo(float).eps / 2
+        shift = (H + G).diagonal().real  # t - s on every diagonal entry
+        s = pad * np.trace(H).real / (1 - 200 * pad)  # trace(t I - G) = trace(H) + 200 s
+        g = pad * np.linalg.norm(M, "fro") ** 2
+        assert shift.max() + s + g <= c * c * (1 + 1e-14)
 
 
 class TestOpnormLower:

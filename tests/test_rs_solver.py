@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,8 @@ from perturb.errors import (
     GapCollapseError,
     InconsistentEigenvalueError,
     InvalidSpectrumError,
+    NonConvergenceError,
+    PerturbError,
 )
 from perturb.matcore import (
     EigDecomposition,
@@ -29,6 +32,7 @@ from perturb.matcore import (
     lp_norm,
 )
 from perturb.rs_solver import (
+    PartitionedPerturbation,
     SolverReport,
     assemble_eigvec,
     build_shifted_gaps,
@@ -107,6 +111,15 @@ class TestPartition:
             assert np.array_equal(part.e22, expected[1:, 1:])
             assert part.e22.dtype == expected.dtype
             assert is_hermitian(part.reassemble())
+
+    def test_self_adjoint_noise_taken_as_is(self):
+        # (E + E*)/2 would turn a finite 1e308 pair into inf; a self-adjoint E
+        # is split without it
+        s = spectrum(8, 6, 4, 2)
+        E = np.zeros((4, 4))
+        E[1, 3] = E[3, 1] = 1e308
+        part = partition(diag_eig(s), E)
+        assert np.array_equal(part.reassemble(), E)
 
     def test_unit_diagonal_basis_is_conjugated(self):
         # a unit diagonal alone does not make the identity
@@ -189,6 +202,32 @@ class TestJacobiInner:
             assert lp_norm(d * q, p) <= 2.0 * lp_norm(rhs, p) + 1e-9
             done += 1
 
+    def test_strong_coupling_grid(self):
+        # the quadratic term sits in the denominator, so the loop converges
+        # with E12 scaled up to 1.5x its GOE size and certificates up to 0.7
+        rng = rng_from_stream(101)
+        for n in (9, 33):
+            s = Spectrum(np.arange(n, 0, -1.0) * 2.0)
+            for cert in (0.3, 0.5, 0.7):
+                for coupling in (0.5, 1.0, 1.5):
+                    for t in range(40):
+                        E = scaled_noise(s, rng, cert)
+                        E[0, 1:] *= coupling
+                        E[1:, 0] *= coupling
+                        q, _, _ = solve_q(partition(diag_eig(s), E), s)
+                        top = np.linalg.eigh(np.diag(s.lambdas) + E)[1][:, -1]
+                        direct = top[1:] / top[0]
+                        assert np.linalg.norm(q - direct) <= 1e-10 * max(1.0, np.linalg.norm(direct))
+
+    def test_closed_shifted_gap_raises(self):
+        # with the gate lifted, E22 = -100 I drives Re(E12 q) to -1.2 on the
+        # second step, closing d_1 + Re(E12 q); the loop stops with the certificate
+        s = spectrum(3, 2, 1)
+        part = PartitionedPerturbation(0.0, np.array([0.1, 0.1]), -100.0 * np.eye(2))
+        with pytest.raises(NonConvergenceError, match="not positive") as err:
+            solve_q(part, s, certificate_cap=math.inf)
+        assert err.value.certified_norm == pytest.approx(100.0)
+
     def test_certificate_rejection(self):
         s = spectrum(3, 2, 1)
         part = partition(diag_eig(s), np.diag([0.0, 2.0, 0.0]))  # E22 D^{-1} has norm 2 > cap
@@ -198,8 +237,10 @@ class TestJacobiInner:
 
     def test_iteration_budget(self):
         # iterations <= 10 log2(1/tol) when the certificate is <= 1/2 and
-        # ||E21||_2 <= d_1 / 8: the map then sends the ball ||D q||_2 <= 4 ||E21||_2
-        # into itself with Lipschitz constant <= 1/2 + 8 / 8^2 = 5/8
+        # ||E21||_2 <= d_1 / 8: in x = D q the map x <- D (D + c)^{-1} (E22 D^{-1} x + E21),
+        # c = Re(E12 D^{-1} x), sends the ball ||x||_2 <= 4 ||E21||_2 into itself
+        # (|c| <= d_j / 16 there) with Lipschitz constant
+        # <= (16/15) (1/2) + (16/15)^2 (3/64) < 5/8
         rng = rng_from_stream(47)
         s = Spectrum(np.arange(9, 0, -1.0) * 2.0)
         budget = 10 * math.log2(1e12)
@@ -502,6 +543,49 @@ class TestSolveDriver:
         assert rep.leading_certified
         assert len(calls) == (method == "oracle-fallback")
 
+    def test_no_large_eigensolve_on_rs_path(self, monkeypatch):
+        # the certificate's only eigenproblem is the Lanczos tridiagonal (order
+        # <= 64); the leading-pair certificate uses Cholesky alone
+        orders = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(M):
+            orders.append(np.shape(M)[0])
+            return eigvalsh(M)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        n = 256
+        s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
+        rep = solve(np.diag(s.lambdas), sample_goe(n, 31), eig=diag_eig(s), verify=True)
+        assert rep.method == "rs" and rep.leading_certified
+        assert 0 < len(orders) <= 64
+        assert max(orders) <= 64
+
+    @pytest.mark.parametrize("method,scale", [("rs", 1.0), ("oracle-fallback", 40.0)])
+    def test_replay_byte_identical(self, method, scale):
+        n = 64
+        s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
+        runs = [solve(np.diag(s.lambdas), scale * sample_goe(n, 33)) for _ in range(2)]
+        assert runs[0].method == method
+        assert json.dumps(runs[0].to_dict()) == json.dumps(runs[1].to_dict())
+
+    @pytest.mark.parametrize("pass_eig", [False, True])
+    def test_overflowing_noise_entry(self, pass_eig):
+        # G = M* M overflows for this finite E; the certificate's eigensolver
+        # failure becomes a NumericFailureError and the oracle answers
+        s = Spectrum(2.0 * np.arange(8, 0, -1.0))
+        E = np.zeros((8, 8))
+        E[2, 5] = E[5, 2] = 1e308
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                rep = solve(np.diag(s.lambdas), E, eig=diag_eig(s) if pass_eig else None)
+        except PerturbError:
+            return
+        assert rep.method == "oracle-fallback"
+        assert rep.fallback_reason.startswith("NumericFailureError")
+        assert rep.leading_certified
+        assert rep.lambda_tilde == 1e308
+
     def test_inconsistent_eigenvalue_falls_back(self, monkeypatch):
         def complex_eigenvalue(*args, **kwargs):
             raise InconsistentEigenvalueError("E12 q has imaginary part 1")
@@ -515,14 +599,15 @@ class TestSolveDriver:
         assert 0.0 < rep.contraction_upper <= 0.9  # the certificate solve_q computed
 
     def test_strong_coupling_still_solved(self):
-        # ||E21||_2 near the gap: on some draws the fixed-point loop does not
-        # converge and solve falls back; every report is still the leading pair
+        # ||E21||_2 near the gap: the loop still converges on every draw, and
+        # every report is the certified leading pair
         rng = rng_from_stream(47)
         s = Spectrum(np.arange(9, 0, -1.0) * 2.0)
         A = np.diag(s.lambdas)
         for t in range(20):
             E = scaled_noise(s, rng, 0.5)
             rep = solve(A, E, eig=diag_eig(s))
+            assert rep.method == "rs"
             assert rep.leading_certified
             oracle = hermitian_eig(A + E)
             assert 1 - abs(np.vdot(rep.u_tilde, oracle.basis[:, 0])) <= 1e-9
