@@ -31,19 +31,21 @@ class GapCollapseError(PerturbError):
 
 
 class ContractionFailureError(PerturbError):
-    """Iteration operator is not certified contracting; carries the norm bound."""
+    """Iteration operator is not certified contracting; carries the norm bound and its rung."""
 
-    def __init__(self, message: str, certified_norm: float = float("nan")):
+    def __init__(self, message: str, certified_norm: float = float("nan"), rung: str = ""):
         super().__init__(message)
         self.certified_norm = certified_norm
+        self.rung = rung
 
 
 class NonConvergenceError(PerturbError):
-    """Fixed-point iteration diverged or hit its step cap; carries the norm bound."""
+    """Fixed-point iteration diverged or hit its step cap; carries the norm bound and its rung."""
 
-    def __init__(self, message: str, certified_norm: float = float("nan")):
+    def __init__(self, message: str, certified_norm: float = float("nan"), rung: str = ""):
         super().__init__(message)
         self.certified_norm = certified_norm
+        self.rung = rung
 
 
 class InconsistentEigenvalueError(PerturbError):

@@ -8,20 +8,29 @@ solves the quadratic system
 
 One loop solves it: with d_j = lambda1 - lambda_{j+1} + E11 the shifted gaps
 and D = diag(d), q <- (E22 q + E21) / (d + Re(E12 q)) from q = 0, one E22
-matvec per step. The loop runs only when ||E22 D^{-1}||_p is certified
-contracting; at p = 2 a Lanczos estimate and one Cholesky factorization prove
-that bound, with no eigendecomposition. Every solve carries that certificate,
-its step count, the fixed-point residual, and a leading-eigenvalue
-certificate. That certificate needs no eigendecomposition of A + E either: the
-residual bound puts an eigenvalue near lambda~ and one Cholesky factorization
-shows that none lies above it. Only when one of these proofs is inconclusive
-does the dense computation decide.
+matvec per step. In y = D^{1/2} q the same loop reads
+
+    y <- D (D + c)^{-1} (S y + D^{-1/2} E21),   S = D^{-1/2} E22 D^{-1/2},   c = Re(E12 q),
+
+so its linear part contracts at ||S||_2, the spectral radius of E22 D^{-1}
+(S is Hermitian and similar to it). The loop runs only when a proved upper
+bound on ||S||_2 is at or below a cap. contraction_gate tries two rungs: the
+weighted Frobenius norm ||S||_F, padded for rounding, in O(n^2); then the
+paper's ||E22 D^{-1}||_p from contraction_certificate (at p = 2 a Lanczos
+estimate proved by one Cholesky factorization). The report carries the bound
+that gated the loop and names its rung, along with the step count, the
+residuals and a leading-eigenvalue certificate. That certificate needs no
+eigendecomposition of A + E: the residual bound puts an eigenvalue near
+lambda~, and Cauchy interlacing (identity basis, O(n^2)) or one Cholesky
+factorization shows that none lies above it. Only when these proofs are
+inconclusive does the dense computation decide.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,9 +55,11 @@ from .matcore import (
 __all__ = [
     "PartitionedPerturbation",
     "SolverReport",
+    "ContractionGate",
     "partition",
     "build_shifted_gaps",
     "contraction_certificate",
+    "contraction_gate",
     "solve_q",
     "assemble_eigvec",
     "eigenvalue_from_q",
@@ -59,14 +70,16 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-12
-# The norm guarantees assume a certificate <= 1/2. In x = D q solve_q's map
-# reads x <- D (D + c)^{-1} (E22 D^{-1} x + E21) with c = Re(E12 q), zero at
-# the start and nonnegative at the leading fixed point, so its linear part
-# contracts for any certificate rho < 1. The rest of its Jacobian comes from
-# c's dependence on q, is of order ||E21||_2 ||E12 D^{-1}||_2 / min(d), and
-# so also needs E12 not too large against the gaps. 0.9 accepts the slow band
-# and flags it in reports; inputs that still fail to converge fall back to
-# the oracle.
+# In y = D^{1/2} q solve_q's map reads y <- D (D + c)^{-1} (S y + D^{-1/2} E21)
+# with S = D^{-1/2} E22 D^{-1/2} and c = Re(E12 q), zero at the start and
+# nonnegative at the leading fixed point (lambda~ >= lambda1 + E11, the
+# Rayleigh quotient of u1). So ||D (D + c)^{-1}||_2 <= 1, and the linear part
+# contracts in the 2-norm of y at rate ||S||_2 = rho(E22 D^{-1}), which is at
+# most the paper's ||E22 D^{-1}||_p for every p. Every rung of contraction_gate
+# is a proved upper bound on ||S||_2. The rest of the Jacobian comes from c's
+# dependence on q, is of order ||E21||_2 ||E12 D^{-1}||_2 / min(d), and so also
+# needs E12 not too large against the gaps. 0.9 accepts the slow band and flags
+# it in reports; inputs that still fail to converge fall back to the oracle.
 CERTIFICATE_CAP = 0.9
 
 
@@ -101,13 +114,21 @@ class PartitionedPerturbation:
 
 @dataclass
 class SolverReport:
-    """Everything a solve produced, including its certificates."""
+    """Everything a solve produced, including its certificates.
+
+    ``contraction_upper`` is the bound that gated the loop and
+    ``contraction_rung`` the rung that proved it (see contraction_gate):
+    the first at or under the cap, else the smallest computed. The rung is
+    empty when the gate did not finish (collapsed shifted gaps, or a
+    NumericFailureError from the paper's norm; the bound is then inf).
+    """
 
     q: np.ndarray
     u_tilde: np.ndarray
     lambda_tilde: float
     iterations: int
     contraction_upper: float
+    contraction_rung: str = ""
     residual2: float = math.nan
     orth_residual: float = math.nan
     coord_ratios: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -128,6 +149,7 @@ class SolverReport:
             "lambda_tilde": self.lambda_tilde,
             "iterations": self.iterations,
             "contraction_upper": self.contraction_upper,
+            "contraction_rung": self.contraction_rung,
             "residual2": self.residual2,
             "orth_residual": self.orth_residual,
             "coord_ratios": seq(self.coord_ratios),
@@ -138,6 +160,11 @@ class SolverReport:
         }
 
 
+def _identity_basis(basis: np.ndarray) -> bool:
+    """True when the eigenbasis is exactly the identity (A diagonal)."""
+    return bool(np.all(basis.diagonal() == 1) and np.count_nonzero(basis) == basis.shape[0])
+
+
 def partition(eig: EigDecomposition, E: np.ndarray) -> PartitionedPerturbation:
     """Conjugate E into the eigenbasis of A and split blocks around u1.
 
@@ -146,12 +173,24 @@ def partition(eig: EigDecomposition, E: np.ndarray) -> PartitionedPerturbation:
     is symmetrized only when it is not already exactly self-adjoint, where
     (M + M*)/2 would return M itself, save for overflow in the sum.
     """
-    E = np.asarray(E)
+    return _partition(eig, np.asarray(E), _identity_basis(eig.basis), checked=False)
+
+
+def _partition(
+    eig: EigDecomposition, E: np.ndarray, identity: bool, checked: bool
+) -> PartitionedPerturbation:
+    """partition, with the identity test already made.
+
+    ``checked`` says that E passed _check_operands, so it is exactly
+    self-adjoint; on the identity basis its blocks are then used in place.
+    """
     if E.shape != (eig.n, eig.n):
         raise ValueError(f"noise shape {E.shape} does not match basis dimension {eig.n}")
     basis = eig.basis
-    if np.all(basis.diagonal() == 1) and np.count_nonzero(basis) == eig.n:
+    if identity:
         tilde = E.astype(np.result_type(E, basis), copy=False)
+        if checked:
+            return PartitionedPerturbation(float(tilde[0, 0].real), tilde[0, 1:], tilde[1:, 1:])
     else:
         tilde = basis.conj().T @ E @ basis
     if not is_hermitian(tilde):
@@ -174,7 +213,7 @@ def build_shifted_gaps(spectrum: Spectrum, e11: float) -> np.ndarray:
 
 
 def contraction_certificate(d: np.ndarray, e22: np.ndarray, p: float) -> float:
-    """Certified upper bound on ||E22 D^{-1}||_{p,p}, from bounds.opnorm_pp_upper.
+    """Certified upper bound on the paper's ||E22 D^{-1}||_{p,p}, from bounds.opnorm_pp_upper.
 
     Exact at p in {1, inf}. At p = 2 it is proved by one Cholesky
     factorization and lies within a relative 5e-10 above the exact norm (the
@@ -183,13 +222,62 @@ def contraction_certificate(d: np.ndarray, e22: np.ndarray, p: float) -> float:
     return opnorm_pp_upper(e22 / d[np.newaxis, :], p)
 
 
+def _weighted_frobenius_upper(M: np.ndarray, d: np.ndarray, hollow: bool = False) -> float:
+    """Upper bound on ||D^{-1/2} M D^{-1/2}||_F for D = diag(d) > 0, in O(m^2).
+
+    With ``hollow`` the diagonal of M is left out. d may carry one rounding
+    (relative error u = eps/2), as fl(t - a) does. To first order the
+    computed norm errs by at most (m^2/2 + 9) u relative: 2.5 u in each
+    weight fl(1/fl(sqrt(d_j))), 2 u for the two products that scale an
+    entry, gamma_{m^2 + 2} for the sum of squares (Higham, Accuracy and
+    Stability of Numerical Algorithms, sec. 3.1), halved by the square root,
+    and u for the root. pad is twice that, which absorbs the second-order
+    terms, and the padded norm is rounded up. Assumes no underflow; a
+    non-finite sum of squares gives inf.
+    """
+    m = M.shape[0]
+    w = 1.0 / np.sqrt(d)
+    W = M * w
+    W *= w[:, np.newaxis]
+    if hollow:
+        W.flat[:: m + 1] = 0.0
+    s = float(np.vdot(W, W).real)
+    if not math.isfinite(s):
+        return math.inf
+    pad = (m * m + 18) * (np.finfo(np.float64).eps / 2.0)
+    return float(np.nextafter(math.sqrt(s) * (1.0 + pad), math.inf))
+
+
+class ContractionGate(NamedTuple):
+    """A proved upper bound on the loop's contraction rate ||S||_2 and the rung that proved it."""
+
+    bound: float
+    rung: str
+
+
+def contraction_gate(d: np.ndarray, e22: np.ndarray, p: float, cap: float) -> ContractionGate:
+    """The first proved upper bound on ||S||_2, S = D^{-1/2} E22 D^{-1/2}, that is at most ``cap``.
+
+    Rungs, cheapest first: "weighted-frobenius", the padded ||S||_F, in
+    O(n^2) (||S||_2 <= ||S||_F); then "paper-norm", the paper's
+    ||E22 D^{-1}||_p from contraction_certificate (||S||_2 is the spectral
+    radius of E22 D^{-1}, at most any of its operator norms). When neither
+    is at most ``cap``, returns the smaller.
+    """
+    frobenius = ContractionGate(_weighted_frobenius_upper(e22, d), "weighted-frobenius")
+    if frobenius.bound <= cap:
+        return frobenius
+    paper = ContractionGate(contraction_certificate(d, e22, p), "paper-norm")
+    return paper if paper.bound <= frobenius.bound else frobenius
+
+
 def solve_q(
     part: PartitionedPerturbation,
     spectrum: Spectrum,
     p: float = 2.0,
     tol: float = DEFAULT_TOL,
     certificate_cap: float = CERTIFICATE_CAP,
-) -> tuple[np.ndarray, int, float]:
+) -> tuple[np.ndarray, int, ContractionGate]:
     """Solve L q = E21 - q (E12 q) by the shifted map q <- (E22 q + E21) / (d + Re(E12 q)).
 
     The quadratic term moves into the denominator: the map's fixed points
@@ -200,20 +288,22 @@ def solve_q(
     keeps the step stable under strong E12 coupling, where
     q <- D^{-1}(E22 q + E21 - (E12 q) q) can diverge.
 
-    Returns q, the number of steps and the certificate on ||E22 D^{-1}||_p.
-    Raises ContractionFailureError before iterating if the certificate
-    exceeds ``certificate_cap``. Stops when ||D (q_next - q)||_p <= tol and
-    the quadratic residual is below tol * (||E21||_2 + 1); raises
-    NonConvergenceError when a shifted gap d_j + Re(E12 q) is not positive,
-    after three consecutive non-contracting steps, or at the step cap. Both
-    errors carry the certificate.
+    Returns q, the number of steps and the ContractionGate that admitted the
+    loop. Raises ContractionFailureError before iterating if no rung of
+    contraction_gate is at most ``certificate_cap``. Stops when
+    ||D (q_next - q)||_p <= tol and the quadratic residual is below
+    tol * (||E21||_2 + 1); raises NonConvergenceError when a shifted gap
+    d_j + Re(E12 q) is not positive, after three consecutive non-contracting
+    steps, or at the step cap. Both errors carry the gate's bound and rung.
     """
     d = build_shifted_gaps(spectrum, part.e11)
-    certificate = contraction_certificate(d, part.e22, p)
-    if not certificate <= certificate_cap:
+    gate = contraction_gate(d, part.e22, p, certificate_cap)
+    if not gate.bound <= certificate_cap:
         raise ContractionFailureError(
-            f"iteration operator norm bound {certificate:.4g} exceeds cap {certificate_cap}",
-            certified_norm=certificate,
+            f"iteration operator norm bound {gate.bound:.4g} ({gate.rung}) "
+            f"exceeds cap {certificate_cap}",
+            certified_norm=gate.bound,
+            rung=gate.rung,
         )
     cap = max(200, int(math.ceil(10.0 * math.log2(1.0 / tol))))
     e21, e12, e22 = part.e21, part.e12, part.e22
@@ -229,7 +319,8 @@ def solve_q(
         if not d_min + shift > 0:
             raise NonConvergenceError(
                 f"shifted gap d_j + Re(E12 q) = {d_min + shift:.4g} is not positive",
-                certified_norm=certificate,
+                certified_norm=gate.bound,
+                rung=gate.rung,
             )
         q_next = (e22q + e21) / (d + shift)
         change = lp_norm(d * (q_next - q), p)
@@ -238,7 +329,8 @@ def solve_q(
             if bad_steps >= 3:
                 raise NonConvergenceError(
                     f"fixed-point iteration diverging: ||D dq||_p = {change:.4g}",
-                    certified_norm=certificate,
+                    certified_norm=gate.bound,
+                    rung=gate.rung,
                 )
         else:
             bad_steps = 0
@@ -248,9 +340,9 @@ def solve_q(
         if change <= tol:
             resid = float(np.linalg.norm(d * q - e22q - (e21 - (e12 @ q) * q)))
             if resid <= target:
-                return q, step, certificate
+                return q, step, gate
     raise NonConvergenceError(
-        f"fixed-point iteration exceeded cap {cap}", certified_norm=certificate
+        f"fixed-point iteration exceeded cap {cap}", certified_norm=gate.bound, rung=gate.rung
     )
 
 
@@ -285,34 +377,43 @@ def coordinate_bounds(q: np.ndarray, spectrum: Spectrum) -> np.ndarray:
     return spectrum.gaps() * np.abs(q) * scale / math.sqrt(math.log(spectrum.n))
 
 
-def _orthogonal_complement_residual(
-    eig: EigDecomposition, q: np.ndarray, A_tilde: np.ndarray, u_tilde: np.ndarray
-) -> float:
-    """||U~_perp* A~ u~||_2 with U~_perp = (U_perp - u q*)(I + q q*)^(-1/2)."""
-    w = A_tilde @ u_tilde
-    raw = eig.tail_basis().conj().T @ w - q * np.vdot(eig.leading_vector(), w)
-    s2 = float(np.vdot(q, q).real)
-    if s2 > 0:
-        beta = (1.0 - 1.0 / math.sqrt(1.0 + s2)) / s2
-        raw = raw - beta * q * np.vdot(q, raw)
-    return float(np.linalg.norm(raw))
+def _interlacing_bound(A_tilde: np.ndarray, t: float) -> float:
+    """Upper bound on ||G^{-1/2} F G^{-1/2}||_F, where A~[1:, 1:] = diag(a) + F and g = t - a.
+
+    inf unless every g_j is positive. A value below 1 proves
+    lambda_max(A~[1:, 1:]) < t; see _top_eigenvalue_within.
+    """
+    block = A_tilde[1:, 1:]
+    g = t - block.diagonal().real
+    if not np.all(g > 0):
+        return math.inf
+    return _weighted_frobenius_upper(block, g, hollow=True)
 
 
 def _top_eigenvalue_within(
-    A_tilde: np.ndarray, lam: float, residual2: float, tau: float
+    A_tilde: np.ndarray, lam: float, residual2: float, tau: float, identity: bool
 ) -> bool:
     """True when |lambda_max(A~) - lam| <= tau is proved; False when the proof is inconclusive.
 
     A~ is the floating-point matrix A + E, and u~ the report's vector. With
-    u = eps/2 the unit roundoff and pad = 2 (n+2) u, two inequalities make
-    the proof, without an eigendecomposition:
+    u = eps/2 the unit roundoff and pad = 2 (n+2) u, the proof needs no
+    eigendecomposition:
 
     * lower side: r = residual2 + pad ||A~||_inf bounds the exact
       ||A~ u~ - lam u~||_2 / ||u~||_2, so some eigenvalue of A~ lies within
       r of lam (the residual bound; Parlett, The Symmetric Eigenvalue
       Problem). r <= tau gives lambda_max >= lam - tau.
-    * upper side: let t = lam + tau, rounded down, M = (t - s) I - A~ and
-      s = pad trace(t I - A~). If the Cholesky factorization of M runs to
+    * upper side, on the identity basis: let t = lam - r, rounded down.
+      Cauchy interlacing gives lambda_2(A~) <= lambda_max(A~[1:, 1:])
+      (Horn and Johnson, Matrix Analysis, sec. 4.3). Write
+      A~[1:, 1:] = diag(a) + F with F zero on the diagonal and G = diag(g),
+      g = t - a > 0. Then t I - A~[1:, 1:] = G^{1/2} (I - K) G^{1/2} with
+      K = G^{-1/2} F G^{-1/2}, positive definite when ||K||_F < 1
+      (_interlacing_bound, padded for rounding). So lambda_2 < lam - r, and
+      the eigenvalue within r of lam is lambda_max. O(n^2), and conclusive
+      when u~ is close to e1, as on the identity basis.
+    * upper side otherwise: let t = lam + tau, rounded down, M = (t - s) I - A~
+      and s = pad trace(t I - A~). If the Cholesky factorization of M runs to
       completion in floating point, its factor R satisfies R* R = M + dM
       with ||dM||_2 <= (n+1) u trace(M) / (1 - (n+1) u) (Demmel's
       backward-error bound, the one Rump's isspd relies on). So
@@ -325,8 +426,11 @@ def _top_eigenvalue_within(
     """
     n = A_tilde.shape[0]
     pad = 2.0 * (n + 2) * (np.finfo(np.float64).eps / 2.0)
-    if not residual2 + pad * float(np.abs(A_tilde).sum(axis=1).max()) <= tau:
+    r = residual2 + pad * float(np.abs(A_tilde).sum(axis=1).max())
+    if not r <= tau:
         return False
+    if identity and _interlacing_bound(A_tilde, float(np.nextafter(lam - r, -math.inf))) < 1.0:
+        return True
     t = float(np.nextafter(lam + tau, -math.inf))
     shifted = -A_tilde
     shifted.flat[:: n + 1] += t
@@ -354,25 +458,46 @@ def verify_solution(
     Certification needs both lambda~ > (lambda1 + lambda2)/2 and
     |lambda_max(A + E) - lambda~| <= tau with tau = 1e-9 (1 + |lambda~|).
     Without ``tilde_eig`` the second condition is proved by the residual
-    bound (lower side) and one Cholesky factorization (upper side); see
+    bound (lower side) and, for the upper side, Cauchy interlacing when
+    ``eig`` has the identity basis, else one Cholesky factorization; see
     _top_eigenvalue_within. When that proof is inconclusive, or when
     ``tilde_eig`` is passed, lambda_max is read from the dense oracle.
     Neither is tried when the first condition fails. Failures are recorded,
     never raised.
     """
-    if eig is None:
-        eig = hermitian_eig(A)
+    identity = eig is not None and _identity_basis(eig.basis)
+    return _verify(A, E, report, spectrum, tilde_eig, identity)
+
+
+def _verify(
+    A: np.ndarray,
+    E: np.ndarray,
+    report: SolverReport,
+    spectrum: Spectrum,
+    tilde_eig: EigDecomposition | None,
+    identity: bool,
+) -> SolverReport:
+    """verify_solution, with the identity test already made.
+
+    orth_residual is ||U~_perp* A~ u~||_2 for any orthonormal basis U~_perp
+    of u~'s complement, that is ||A~ u~ - u~ (u~* A~ u~)||_2 for unit u~.
+    Both residuals take the max-rescaled lp_norm, so entries near 1e300 do
+    not overflow the sum of squares.
+    """
     A_tilde = A + E
     u, lam = report.u_tilde, report.lambda_tilde
-    report.residual2 = float(np.linalg.norm(A_tilde @ u - lam * u))
-    report.orth_residual = _orthogonal_complement_residual(eig, report.q, A_tilde, u)
+    w = A_tilde @ u
+    report.residual2 = lp_norm(w - lam * u, 2)
+    report.orth_residual = lp_norm(w - u * np.vdot(u, w), 2)
     report.coord_ratios = coordinate_bounds(report.q, spectrum)
     report.q_norm2 = float(np.linalg.norm(report.q))
     half = (spectrum.lambdas[0] + spectrum.lambdas[1]) / 2.0
     tau = 1e-9 * (1.0 + abs(lam))
     if not lam > half:
         report.leading_certified = False
-    elif tilde_eig is None and _top_eigenvalue_within(A_tilde, lam, report.residual2, tau):
+    elif tilde_eig is None and _top_eigenvalue_within(
+        A_tilde, lam, report.residual2, tau, identity
+    ):
         report.leading_certified = True
     else:
         if tilde_eig is None:
@@ -413,10 +538,11 @@ def solve(
     oracle's leading eigenpair, tags the report method "oracle-fallback"
     and records the caught error as "<ErrorType>: <message>" in
     ``fallback_reason`` (empty on "rs"), so pipelines never silently lose a
-    trial. The contraction certificate is computed once either way; it is
-    inf when the shifted gaps collapse or the certificate cannot be computed
-    (a NumericFailureError from the exact norm's eigensolver, e.g. when
-    M* M overflows); that error falls back like the others.
+    trial. The contraction gate runs once either way and its bound and rung
+    are reported; the bound is inf when the shifted gaps collapse or the
+    paper's norm cannot be computed (a NumericFailureError from the exact
+    norm's eigensolver, e.g. when M* M overflows); that error falls back
+    like the others.
     """
     A, E = np.asarray(A), np.asarray(E)
     _check_operands(A, E)
@@ -425,11 +551,12 @@ def solve(
     spectrum = eig.spectrum
     if not spectrum.lambdas[0] > spectrum.lambdas[1]:
         raise InvalidSpectrumError("solver requires a simple top eigenvalue of A")
-    part = partition(eig, E)
+    identity = _identity_basis(eig.basis)
+    part = _partition(eig, E, identity, checked=True)
     tilde_eig = None
-    cert = math.inf
+    gate = ContractionGate(math.inf, "")
     try:
-        q, iterations, cert = solve_q(
+        q, iterations, gate = solve_q(
             part, spectrum, p=p, tol=tol, certificate_cap=certificate_cap
         )
         report = SolverReport(
@@ -437,7 +564,8 @@ def solve(
             u_tilde=assemble_eigvec(eig, q),
             lambda_tilde=eigenvalue_from_q(spectrum.lambdas[0], part.e11, part.e12, q),
             iterations=iterations,
-            contraction_upper=cert,
+            contraction_upper=gate.bound,
+            contraction_rung=gate.rung,
             method="rs",
         )
     except PerturbError as err:
@@ -454,12 +582,13 @@ def solve(
             u_tilde=u_top,
             lambda_tilde=float(tilde_eig.spectrum.lambdas[0]),
             iterations=0,
-            contraction_upper=getattr(err, "certified_norm", cert),
+            contraction_upper=getattr(err, "certified_norm", gate.bound),
+            contraction_rung=getattr(err, "rung", gate.rung),
             method="oracle-fallback",
             fallback_reason=f"{type(err).__name__}: {err}",
         )
     if verify:
-        verify_solution(A, E, report, spectrum, eig=eig, tilde_eig=tilde_eig)
+        _verify(A, E, report, spectrum, tilde_eig, identity)
     else:
         report.coord_ratios = coordinate_bounds(report.q, spectrum)
         report.q_norm2 = float(np.linalg.norm(report.q))

@@ -86,6 +86,7 @@ class TestSolve:
         assert report["lambda_tilde"] == 3.0
         assert report["leading_certified"] is True
         assert report["fallback_reason"] == ""
+        assert report["contraction_rung"] == "weighted-frobenius"
 
     def test_fallback_reason_exported(self, capsys, tmp_path):
         (tmp_path / "A.json").write_text(matrix_to_json(np.diag([3.0, 2.0, 1.0])))
@@ -97,6 +98,7 @@ class TestSolve:
         report = json.loads(out)
         assert report["method"] == "oracle-fallback"
         assert report["fallback_reason"].startswith("GapCollapseError: ")
+        assert report["contraction_rung"] == ""
 
     def test_goe_noise_certifies(self, capsys, tmp_path):
         run_cli(capsys, "gen", "--kind", "diag", "--spectrum",

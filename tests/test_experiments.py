@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from perturb.ensembles import SpectrumSpec, rng_from_stream
+from perturb import rs_solver
+from perturb.ensembles import SpectrumSpec, realize_spectrum, rng_from_stream, sample_goe
 from perturb.experiments import (
     ExperimentConfig,
     TrialRecord,
@@ -15,6 +16,7 @@ from perturb.experiments import (
     run_experiment,
     summarize,
 )
+from perturb.matcore import EigDecomposition
 
 MULTISCALE = SpectrumSpec("multiscale", 0, {"eps": 1.0})
 
@@ -46,6 +48,29 @@ class TestConfig:
         cfg = make_cfg("upper_bound", n_list=(8, 16))
         back = ExperimentConfig.from_dict(cfg.to_dict())
         assert back == cfg
+
+
+class TestPaperNorm:
+    def test_records_keep_paper_norm(self):
+        # upper_bound's contraction_upper and event_diagnostics' cert_p are the
+        # paper's ||E22 D^{-1}||_p, not the bound that gated the solver's loop
+        n, p = 32, 2.0
+        s = realize_spectrum(MULTISCALE.with_n(n))
+        eig = EigDecomposition(s, np.eye(n))
+        upper, _ = run_experiment(make_cfg("upper_bound", n_list=(n,), trials=4, p=p))
+        events, _ = run_experiment(make_cfg("event_diagnostics", n_list=(n,), trials=4, p=p))
+        for up, ev in zip(upper, events):
+            assert up.stream == ev.stream
+            E = sample_goe(n, up.stream)
+            part = rs_solver.partition(eig, E)
+            paper = rs_solver.contraction_certificate(
+                rs_solver.build_shifted_gaps(s, part.e11), part.e22, p
+            )
+            assert up.statistics["contraction_upper"] == paper
+            assert ev.statistics["cert_p"] == paper
+            report = rs_solver.solve(np.diag(s.lambdas), E, p=p, eig=eig)
+            assert report.contraction_rung == "weighted-frobenius"
+            assert report.contraction_upper < paper
 
 
 class TestRunExperiment:

@@ -1,8 +1,11 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perturb.bounds import best_p
 from perturb.ensembles import (
@@ -11,7 +14,9 @@ from perturb.ensembles import (
     derive_stream,
     realize_spectrum,
     rng_from_stream,
+    sample_arrowhead_noise,
     sample_goe,
+    sample_gue,
     sample_subgaussian_hermitian,
 )
 from perturb import rs_solver
@@ -36,7 +41,10 @@ from perturb.rs_solver import (
     SolverReport,
     assemble_eigvec,
     build_shifted_gaps,
+    CERTIFICATE_CAP,
+    DEFAULT_TOL,
     contraction_certificate,
+    contraction_gate,
     coordinate_bounds,
     eigenvalue_from_q,
     partition,
@@ -221,12 +229,18 @@ class TestJacobiInner:
 
     def test_closed_shifted_gap_raises(self):
         # with the gate lifted, E22 = -100 I drives Re(E12 q) to -1.2 on the
-        # second step, closing d_1 + Re(E12 q); the loop stops with the certificate
+        # second step, closing d_1 + Re(E12 q); the loop stops with the gate's
+        # bound, ||S||_F = 100 sqrt(1 + 1/4) on the first rung, while the
+        # paper's ||E22 D^{-1}||_2 is 100
         s = spectrum(3, 2, 1)
         part = PartitionedPerturbation(0.0, np.array([0.1, 0.1]), -100.0 * np.eye(2))
         with pytest.raises(NonConvergenceError, match="not positive") as err:
             solve_q(part, s, certificate_cap=math.inf)
-        assert err.value.certified_norm == pytest.approx(100.0)
+        assert err.value.rung == "weighted-frobenius"
+        assert 100.0 * math.sqrt(1.25) <= err.value.certified_norm
+        assert err.value.certified_norm == pytest.approx(100.0 * math.sqrt(1.25), rel=1e-12)
+        d = build_shifted_gaps(s, part.e11)
+        assert contraction_certificate(d, part.e22, 2.0) == pytest.approx(100.0, rel=1e-9)
 
     def test_certificate_rejection(self):
         s = spectrum(3, 2, 1)
@@ -246,9 +260,92 @@ class TestJacobiInner:
         budget = 10 * math.log2(1e12)
         for t in range(20):
             part = partition(diag_eig(s), scaled_noise(s, rng, 0.5, coupling=1 / 8))
-            _, iterations, cert = solve_q(part, s, tol=1e-12)
-            assert cert <= 0.5 + 1e-12
+            d = build_shifted_gaps(s, part.e11)
+            assert contraction_certificate(d, part.e22, 2.0) <= 0.5 + 1e-12
+            _, iterations, gate = solve_q(part, s, tol=1e-12)
+            assert gate.bound <= CERTIFICATE_CAP
             assert iterations <= budget
+
+
+def abs2(z) -> Fraction:
+    """|z|^2 of a float or complex entry, exactly."""
+    z = complex(z)
+    return Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
+
+
+def random_hermitian(rng, m: int, complex_case: bool) -> np.ndarray:
+    M = rng.standard_normal((m, m))
+    if complex_case:
+        M = M + 1j * rng.standard_normal((m, m))
+    return force_hermitian(M)
+
+
+class TestContractionGate:
+    @pytest.mark.parametrize("noise", ["goe", "gue", "arrowhead"])
+    def test_frobenius_rung_bounds_spectral_norm(self, noise):
+        # ||S||_2 <= padded ||S||_F <= ||S||_F (1 + 1e-9); a random eigenbasis
+        # puts the arrowhead's first row and column into E22 as well
+        n = 40
+        s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
+        rng = rng_from_stream(127)
+        for t in range(10):
+            Q = np.linalg.qr(random_hermitian(rng, n, noise == "gue"))[0]
+            if noise == "goe":
+                E = sample_goe(n, derive_stream(127, t))
+            elif noise == "gue":
+                E = sample_gue(n, derive_stream(127, t))
+            else:
+                E = sample_arrowhead_noise(n, derive_stream(127, t))[1]
+            part = partition(EigDecomposition(s, Q), E)
+            d = build_shifted_gaps(s, part.e11)
+            S = part.e22 / np.sqrt(np.outer(d, d))
+            gate = contraction_gate(d, part.e22, 2.0, math.inf)
+            assert gate.rung == "weighted-frobenius"
+            assert np.abs(np.linalg.eigvalsh(S)).max() <= gate.bound
+            assert gate.bound <= np.linalg.norm(S) * (1 + 1e-9)
+
+    @pytest.mark.parametrize("complex_case", [False, True])
+    def test_frobenius_pad_covers_rounding(self, complex_case):
+        # in exact rational arithmetic, bound^2 >= sum_ij |e_ij|^2 / (d_i d_j);
+        # on the rank-one blocks ||S||_F is ||S||_2 itself
+        rng = rng_from_stream(131)
+        for t in range(40):
+            m = int(rng.integers(2, 9))
+            if t % 2:
+                v = rng.standard_normal(m) + (1j * rng.standard_normal(m) if complex_case else 0)
+                e22 = np.outer(v, v.conj())
+            else:
+                e22 = random_hermitian(rng, m, complex_case)
+            d = rng.uniform(0.5, 3.0, m)
+            bound = rs_solver._weighted_frobenius_upper(e22, d)
+            exact = sum(
+                abs2(e22[i, j]) / (Fraction(d[i]) * Fraction(d[j]))
+                for i in range(m) for j in range(m)
+            )
+            assert Fraction(bound) ** 2 >= exact
+
+    def test_ladder(self):
+        # E22 = 0.5 I on unit gaps: ||S||_F = 1 exceeds the cap and the paper's
+        # ||E22 D^{-1}||_2 = 0.5 admits the loop
+        s = spectrum(2, 1, 1, 1, 1)
+        part = PartitionedPerturbation(0.0, np.full(4, 0.01), 0.5 * np.eye(4))
+        _, _, gate = solve_q(part, s)
+        assert gate.rung == "paper-norm"
+        assert gate.bound == pytest.approx(0.5, rel=1e-9)
+        # both rungs above the cap: the smaller bound is reported, with its rung
+        part = PartitionedPerturbation(0.0, np.full(4, 0.01), 0.95 * np.eye(4))
+        with pytest.raises(ContractionFailureError, match="paper-norm") as err:
+            solve_q(part, s)
+        assert err.value.rung == "paper-norm"
+        assert err.value.certified_norm == pytest.approx(0.95, rel=1e-9)
+        # gaps (1, 100) and E22 = [[0, 8], [8, 0]]: ||S||_F = 8 sqrt(2) / 10,
+        # ||E22 D^{-1}||_2 = 8
+        s = spectrum(101, 100, 1)
+        part = PartitionedPerturbation(0.0, np.full(2, 0.01), np.array([[0.0, 8.0], [8.0, 0.0]]))
+        with pytest.raises(ContractionFailureError) as err:
+            solve_q(part, s)
+        assert err.value.rung == "weighted-frobenius"
+        assert err.value.certified_norm == pytest.approx(0.8 * math.sqrt(2), rel=1e-9)
 
 
 class TestSolveQ:
@@ -396,13 +493,14 @@ class TestVerifySolution:
         E = (s.delta + 0.1) * np.outer([0, 1, 0], [0, 1, 0])
         eig = diag_eig(s)
         part = partition(eig, E)
-        q, iterations, cert = solve_q(part, s, certificate_cap=math.inf)
+        q, iterations, gate = solve_q(part, s, certificate_cap=math.inf)
         rep = SolverReport(
             q=q,
             u_tilde=assemble_eigvec(eig, q),
             lambda_tilde=eigenvalue_from_q(s.lambdas[0], part.e11, part.e12, q),
             iterations=iterations,
-            contraction_upper=cert,
+            contraction_upper=gate.bound,
+            contraction_rung=gate.rung,
         )
         verify_solution(A, E, rep, s, eig=eig)
         assert np.allclose(rep.q, 0)
@@ -452,17 +550,98 @@ class TestVerifySolution:
         oracle = verify_solution(
             A, E, SolverReport(**vars(rep)), s, eig=diag_eig(s), tilde_eig=hermitian_eig(A + E)
         )
-        calls = []
+        calls, interlacing = [], []
 
         def counted(M):
             calls.append(1)
             return hermitian_eig(M)
 
+        def inconclusive(*args):
+            # the interlacing rung is inconclusive too: only the oracle is left
+            interlacing.append(1)
+            return math.inf
+
         monkeypatch.setattr(rs_solver, "hermitian_eig", counted)
+        monkeypatch.setattr(rs_solver, "_interlacing_bound", inconclusive)
         monkeypatch.setattr(np.linalg, "cholesky", cholesky)
         verify_solution(A, E, rep, s, eig=diag_eig(s))
+        assert len(interlacing) == 1
         assert len(calls) == 1
         assert rep.leading_certified == oracle.leading_certified
+
+    def test_interlacing_rejects_second_eigenpair(self):
+        # the second eigenpair of A~ has a residual near zero, but by interlacing
+        # lambda_max(A~[1:, 1:]) is at least its eigenvalue: the bound is never below 1
+        n = 32
+        s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
+        A_tilde = np.diag(s.lambdas) + sample_goe(n, 41)
+        w, V = np.linalg.eigh(A_tilde)
+        lam, u = float(w[-2]), V[:, -2]
+        residual2 = float(np.linalg.norm(A_tilde @ u - lam * u))
+        assert residual2 <= 1e-12 * abs(lam)
+        assert rs_solver._interlacing_bound(A_tilde, lam) >= 1.0
+        tau = 1e-9 * (1.0 + abs(lam))
+        assert not rs_solver._top_eigenvalue_within(A_tilde, lam, residual2, tau, identity=True)
+
+    @pytest.mark.parametrize("complex_case", [False, True])
+    def test_interlacing_pad_covers_rounding(self, complex_case):
+        # in exact rational arithmetic with g_j = t - a_j,
+        # bound^2 >= sum_{i != j} |f_ij|^2 / (g_i g_j)
+        rng = rng_from_stream(137)
+        for trial in range(40):
+            m = int(rng.integers(3, 10))
+            B = random_hermitian(rng, m, complex_case)
+            B[np.diag_indices(m)] -= 4.0 * np.arange(m)
+            t = float(B.diagonal().real[1:].max() + rng.uniform(0.5, 3.0))
+            bound = rs_solver._interlacing_bound(B, t)
+            g = [Fraction(t) - Fraction(a) for a in B.diagonal().real[1:]]
+            exact = sum(
+                abs2(B[1 + i, 1 + j]) / (g[i] * g[j])
+                for i in range(m - 1) for j in range(m - 1) if i != j
+            )
+            assert Fraction(bound) ** 2 >= exact
+
+    def test_interlacing_uses_padded_residual(self, monkeypatch):
+        # u~ = e1 is an exact eigenvector (residual 0), but a_1 = 1 - 4 ulp lies
+        # within r = pad ||A~||_inf = 12 u of lam = 1: interlacing cannot
+        # separate lambda_2 from lam - r, and the Cholesky proof decides
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(M):
+            calls.append(1)
+            return cholesky(M)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        A_tilde = np.diag([1.0, 1.0 - 4e-16, 0.5, 0.25])
+        assert rs_solver._top_eigenvalue_within(A_tilde, 1.0, 0.0, 2e-9, identity=True)
+        assert len(calls) == 1
+
+    def test_interlacing_needs_identity_basis(self, monkeypatch):
+        # -I is an eigenbasis of diagonal A but not the identity: the interlacing
+        # proof is skipped there and the Cholesky proof certifies instead
+        interlacing, factorizations = [], []
+        bound, cholesky = rs_solver._interlacing_bound, np.linalg.cholesky
+
+        def counted_bound(*args):
+            interlacing.append(1)
+            return bound(*args)
+
+        def counted_cholesky(M):
+            factorizations.append(1)
+            return cholesky(M)
+
+        monkeypatch.setattr(rs_solver, "_interlacing_bound", counted_bound)
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        n = 32
+        s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
+        A, E = np.diag(s.lambdas), sample_goe(n, 43)
+        for basis, used in ((np.eye(n), 1), (-np.eye(n), 0)):
+            interlacing.clear()
+            factorizations.clear()
+            rep = solve(A, E, eig=EigDecomposition(s, basis))
+            assert rep.method == "rs" and rep.leading_certified
+            assert (len(interlacing), len(factorizations)) == (used, 1 - used)
 
     def test_random_certified_residual(self):
         n = 32
@@ -504,11 +683,12 @@ class TestSolveDriver:
         d = rep.to_dict()
         for key in (
             "q", "u_tilde", "lambda_tilde", "iterations",
-            "contraction_upper", "residual2", "orth_residual", "coord_ratios",
-            "q_norm2", "leading_certified", "method", "fallback_reason",
+            "contraction_upper", "contraction_rung", "residual2", "orth_residual",
+            "coord_ratios", "q_norm2", "leading_certified", "method", "fallback_reason",
         ):
             assert key in d
         assert d["fallback_reason"] == ""
+        assert d["contraction_rung"] == "weighted-frobenius"
 
     @pytest.mark.parametrize("E,reason", [
         # E22 D^{-1} has norm 1.1, above the cap
@@ -544,22 +724,21 @@ class TestSolveDriver:
         assert len(calls) == (method == "oracle-fallback")
 
     def test_no_large_eigensolve_on_rs_path(self, monkeypatch):
-        # the certificate's only eigenproblem is the Lanczos tridiagonal (order
-        # <= 64); the leading-pair certificate uses Cholesky alone
-        orders = []
-        eigvalsh = np.linalg.eigvalsh
+        # on the identity basis the gate's weighted-Frobenius rung and the
+        # interlacing proof need no eigenproblem and no factorization at all
+        calls = []
+        for name in ("eigvalsh", "eigh", "cholesky"):
+            def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
 
-        def counted(M):
-            orders.append(np.shape(M)[0])
-            return eigvalsh(M)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+            monkeypatch.setattr(np.linalg, name, counted)
         n = 256
         s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
         rep = solve(np.diag(s.lambdas), sample_goe(n, 31), eig=diag_eig(s), verify=True)
         assert rep.method == "rs" and rep.leading_certified
-        assert 0 < len(orders) <= 64
-        assert max(orders) <= 64
+        assert rep.contraction_rung == "weighted-frobenius"
+        assert calls == []
 
     @pytest.mark.parametrize("method,scale", [("rs", 1.0), ("oracle-fallback", 40.0)])
     def test_replay_byte_identical(self, method, scale):
@@ -571,8 +750,8 @@ class TestSolveDriver:
 
     @pytest.mark.parametrize("pass_eig", [False, True])
     def test_overflowing_noise_entry(self, pass_eig):
-        # G = M* M overflows for this finite E; the certificate's eigensolver
-        # failure becomes a NumericFailureError and the oracle answers
+        # ||S||_F and G = M* M overflow for this finite E; the paper-norm rung's
+        # eigensolver failure becomes a NumericFailureError and the oracle answers
         s = Spectrum(2.0 * np.arange(8, 0, -1.0))
         E = np.zeros((8, 8))
         E[2, 5] = E[5, 2] = 1e308
@@ -585,6 +764,22 @@ class TestSolveDriver:
         assert rep.fallback_reason.startswith("NumericFailureError")
         assert rep.leading_certified
         assert rep.lambda_tilde == 1e308
+        # every field is finite, save the bound the failed norm could not give
+        assert (rep.contraction_upper, rep.contraction_rung) == (math.inf, "")
+        for name, value in vars(rep).items():
+            if name != "contraction_upper" and not isinstance(value, str):
+                assert np.all(np.isfinite(value)), name
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_huge_noise_residuals_finite(self, scale):
+        # residuals near 1e185 would overflow a plain sum of squares (the
+        # oracle's own reconstruction check still does, hence the errstate)
+        s = Spectrum(2.0 * np.arange(8, 0, -1.0))
+        with np.errstate(over="ignore"):
+            rep = solve(np.diag(s.lambdas), scale * sample_goe(8, 3), eig=diag_eig(s))
+        assert rep.method == "oracle-fallback" and rep.leading_certified
+        assert 0.0 < rep.residual2 < math.inf
+        assert 0.0 < rep.orth_residual < math.inf
 
     def test_inconsistent_eigenvalue_falls_back(self, monkeypatch):
         def complex_eigenvalue(*args, **kwargs):
@@ -596,7 +791,8 @@ class TestSolveDriver:
         assert rep.method == "oracle-fallback"
         assert rep.fallback_reason == "InconsistentEigenvalueError: E12 q has imaginary part 1"
         assert rep.leading_certified
-        assert 0.0 < rep.contraction_upper <= 0.9  # the certificate solve_q computed
+        assert 0.0 < rep.contraction_upper <= 0.9  # the gate solve_q passed
+        assert rep.contraction_rung == "weighted-frobenius"
 
     def test_strong_coupling_still_solved(self):
         # ||E21||_2 near the gap: the loop still converges on every draw, and
@@ -614,13 +810,20 @@ class TestSolveDriver:
 
     @pytest.mark.parametrize("method", ["rs", "oracle-fallback"])
     def test_certificate_computed_once(self, monkeypatch, method):
-        calls = []
+        # one gate per solve; its paper-norm rung runs only when the
+        # weighted-Frobenius rung exceeds the cap
+        gates, papers = [], []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
+        def counted_gate(*args, **kwargs):
+            gates.append(1)
+            return contraction_gate(*args, **kwargs)
+
+        def counted_paper(*args, **kwargs):
+            papers.append(1)
             return contraction_certificate(*args, **kwargs)
 
-        monkeypatch.setattr(rs_solver, "contraction_certificate", counted)
+        monkeypatch.setattr(rs_solver, "contraction_gate", counted_gate)
+        monkeypatch.setattr(rs_solver, "contraction_certificate", counted_paper)
         s = spectrum(3, 2, 1)
         if method == "rs":
             E = 0.1 * sample_goe(3, 7)
@@ -628,7 +831,8 @@ class TestSolveDriver:
             E = (s.delta + 0.1) * np.outer([0, 1, 0], [0, 1, 0])
         rep = solve(np.diag(s.lambdas), E)
         assert rep.method == method
-        assert len(calls) == 1
+        assert len(gates) == 1
+        assert len(papers) == (method == "oracle-fallback")
 
     @pytest.mark.parametrize("A,E,message", [
         (np.diag([3.0, 2.0, 1.0]), np.diag([0.0, math.nan, 0.0]), "E has non-finite entries"),
@@ -652,6 +856,52 @@ class TestSolveDriver:
         rep = solve(A, E, eig=diag_eig(s))
         assert np.linalg.norm(rep.u_tilde) == pytest.approx(1.0, abs=1e-12)
         assert rep.u_tilde[0].real >= 0  # e1 is the leading eigenvector of diagonal A
+
+
+class TestSolveContract:
+    @given(
+        n=st.integers(2, 48),
+        scale=st.floats(0.0, 100.0),
+        tol=st.sampled_from([1e-6, 1e-9, DEFAULT_TOL]),
+        p=st.sampled_from([1.0, 2.0, 3.0, math.inf]),
+        noise=st.sampled_from(["goe", "gue", "arrowhead"]),
+        basis=st.sampled_from(["identity", "oracle", "rotated"]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tagged_finite_and_correct(self, n, scale, tol, p, noise, basis, seed):
+        # solve returns a finite, method-tagged report or raises a typed error;
+        # rs implies a gate bound under the cap, and a certified pair is eigh's
+        s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
+        A, eig = np.diag(s.lambdas), diag_eig(s)
+        if basis == "rotated":
+            Q = np.linalg.qr(rng_from_stream(seed).standard_normal((n, n)))[0]
+            A, eig = force_hermitian((Q * s.lambdas) @ Q.T), EigDecomposition(s, Q)
+        elif basis == "oracle":
+            eig = None
+        if noise == "goe":
+            E = sample_goe(n, seed)
+        elif noise == "gue":
+            E = sample_gue(n, seed)
+        else:
+            E = sample_arrowhead_noise(n, seed)[1]
+        try:
+            rep = solve(A, scale * E, p=p, tol=tol, eig=eig)
+        except (PerturbError, ValueError):
+            return
+        assert rep.method in ("rs", "oracle-fallback")
+        for name, value in vars(rep).items():
+            if name == "contraction_upper" and value == math.inf:
+                assert rep.fallback_reason.startswith(("GapCollapseError", "NumericFailureError"))
+            elif not isinstance(value, str):
+                assert np.all(np.isfinite(value)), name
+        if rep.method == "rs":
+            assert rep.contraction_upper <= CERTIFICATE_CAP
+            assert rep.contraction_rung in ("weighted-frobenius", "paper-norm")
+        if rep.leading_certified:
+            w, V = np.linalg.eigh(A + scale * E)
+            assert abs(rep.lambda_tilde - w[-1]) <= 1e-9 * (1.0 + abs(w[-1]))
+            assert 1.0 - abs(np.vdot(rep.u_tilde, V[:, -1])) <= 1e-9
 
 
 class TestLinearizedStatistic:
