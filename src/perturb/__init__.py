@@ -32,6 +32,7 @@ from .ensembles import (
     SpectrumSpec,
     realize_spectrum,
     sample_arrowhead_noise,
+    sample_arrowhead_vector,
     sample_goe,
     sample_gue,
     sample_inconsistency_instance,

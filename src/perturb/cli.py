@@ -22,6 +22,7 @@ from .ensembles import (
     SpectrumSpec,
     realize_spectrum,
     sample_arrowhead_noise,
+    sample_arrowhead_vector,
     sample_goe,
     sample_gue,
     sample_inconsistency_instance,
@@ -152,7 +153,7 @@ def _cmd_arrowhead(args) -> str:
     seed = args.seed if args.seed is not None else _default_seed()
     spec = _load_spectrum_arg(args.spectrum, args.n)
     spectrum = realize_spectrum(spec)
-    g, _ = sample_arrowhead_noise(spectrum.n, seed)
+    g = sample_arrowhead_vector(spectrum.n, seed)
     gamma = arrow.solve_gamma(spectrum, g, tol=min(args.tol, 1e-14))
     sol = arrow.arrowhead_eigvec(spectrum, g, gamma)
     return json.dumps(sol.to_dict(), indent=1)

@@ -35,6 +35,7 @@ __all__ = [
     "sample_goe",
     "sample_gue",
     "sample_arrowhead_noise",
+    "sample_arrowhead_vector",
     "sample_inconsistency_instance",
 ]
 
@@ -246,12 +247,17 @@ def sample_gue(n: int, seed: Seed | int = 0) -> np.ndarray:
     return _mirror(upper.astype(np.complex128), diag)
 
 
-def sample_arrowhead_noise(n: int, seed: Seed | int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-2 arrowhead perturbation: first row/column g ~ N(0, I_{n-1}), rest zero."""
+def sample_arrowhead_vector(n: int, seed: Seed | int = 0) -> np.ndarray:
+    """The vector g ~ N(0, I_{n-1}) of sample_arrowhead_noise, without its n x n matrix."""
     if n < 2:
         raise ValueError("n >= 2 required")
     rng = seed.generator() if isinstance(seed, Seed) else rng_from_stream(seed)
-    g = rng.standard_normal(n - 1)
+    return rng.standard_normal(n - 1)
+
+
+def sample_arrowhead_noise(n: int, seed: Seed | int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-2 arrowhead perturbation: first row/column g ~ N(0, I_{n-1}), rest zero."""
+    g = sample_arrowhead_vector(n, seed)
     E = np.zeros((n, n))
     E[0, 1:] = g
     E[1:, 0] = g

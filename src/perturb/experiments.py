@@ -26,7 +26,7 @@ from .ensembles import (
     SpectrumSpec,
     derive_stream,
     realize_spectrum,
-    sample_arrowhead_noise,
+    sample_arrowhead_vector,
     sample_goe,
     sample_gue,
     sample_inconsistency_instance,
@@ -224,7 +224,7 @@ def _trial_upper_bound(cfg: ExperimentConfig, n: int, stream: int) -> dict:
 
 def _trial_lower_bound(cfg: ExperimentConfig, n: int, stream: int) -> dict:
     spectrum = realize_spectrum(cfg.spectrum.with_n(n))
-    g, _ = sample_arrowhead_noise(n, stream)
+    g = sample_arrowhead_vector(n, stream)
     gamma = arrow.solve_gamma(spectrum, g)
     sol = arrow.arrowhead_eigvec(spectrum, g, gamma)
     holds, slack = arrow.lower_bound_check(sol, spectrum, g)

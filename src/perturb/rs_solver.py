@@ -81,6 +81,39 @@ DEFAULT_TOL = 1e-12
 # needs E12 not too large against the gaps. 0.9 accepts the slow band and flags
 # it in reports; inputs that still fail to converge fall back to the oracle.
 CERTIFICATE_CAP = 0.9
+# Largest real matrix-vector product _matvec hands to BLAS in one call.
+# OpenBLAS 0.3.31 keeps a real gemv of up to 4.1e5 entries on one thread and
+# splits one of 5.2e5 over its threads.
+_MATVEC_BAND = 1 << 18
+# Entries per row band of _weighted_frobenius_upper's scaled copy of M.
+_FROBENIUS_BAND = 1 << 16
+
+
+def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M @ x on the calling thread, for the O(n^2) products of the rs path.
+
+    A BLAS gemv split over threads waits for every thread at its end. When
+    another process holds a core that wait takes a scheduler time slice,
+    several times the product itself, and the loop makes one product per
+    step. So a real M of more than _MATVEC_BAND entries goes to BLAS in row
+    bands of at most that size (the last may take one row more), each run
+    on the calling thread. Every band but the last is a multiple of four
+    rows, the column group of OpenBLAS's gemv kernel, and the last is never
+    a single row, so each entry comes out as in one single-threaded call.
+    Complex products are left whole: OpenBLAS threads them from a few
+    thousand entries, too few rows for a band to pay.
+    """
+    rows, cols = M.shape
+    if M.size <= _MATVEC_BAND or np.iscomplexobj(M) or np.iscomplexobj(x):
+        return M @ x
+    step = max(4, _MATVEC_BAND // cols // 4 * 4)
+    out = np.empty(rows, dtype=np.result_type(M, x))
+    starts = list(range(0, rows, step))
+    if len(starts) > 1 and rows - starts[-1] == 1:
+        starts.pop()  # the last band takes the single row left over
+    for start, stop in zip(starts, starts[1:] + [rows]):
+        np.matmul(M[start:stop], x, out=out[start:stop])
+    return out
 
 
 @dataclass(frozen=True)
@@ -226,25 +259,35 @@ def _weighted_frobenius_upper(M: np.ndarray, d: np.ndarray, hollow: bool = False
     """Upper bound on ||D^{-1/2} M D^{-1/2}||_F for D = diag(d) > 0, in O(m^2).
 
     With ``hollow`` the diagonal of M is left out. d may carry one rounding
-    (relative error u = eps/2), as fl(t - a) does. To first order the
-    computed norm errs by at most (m^2/2 + 9) u relative: 2.5 u in each
-    weight fl(1/fl(sqrt(d_j))), 2 u for the two products that scale an
-    entry, gamma_{m^2 + 2} for the sum of squares (Higham, Accuracy and
-    Stability of Numerical Algorithms, sec. 3.1), halved by the square root,
-    and u for the root. pad is twice that, which absorbs the second-order
-    terms, and the padded norm is rounded up. Assumes no underflow; a
-    non-finite sum of squares gives inf.
+    (relative error u = eps/2), as fl(t - a) does. The sum of squares runs
+    over the N real numbers that make up the scaled entries (N = m^2 for
+    real M, 2 m^2 for complex M). To first order the computed norm errs by
+    at most (N/2 + 9) u relative: 2.5 u in each weight fl(1/fl(sqrt(d_j))),
+    2 u for the two products that scale an entry, gamma_{N + 2} for the
+    squares and their sum in any order (Higham, Accuracy and Stability of
+    Numerical Algorithms, sec. 3.1), halved by the square root, and u for
+    the root. pad is twice that, which absorbs the second-order terms, and
+    the padded norm is rounded up. Assumes no underflow; a non-finite sum of
+    squares gives inf. M is scaled and summed in row bands of at most
+    _FROBENIUS_BAND entries, which stay in cache, and the sum is numpy's, on
+    the calling thread, not a BLAS dot product (see _matvec).
     """
     m = M.shape[0]
     w = 1.0 / np.sqrt(d)
-    W = M * w
-    W *= w[:, np.newaxis]
-    if hollow:
-        W.flat[:: m + 1] = 0.0
-    s = float(np.vdot(W, W).real)
+    rows = max(1, _FROBENIUS_BAND // max(m, 1))
+    band = np.empty((min(rows, m), m), dtype=np.result_type(M, w))
+    s = 0.0
+    for i in range(0, m, rows):
+        W = band[: min(rows, m - i)]
+        np.multiply(M[i:i + rows], w, out=W)
+        W *= w[i:i + rows, np.newaxis]
+        if hollow:
+            W.flat[i :: m + 1] = 0.0  # entries (r, i + r), the diagonal of M
+        R = W.view(W.real.dtype)  # complex entries as (real, imaginary) pairs
+        s += float(np.einsum("ij,ij->", R, R))
     if not math.isfinite(s):
         return math.inf
-    pad = (m * m + 18) * (np.finfo(np.float64).eps / 2.0)
+    pad = ((2 if np.iscomplexobj(band) else 1) * m * m + 18) * (np.finfo(np.float64).eps / 2.0)
     return float(np.nextafter(math.sqrt(s) * (1.0 + pad), math.inf))
 
 
@@ -336,7 +379,7 @@ def solve_q(
             bad_steps = 0
         prev_change = change
         q = q_next
-        e22q = e22 @ q
+        e22q = _matvec(e22, q)
         if change <= tol:
             resid = float(np.linalg.norm(d * q - e22q - (e21 - (e12 @ q) * q)))
             if resid <= target:
@@ -351,7 +394,7 @@ def assemble_eigvec(eig: EigDecomposition, q: np.ndarray) -> np.ndarray:
     q = np.asarray(q)
     if q.size != eig.n - 1:
         raise ValueError(f"q must have length n-1 = {eig.n - 1}")
-    u = eig.leading_vector() + eig.tail_basis() @ q
+    u = eig.leading_vector() + _matvec(eig.tail_basis(), q)
     return u / math.sqrt(1.0 + float(np.vdot(q, q).real))
 
 
@@ -486,7 +529,7 @@ def _verify(
     """
     A_tilde = A + E
     u, lam = report.u_tilde, report.lambda_tilde
-    w = A_tilde @ u
+    w = _matvec(A_tilde, u)
     report.residual2 = lp_norm(w - lam * u, 2)
     report.orth_residual = lp_norm(w - u * np.vdot(u, w), 2)
     report.coord_ratios = coordinate_bounds(report.q, spectrum)

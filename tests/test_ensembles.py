@@ -12,6 +12,7 @@ from perturb.ensembles import (
     realize_spectrum,
     rng_from_stream,
     sample_arrowhead_noise,
+    sample_arrowhead_vector,
     sample_goe,
     sample_gue,
     sample_inconsistency_instance,
@@ -134,6 +135,16 @@ class TestArrowheadNoise:
     def test_norm_equals_g_norm(self):
         g, E = sample_arrowhead_noise(16, 7)
         assert operator_norm_exact(E, 2) == pytest.approx(np.linalg.norm(g), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [9, Seed(11, 23)])
+    def test_vector_alone_same_draw(self, seed):
+        # the lower-bound experiment needs only g; it must be the same draw
+        g = sample_arrowhead_vector(12, seed)
+        assert g.tobytes() == sample_arrowhead_noise(12, seed)[0].tobytes()
+
+    def test_vector_needs_n2(self):
+        with pytest.raises(ValueError):
+            sample_arrowhead_vector(1, 0)
 
 
 class TestInconsistencyInstance:

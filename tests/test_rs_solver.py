@@ -432,6 +432,48 @@ class TestAssembleEigvec:
         assert np.vdot(eig.basis[:, 0], u).real == pytest.approx(scale, abs=1e-12)
 
 
+class TestMatvec:
+    @staticmethod
+    def _bands(monkeypatch, M, x):
+        bands, matmul = [], np.matmul
+
+        def counted(a, b, **kwargs):
+            bands.append(a.shape[0])
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        try:
+            return rs_solver._matvec(M, x), bands
+        finally:
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("extra", [0, 1, 3])
+    def test_bands_match_one_product(self, monkeypatch, extra):
+        # a real product over _MATVEC_BAND entries goes to BLAS in bands of a
+        # multiple of four rows, the last never a single row
+        rng = rng_from_stream(73)
+        cols = 257
+        step = rs_solver._MATVEC_BAND // cols // 4 * 4
+        rows = 2 * step + extra
+        M, x = rng.standard_normal((rows, cols)), rng.standard_normal(cols)
+        got, bands = self._bands(monkeypatch, M, x)
+        assert sum(bands) == rows and len(bands) == (3 if extra > 1 else 2)
+        assert all(b % 4 == 0 for b in bands[:-1]) and bands[-1] >= 2
+        assert all(b * cols <= rs_solver._MATVEC_BAND + cols for b in bands)
+        np.testing.assert_allclose(got, M @ x, rtol=0, atol=1e-12)
+
+    def test_complex_and_small_products_whole(self, monkeypatch):
+        rng = rng_from_stream(79)
+        n = 1024
+        small = rng.standard_normal((64, 64))
+        big = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for M in (small, big):
+            x = rng.standard_normal(M.shape[1])
+            got, bands = self._bands(monkeypatch, M, x)
+            assert bands == []
+            assert got.tobytes() == (M @ x).tobytes()
+
+
 class TestEigenvalueFromQ:
     def test_zero(self):
         assert eigenvalue_from_q(3.0, 0.0, np.zeros(2), np.zeros(2)) == 3.0
