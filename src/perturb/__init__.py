@@ -4,7 +4,7 @@ Library layout:
 
 * :mod:`perturb.matcore` -- dense Hermitian arithmetic and the eig oracle
 * :mod:`perturb.ensembles` -- seeded random-matrix samplers and spectra
-* :mod:`perturb.bounds` -- gap functionals and operator-norm estimators
+* :mod:`perturb.bounds` -- gap functionals, operator-norm estimators and the Weyl check
 * :mod:`perturb.rs_solver` -- the quadratic fixed-point solver and certificates
 * :mod:`perturb.arrowhead` -- secular-equation eigenpair for arrowhead noise
 * :mod:`perturb.experiments` -- reproducible Monte Carlo campaigns
@@ -25,6 +25,7 @@ from .bounds import (
     opnorm_lower,
     opnorm_pp_upper,
     rs_sin_theta_bound,
+    verify_shifted_domination,
 )
 from .ensembles import (
     EntryDistribution,
@@ -74,7 +75,6 @@ from .rs_solver import (
     partition,
     solve,
     solve_q,
-    verify_shifted_domination,
     verify_solution,
 )
 

@@ -2,8 +2,9 @@
 
 The gap functional K_{n,p} drives everything: it decides whether the
 fixed-point construction is expected to contract, it prices the sin-theta
-bound, and its mu-variant prices the eigenvalue-domination check. The
-operator-norm estimators certify contraction (upper bounds, interpolated)
+bound, and its mu-variant prices the eigenvalue-domination check, which
+verify_shifted_domination runs. The operator-norm estimators certify
+contraction (upper bounds, interpolated, proved at p = 2 by cholesky_below)
 and probe mixed-norm scaling (lower bounds, multistart projected ascent).
 """
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .ensembles import rng_from_stream
 from .errors import InvalidSpectrumError
-from .matcore import Spectrum, dual_exponent, lp_norm, operator_norm_exact
+from .matcore import Spectrum, dual_exponent, force_hermitian, lp_norm, operator_norm_exact
 
 __all__ = [
     "AssumptionReport",
@@ -30,9 +31,11 @@ __all__ = [
     "mu_assumption",
     "ellipsoid_covering_bound",
     "opnorm_pp_upper",
+    "cholesky_below",
     "opnorm_lower",
     "opnorm_dual_lower",
     "assumption_report",
+    "verify_shifted_domination",
 ]
 
 DEFAULT_C0 = 0.1
@@ -203,6 +206,34 @@ def _lanczos_top(G: np.ndarray) -> float:
     return theta
 
 
+def cholesky_below(H: np.ndarray, t: float, max_shift: float = math.inf) -> bool:
+    """True when lambda_max(H) < t is proved by one Cholesky factorization; False when inconclusive.
+
+    H is Hermitian (m x m, one triangle read) and is overwritten by
+    M = (t - s) I - H, with s = 2 (m+2) u trace(t I - H) and u = eps/2. If
+    the factorization of M runs to completion, its factor R satisfies
+    R* R = M + dM with ||dM||_2 <= (m+1) u trace(M) / (1 - (m+1) u)
+    (Demmel's backward-error bound, the one Rump's isspd relies on), so
+    lambda_min(M) > -s and lambda_max(H) < t. s is twice that bound to first
+    order, which absorbs the second-order terms and the rounding of the two
+    diagonal shifts. Assumes no underflow. Returns False without factorizing
+    unless 0 <= s < max_shift.
+    """
+    m = H.shape[0]
+    pad = 2.0 * (m + 2) * (np.finfo(np.float64).eps / 2.0)
+    np.negative(H, out=H)
+    H.flat[:: m + 1] += t
+    s = pad * float(H.diagonal().real.sum())
+    if not 0.0 <= s < max_shift:
+        return False
+    H.flat[:: m + 1] -= s
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _spectral_norm_upper(M: np.ndarray) -> float:
     """Upper bound c on ||M||_2, proved by one Cholesky factorization.
 
@@ -213,20 +244,16 @@ def _spectral_norm_upper(M: np.ndarray) -> float:
     * g = pad ||M||_F^2 bounds ||G - M* M||_2: each entry of the computed
       product errs by at most m u / (1 - m u) times the same entry of
       |M|* |M|, whose Frobenius norm is at most ||M||_F^2 (Higham, Accuracy
-      and Stability of Numerical Algorithms, sec. 3.5). Cholesky reads one
-      triangle of its argument, and the bound holds for either triangle.
-    * s = pad trace(t I - G) with t = c^2 - g rounded down. If the Cholesky
-      factorization of H = (t - s) I - G runs to completion, Demmel's
-      backward-error bound (the one Rump's isspd relies on) gives
-      lambda_min(H) > -s, so lambda_max(G) < t and lambda_max(M* M) < c^2.
+      and Stability of Numerical Algorithms, sec. 3.5), and the bound holds
+      for either triangle of G.
+    * cholesky_below(G, t) with t = c^2 - g rounded down proves
+      lambda_max(G) < t, so lambda_max(M* M) < c^2.
 
-    pad is twice the first-order rounding bounds, which absorbs the
-    second-order terms and the rounding of the diagonal shifts. Assumes no
-    underflow. The result therefore lies in [||M||_2, ||M||_2 (1 + 5e-10)]
-    up to the Lanczos error, which only decides whether the proof succeeds.
-    When it does not (theta too low, s < 0, or non-finite entries),
-    operator_norm_exact(M, 2) decides. H is built in G's buffer, so the
-    proof holds one m x m matrix besides the Cholesky factor.
+    pad is twice the first-order rounding bound, which absorbs the
+    second-order terms. Assumes no underflow. The result therefore lies in
+    [||M||_2, ||M||_2 (1 + 5e-10)] up to the Lanczos error, which only
+    decides whether the proof succeeds. When it does not (theta too low, or
+    non-finite entries), operator_norm_exact(M, 2) decides.
     """
     m = M.shape[1]
     pad = 2.0 * (m + 2) * (np.finfo(np.float64).eps / 2.0)
@@ -235,17 +262,8 @@ def _spectral_norm_upper(M: np.ndarray) -> float:
         return operator_norm_exact(M, 2)
     G = M.conj().T @ M
     c2 = _lanczos_top(G) * (1.0 + 1e-9)
-    np.negative(G, out=G)
-    G.flat[:: m + 1] += float(np.nextafter(c2 - g, -math.inf))
-    s = pad * float(G.diagonal().real.sum())
-    if s >= 0.0:
-        G.flat[:: m + 1] -= s
-        try:
-            np.linalg.cholesky(G)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            return float(np.nextafter(math.sqrt(c2), math.inf))
+    if cholesky_below(G, float(np.nextafter(c2 - g, -math.inf))):
+        return float(np.nextafter(math.sqrt(c2), math.inf))
     return operator_norm_exact(M, 2)
 
 
@@ -404,3 +422,76 @@ def assumption_report(
         dk_bound=davis_kahan_bound(spectrum, REFERENCE_NOISE_SCALE * math.sqrt(n)),
         rs_l2_bound=rs_sin_theta_bound(spectrum, 1.0),
     )
+
+
+# ---------------------------------------------------------------------------
+# Randomized Weyl domination check
+# ---------------------------------------------------------------------------
+
+def _trs_sphere_min(B: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
+    """Global minimum of z*Bz - Re(c*z) over the unit sphere.
+
+    Eigendecompose B and solve the secular equation ||(B - sigma I)^{-1} c/2|| = 1
+    for the multiplier sigma <= lambda_min(B) by bisection; the hard case
+    (no root below lambda_min) pads with the bottom eigenvector.
+    """
+    w, V = np.linalg.eigh(force_hermitian(B))
+    ct = V.conj().T @ np.asarray(c)
+    d_min = float(w[0])
+    cnorm = float(np.linalg.norm(ct))
+    if cnorm == 0.0:
+        return d_min, V[:, 0]
+
+    def znorm_sq(sigma: float) -> float:
+        return float(np.sum(np.abs(ct) ** 2 / (4.0 * (w - sigma) ** 2)))
+
+    eps = 1e-13 * max(1.0, abs(d_min))
+    hi = d_min - eps
+    lo = d_min - 0.5 * cnorm - 1.0
+    if znorm_sq(hi) >= 1.0:
+        for _ in range(300):
+            mid = 0.5 * (lo + hi)
+            if znorm_sq(mid) >= 1.0:
+                hi = mid
+            else:
+                lo = mid
+        sigma = 0.5 * (lo + hi)
+        z = V @ (ct / (2.0 * (w - sigma)))
+        z = z / np.linalg.norm(z)
+    else:
+        # hard case: sigma = lambda_min, remaining mass on the bottom eigenvector
+        zt = np.zeros_like(ct)
+        interior = w - d_min > eps
+        zt[interior] = ct[interior] / (2.0 * (w[interior] - d_min))
+        t = math.sqrt(max(0.0, 1.0 - float(np.vdot(zt, zt).real)))
+        zt[0] += t
+        z = V @ zt
+        z = z / np.linalg.norm(z)
+    val = float((np.vdot(z, B @ z) - np.vdot(c, z)).real)
+    return val, z
+
+
+def verify_shifted_domination(
+    X: np.ndarray,
+    mu: np.ndarray,
+    tau: float = 0.0,
+    g: np.ndarray | None = None,
+) -> tuple[bool, float]:
+    """Check z*Xz + tau ||z|| Re(g*z) <= z*D_mu z for all z; margin is the slack.
+
+    tau = 0 reduces to the semidefinite test X <= D_mu with margin
+    lambda_min(D_mu - X); tau > 0 minimizes the shifted form on the unit
+    sphere via a trust-region-style secular solve.
+    """
+    X = np.atleast_2d(np.asarray(X))
+    mu = np.asarray(mu, dtype=np.float64)
+    if np.any(mu <= 0):
+        raise ValueError("mu must be positive")
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError("tau must lie in [0, 1]")
+    B = np.diag(mu) - X
+    if tau == 0.0 or g is None or not np.any(np.asarray(g)):
+        margin = float(np.linalg.eigvalsh(force_hermitian(B))[0])
+        return bool(margin >= 0.0), margin
+    margin, _ = _trs_sphere_min(B, tau * np.asarray(g))
+    return bool(margin >= 0.0), margin

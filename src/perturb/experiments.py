@@ -260,7 +260,7 @@ def _weyl_mu(n: int) -> np.ndarray:
 
 def _trial_weyl(cfg: ExperimentConfig, n: int, stream: int) -> dict:
     X = _draw_noise(cfg.ensemble, n, stream)
-    holds, margin = rs_solver.verify_shifted_domination(X, _weyl_mu(n), tau=0.0)
+    holds, margin = bounds.verify_shifted_domination(X, _weyl_mu(n), tau=0.0)
     return {"domination_holds": float(holds), "margin": margin}
 
 

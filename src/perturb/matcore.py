@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,7 +72,11 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class EigDecomposition:
-    """Spectral decomposition M = U diag(lambdas) U* with orthonormal columns u_j."""
+    """Spectral decomposition M = U diag(lambdas) U* with orthonormal columns u_j.
+
+    ``basis`` must not be mutated after construction: is_identity is decided
+    on first use and cached with the decomposition.
+    """
 
     spectrum: Spectrum
     basis: np.ndarray
@@ -79,6 +84,12 @@ class EigDecomposition:
     @property
     def n(self) -> int:
         return self.spectrum.n
+
+    @cached_property
+    def is_identity(self) -> bool:
+        """True when the basis is exactly the identity, as for M diagonal and nonincreasing."""
+        basis = self.basis
+        return bool(np.all(basis.diagonal() == 1) and np.count_nonzero(basis) == basis.shape[0])
 
     def leading_vector(self) -> np.ndarray:
         return self.basis[:, 0]

@@ -22,8 +22,12 @@ that gated the loop and names its rung, along with the step count, the
 residuals and a leading-eigenvalue certificate. That certificate needs no
 eigendecomposition of A + E: the residual bound puts an eigenvalue near
 lambda~, and Cauchy interlacing (identity basis, O(n^2)) or one Cholesky
-factorization shows that none lies above it. Only when these proofs are
-inconclusive does the dense computation decide.
+factorization (bounds.cholesky_below) shows that none lies above it. Only
+when these proofs are inconclusive does the dense computation decide.
+
+solve calls partition, solve_q, assemble_eigvec and verify_solution in turn,
+and EigDecomposition.is_identity decides once whether the basis is the
+identity. The randomized Weyl domination check is in bounds.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import opnorm_pp_upper
+from .bounds import cholesky_below, opnorm_pp_upper
+from .bounds import verify_shifted_domination  # noqa: F401  re-exported; its home is bounds
 from .errors import (
     ContractionFailureError,
     GapCollapseError,
@@ -65,7 +70,6 @@ __all__ = [
     "eigenvalue_from_q",
     "coordinate_bounds",
     "verify_solution",
-    "verify_shifted_domination",
     "solve",
 ]
 
@@ -120,8 +124,9 @@ def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
 class PartitionedPerturbation:
     """Noise matrix expressed in the eigenbasis of A and split around u1.
 
-    e21 is stored as exactly conj(e12) and e22 is exactly Hermitian, so block
-    reassembly reproduces U* E U up to one symmetrization.
+    e21 is exactly conj(e12) and e22 is exactly Hermitian, so block
+    reassembly reproduces U* E U up to one symmetrization. The blocks may be
+    views of the caller's E (see partition).
     """
 
     e11: float
@@ -193,46 +198,29 @@ class SolverReport:
         }
 
 
-def _identity_basis(basis: np.ndarray) -> bool:
-    """True when the eigenbasis is exactly the identity (A diagonal)."""
-    return bool(np.all(basis.diagonal() == 1) and np.count_nonzero(basis) == basis.shape[0])
-
-
 def partition(eig: EigDecomposition, E: np.ndarray) -> PartitionedPerturbation:
     """Conjugate E into the eigenbasis of A and split blocks around u1.
 
-    When the basis is the identity (A diagonal) the two products are skipped:
-    I* E I equals E entry for entry in IEEE arithmetic. The conjugated noise
-    is symmetrized only when it is not already exactly self-adjoint, where
-    (M + M*)/2 would return M itself, save for overflow in the sum.
+    E must be exactly self-adjoint, else ValueError. On the identity basis
+    (A diagonal) the two products are skipped, as I* E I equals E entry for
+    entry in IEEE arithmetic, and the blocks are views of E (or of its
+    complex copy for a complex basis). Otherwise they are views of the fresh
+    U* E U, symmetrized only when rounding broke its self-adjointness (the
+    sum in (M + M*)/2 can overflow).
     """
-    return _partition(eig, np.asarray(E), _identity_basis(eig.basis), checked=False)
-
-
-def _partition(
-    eig: EigDecomposition, E: np.ndarray, identity: bool, checked: bool
-) -> PartitionedPerturbation:
-    """partition, with the identity test already made.
-
-    ``checked`` says that E passed _check_operands, so it is exactly
-    self-adjoint; on the identity basis its blocks are then used in place.
-    """
+    E = np.asarray(E)
     if E.shape != (eig.n, eig.n):
         raise ValueError(f"noise shape {E.shape} does not match basis dimension {eig.n}")
+    if not is_hermitian(E):
+        raise ValueError("E is not exactly self-adjoint (M != M*)")
     basis = eig.basis
-    if identity:
+    if eig.is_identity:
         tilde = E.astype(np.result_type(E, basis), copy=False)
-        if checked:
-            return PartitionedPerturbation(float(tilde[0, 0].real), tilde[0, 1:], tilde[1:, 1:])
     else:
         tilde = basis.conj().T @ E @ basis
-    if not is_hermitian(tilde):
-        tilde = force_hermitian(tilde)
-    return PartitionedPerturbation(
-        e11=float(tilde[0, 0].real),
-        e12=tilde[0, 1:].copy(),
-        e22=tilde[1:, 1:].copy(),
-    )
+        if not is_hermitian(tilde):
+            tilde = force_hermitian(tilde)
+    return PartitionedPerturbation(float(tilde[0, 0].real), tilde[0, 1:], tilde[1:, 1:])
 
 
 def build_shifted_gaps(spectrum: Spectrum, e11: float) -> np.ndarray:
@@ -338,7 +326,12 @@ def solve_q(
     tol * (||E21||_2 + 1); raises NonConvergenceError when a shifted gap
     d_j + Re(E12 q) is not positive, after three consecutive non-contracting
     steps, or at the step cap. Both errors carry the gate's bound and rung.
+    Raises ValueError unless tol is finite and positive and p >= 1.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not p >= 1:
+        raise ValueError(f"p must be at least 1, got {p}")
     d = build_shifted_gaps(spectrum, part.e11)
     gate = contraction_gate(d, part.e22, p, certificate_cap)
     if not gate.bound <= certificate_cap:
@@ -348,7 +341,7 @@ def solve_q(
             certified_norm=gate.bound,
             rung=gate.rung,
         )
-    cap = max(200, int(math.ceil(10.0 * math.log2(1.0 / tol))))
+    cap = max(200, int(math.ceil(-10.0 * math.log2(tol))))
     e21, e12, e22 = part.e21, part.e12, part.e22
     target = tol * (float(np.linalg.norm(e21)) + 1.0)
     d_min = float(d.min())
@@ -455,17 +448,14 @@ def _top_eigenvalue_within(
       (_interlacing_bound, padded for rounding). So lambda_2 < lam - r, and
       the eigenvalue within r of lam is lambda_max. O(n^2), and conclusive
       when u~ is close to e1, as on the identity basis.
-    * upper side otherwise: let t = lam + tau, rounded down, M = (t - s) I - A~
-      and s = pad trace(t I - A~). If the Cholesky factorization of M runs to
-      completion in floating point, its factor R satisfies R* R = M + dM
-      with ||dM||_2 <= (n+1) u trace(M) / (1 - (n+1) u) (Demmel's
-      backward-error bound, the one Rump's isspd relies on). So
-      lambda_min(M) > -s and t I - A~ is positive definite: lambda_max < t.
+    * upper side otherwise: cholesky_below on a copy of A~, with t = lam + tau
+      rounded down, proves lambda_max < t. Its diagonal shift s must stay
+      under tau (max_shift): a larger s puts t - s at or below lam, where the
+      factorization is expected to fail, so it is not tried.
 
-    pad is twice the first-order rounding bounds, which absorbs the
-    second-order terms, ||u~||_2 - 1 and the rounding of the diagonal
-    shifts. Assumes no underflow. s < 0, s >= tau, r > tau or a failed
-    factorization leaves the question to the caller.
+    pad is twice the first-order rounding bound, which absorbs the
+    second-order terms and ||u~||_2 - 1. Assumes no underflow. r > tau or an
+    inconclusive upper side leaves the question to the caller.
     """
     n = A_tilde.shape[0]
     pad = 2.0 * (n + 2) * (np.finfo(np.float64).eps / 2.0)
@@ -474,18 +464,7 @@ def _top_eigenvalue_within(
         return False
     if identity and _interlacing_bound(A_tilde, float(np.nextafter(lam - r, -math.inf))) < 1.0:
         return True
-    t = float(np.nextafter(lam + tau, -math.inf))
-    shifted = -A_tilde
-    shifted.flat[:: n + 1] += t
-    s = pad * float(shifted.diagonal().real.sum())
-    if not 0.0 <= s < tau:
-        return False
-    shifted.flat[:: n + 1] -= s
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return cholesky_below(A_tilde.copy(), float(np.nextafter(lam + tau, -math.inf)), max_shift=tau)
 
 
 def verify_solution(
@@ -507,20 +486,6 @@ def verify_solution(
     ``tilde_eig`` is passed, lambda_max is read from the dense oracle.
     Neither is tried when the first condition fails. Failures are recorded,
     never raised.
-    """
-    identity = eig is not None and _identity_basis(eig.basis)
-    return _verify(A, E, report, spectrum, tilde_eig, identity)
-
-
-def _verify(
-    A: np.ndarray,
-    E: np.ndarray,
-    report: SolverReport,
-    spectrum: Spectrum,
-    tilde_eig: EigDecomposition | None,
-    identity: bool,
-) -> SolverReport:
-    """verify_solution, with the identity test already made.
 
     orth_residual is ||U~_perp* A~ u~||_2 for any orthonormal basis U~_perp
     of u~'s complement, that is ||A~ u~ - u~ (u~* A~ u~)||_2 for unit u~.
@@ -539,7 +504,7 @@ def _verify(
     if not lam > half:
         report.leading_certified = False
     elif tilde_eig is None and _top_eigenvalue_within(
-        A_tilde, lam, report.residual2, tau, identity
+        A_tilde, lam, report.residual2, tau, eig is not None and eig.is_identity
     ):
         report.leading_certified = True
     else:
@@ -551,14 +516,14 @@ def _verify(
 
 
 def _check_operands(A: np.ndarray, E: np.ndarray) -> None:
-    """Raise ValueError unless A and E are finite, square, alike in shape and self-adjoint."""
+    """Raise ValueError unless A and E are finite, square, alike in shape, and A self-adjoint."""
     for name, M in (("A", A), ("E", E)):
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError(f"{name} must be a square matrix, got shape {M.shape}")
         if not np.all(np.isfinite(M)):
             raise ValueError(f"{name} has non-finite entries")
-        if not is_hermitian(M):
-            raise ValueError(f"{name} is not exactly self-adjoint (M != M*)")
+    if not is_hermitian(A):
+        raise ValueError("A is not exactly self-adjoint (M != M*)")
     if A.shape != E.shape:
         raise ValueError(f"A has shape {A.shape} but E has shape {E.shape}")
 
@@ -591,11 +556,10 @@ def solve(
     _check_operands(A, E)
     if eig is None:
         eig = hermitian_eig(A)
+    part = partition(eig, E)
     spectrum = eig.spectrum
     if not spectrum.lambdas[0] > spectrum.lambdas[1]:
         raise InvalidSpectrumError("solver requires a simple top eigenvalue of A")
-    identity = _identity_basis(eig.basis)
-    part = _partition(eig, E, identity, checked=True)
     tilde_eig = None
     gate = ContractionGate(math.inf, "")
     try:
@@ -631,81 +595,8 @@ def solve(
             fallback_reason=f"{type(err).__name__}: {err}",
         )
     if verify:
-        _verify(A, E, report, spectrum, tilde_eig, identity)
+        verify_solution(A, E, report, spectrum, eig=eig, tilde_eig=tilde_eig)
     else:
         report.coord_ratios = coordinate_bounds(report.q, spectrum)
         report.q_norm2 = float(np.linalg.norm(report.q))
     return report
-
-
-# ---------------------------------------------------------------------------
-# Randomized Weyl domination check
-# ---------------------------------------------------------------------------
-
-def _trs_sphere_min(B: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
-    """Global minimum of z*Bz - Re(c*z) over the unit sphere.
-
-    Eigendecompose B and solve the secular equation ||(B - sigma I)^{-1} c/2|| = 1
-    for the multiplier sigma <= lambda_min(B) by bisection; the hard case
-    (no root below lambda_min) pads with the bottom eigenvector.
-    """
-    w, V = np.linalg.eigh(force_hermitian(B))
-    ct = V.conj().T @ np.asarray(c)
-    d_min = float(w[0])
-    cnorm = float(np.linalg.norm(ct))
-    if cnorm == 0.0:
-        return d_min, V[:, 0]
-
-    def znorm_sq(sigma: float) -> float:
-        return float(np.sum(np.abs(ct) ** 2 / (4.0 * (w - sigma) ** 2)))
-
-    eps = 1e-13 * max(1.0, abs(d_min))
-    hi = d_min - eps
-    lo = d_min - 0.5 * cnorm - 1.0
-    if znorm_sq(hi) >= 1.0:
-        for _ in range(300):
-            mid = 0.5 * (lo + hi)
-            if znorm_sq(mid) >= 1.0:
-                hi = mid
-            else:
-                lo = mid
-        sigma = 0.5 * (lo + hi)
-        z = V @ (ct / (2.0 * (w - sigma)))
-        z = z / np.linalg.norm(z)
-    else:
-        # hard case: sigma = lambda_min, remaining mass on the bottom eigenvector
-        zt = np.zeros_like(ct)
-        interior = w - d_min > eps
-        zt[interior] = ct[interior] / (2.0 * (w[interior] - d_min))
-        t = math.sqrt(max(0.0, 1.0 - float(np.vdot(zt, zt).real)))
-        zt[0] += t
-        z = V @ zt
-        z = z / np.linalg.norm(z)
-    val = float((np.vdot(z, B @ z) - np.vdot(c, z)).real)
-    return val, z
-
-
-def verify_shifted_domination(
-    X: np.ndarray,
-    mu: np.ndarray,
-    tau: float = 0.0,
-    g: np.ndarray | None = None,
-) -> tuple[bool, float]:
-    """Check z*Xz + tau ||z|| Re(g*z) <= z*D_mu z for all z; margin is the slack.
-
-    tau = 0 reduces to the semidefinite test X <= D_mu with margin
-    lambda_min(D_mu - X); tau > 0 minimizes the shifted form on the unit
-    sphere via a trust-region-style secular solve.
-    """
-    X = np.atleast_2d(np.asarray(X))
-    mu = np.asarray(mu, dtype=np.float64)
-    if np.any(mu <= 0):
-        raise ValueError("mu must be positive")
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
-    B = np.diag(mu) - X
-    if tau == 0.0 or g is None or not np.any(np.asarray(g)):
-        margin = float(np.linalg.eigvalsh(force_hermitian(B))[0])
-        return bool(margin >= 0.0), margin
-    margin, _ = _trs_sphere_min(B, tau * np.asarray(g))
-    return bool(margin >= 0.0), margin

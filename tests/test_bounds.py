@@ -9,6 +9,7 @@ from perturb import bounds
 from perturb.bounds import (
     assumption_report,
     best_p,
+    cholesky_below,
     conjugate_gap_norm,
     davis_kahan_bound,
     ellipsoid_covering_bound,
@@ -276,6 +277,43 @@ class TestSpectralNormCertificate:
         s = pad * np.trace(H).real / (1 - 200 * pad)  # trace(t I - G) = trace(H) + 200 s
         g = pad * np.linalg.norm(M, "fro") ** 2
         assert shift.max() + s + g <= c * c * (1 + 1e-14)
+
+
+class TestCholeskyBelow:
+    """lambda_max(H) < t proved by factorizing (t - s) I - H, s = 2 (m+2) u trace(t I - H)."""
+
+    @staticmethod
+    def case(complex_case):
+        H = force_hermitian(random_matrix("complex" if complex_case else "real", (60, 60), 51))
+        top = float(np.linalg.eigvalsh(H)[-1])
+        t = top + 1e-8 * abs(top)
+        s = 2 * (60 + 2) * np.finfo(float).eps / 2 * float(np.trace(t * np.eye(60) - H).real)
+        return H, top, t, s
+
+    @pytest.mark.parametrize("complex_case", [False, True])
+    def test_proves_margin_above_top(self, complex_case):
+        H, top, t, s = self.case(complex_case)
+        assert 0 < s < t - top
+        assert cholesky_below(H.copy(), t)
+
+    @pytest.mark.parametrize("complex_case", [False, True])
+    def test_inconclusive_at_top_and_within_shift(self, complex_case):
+        # t I - H is positive definite for t = top + s/2, but the proof leaves
+        # s for the factorization's rounding and cannot tell
+        H, top, _, s = self.case(complex_case)
+        assert not cholesky_below(H.copy(), top)
+        assert not cholesky_below(H.copy(), top + s / 2)
+
+    @pytest.mark.parametrize("complex_case", [False, True])
+    def test_max_shift_skips_factorization(self, monkeypatch, complex_case):
+        H, _, t, s = self.case(complex_case)
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda M: calls.append(1) or cholesky(M))
+        assert not cholesky_below(H.copy(), t, max_shift=s / 2)
+        assert calls == []
+        assert cholesky_below(H.copy(), t, max_shift=2 * s)
+        assert calls == [1]
 
 
 class TestOpnormLower:

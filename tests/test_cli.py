@@ -215,6 +215,17 @@ class TestExitCodes:
         assert code == 1
         assert "E has non-finite entries" in err
 
+    def test_usage_error_zero_tol(self, capsys, tmp_path):
+        (tmp_path / "A.json").write_text(matrix_to_json(np.diag([3.0, 2.0, 1.0])))
+        (tmp_path / "E.json").write_text(matrix_to_json(np.zeros((3, 3))))
+        code, out, err = run_cli(
+            capsys, "solve", "--matrix", str(tmp_path / "A.json"), "--noise", str(tmp_path / "E.json"),
+            "--tol", "0",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: tol must be finite and positive, got 0.0\n"
+
     def test_usage_error_bad_json(self, capsys, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")

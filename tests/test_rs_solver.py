@@ -101,16 +101,21 @@ class TestPartition:
     @pytest.mark.parametrize("case", ["real", "complex", "non-hermitian", "complex-basis"])
     def test_identity_basis_matches_general_path(self, case):
         # the identity basis skips I* E I; -I is not detected as the identity and
-        # takes the general path, whose products are exact as well
+        # takes the general path, whose products are exact as well. Neither
+        # path symmetrizes a noise matrix that is not self-adjoint.
         n = 200
         s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
         rng = rng_from_stream(29)
         E = rng.standard_normal((n, n))
         if case == "complex":
             E = E + 1j * rng.standard_normal((n, n))
-        if case != "non-hermitian":
-            E = force_hermitian(E)
         eye = np.eye(n, dtype=complex if case == "complex-basis" else float)
+        if case == "non-hermitian":
+            for basis in (eye, -eye):
+                with pytest.raises(ValueError, match="E is not exactly self-adjoint"):
+                    partition(EigDecomposition(s, basis), E)
+            return
+        E = force_hermitian(E)
         expected = force_hermitian(eye.T @ E @ eye)
         for basis in (eye, -eye):
             part = partition(EigDecomposition(s, basis), E)
@@ -128,6 +133,23 @@ class TestPartition:
         E[1, 3] = E[3, 1] = 1e308
         part = partition(diag_eig(s), E)
         assert np.array_equal(part.reassemble(), E)
+
+    def test_identity_blocks_are_views(self):
+        E = sample_goe(6, 13)
+        part = partition(diag_eig(spectrum(6, 5, 4, 3, 2, 1)), E)
+        assert np.shares_memory(part.e12, E) and np.shares_memory(part.e22, E)
+
+    def test_identity_decided_once_per_decomposition(self, monkeypatch):
+        eig = diag_eig(spectrum(3, 2, 1))
+        seen = []
+        count_nonzero = np.count_nonzero
+        monkeypatch.setattr(
+            np, "count_nonzero", lambda a, *args, **kw: seen.append(a is eig.basis)
+            or count_nonzero(a, *args, **kw)
+        )
+        for _ in range(2):
+            solve(np.diag(eig.spectrum.lambdas), 0.1 * sample_goe(3, 7), eig=eig)
+        assert seen.count(True) == 1
 
     def test_unit_diagonal_basis_is_conjugated(self):
         # a unit diagonal alone does not make the identity
@@ -885,6 +907,40 @@ class TestSolveDriver:
     def test_bad_operands_rejected(self, A, E, message):
         with pytest.raises(ValueError, match=message):
             solve(A, E, verify=False)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"tol": 0.0}, "tol must be finite and positive"),
+        ({"tol": -1e-9}, "tol must be finite and positive"),
+        ({"tol": math.inf}, "tol must be finite and positive"),
+        ({"tol": math.nan}, "tol must be finite and positive"),
+        ({"p": math.nan}, "p must be at least 1"),
+        ({"p": 0.5}, "p must be at least 1"),
+    ])
+    def test_bad_parameters_rejected(self, kwargs, message):
+        s = spectrum(3, 2, 1)
+        with pytest.raises(ValueError, match=message):
+            solve(np.diag(s.lambdas), 0.1 * sample_goe(3, 7), **kwargs)
+
+    def test_subnormal_tol_reports(self):
+        # the step cap grows with log2(1/tol), which stays finite for any positive tol
+        s = spectrum(3, 2, 1)
+        rep = solve(np.diag(s.lambdas), 0.1 * sample_goe(3, 7), tol=5e-324)
+        assert rep.method in ("rs", "oracle-fallback") and rep.leading_certified
+
+    @pytest.mark.parametrize("basis,checks", [("identity", 2), ("rotated", 3)])
+    def test_self_adjointness_checked_once_per_matrix(self, monkeypatch, basis, checks):
+        # A at entry, E in partition, and U* E U on a general basis
+        n = 16
+        s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
+        A, eig = np.diag(s.lambdas), diag_eig(s)
+        if basis == "rotated":
+            Q = np.linalg.qr(rng_from_stream(5).standard_normal((n, n)))[0]
+            A, eig = force_hermitian((Q * s.lambdas) @ Q.T), EigDecomposition(s, Q)
+        calls = []
+        monkeypatch.setattr(rs_solver, "is_hermitian", lambda M: calls.append(1) or is_hermitian(M))
+        rep = solve(A, sample_goe(n, 19), eig=eig)
+        assert rep.method == "rs" and rep.leading_certified
+        assert len(calls) == checks
 
     def test_degenerate_top_eigenvalue_rejected(self):
         with pytest.raises(InvalidSpectrumError):
