@@ -29,7 +29,6 @@ from .bounds import (
 )
 from .ensembles import (
     EntryDistribution,
-    Seed,
     SpectrumSpec,
     realize_spectrum,
     sample_arrowhead_noise,

@@ -59,18 +59,24 @@ def conjugate_gap_norm(d: np.ndarray, p: float) -> float:
     return lp_norm(d, p / (p - 2.0))
 
 
-def k_np(spectrum: Spectrum, p: float) -> float:
-    """Gap functional: sqrt(p log n) n^(1/p) ||d||_{p/(p-2)}, or log n ||d||_1 at p=inf."""
-    if p < 2:
-        raise ValueError(f"k_np requires p >= 2, got {p}")
-    n = spectrum.n
-    d = gap_vector(spectrum)
+def _gap_functional(d: np.ndarray, n: int, p: float) -> float:
+    """The formula of k_np (d the reciprocal gaps) and mu_assumption (d = 1/mu)."""
     if p == math.inf:
         return math.log(n) * lp_norm(d, 1)
     return math.sqrt(p * math.log(n)) * n ** (1.0 / p) * conjugate_gap_norm(d, p)
 
 
-def default_p_grid(n: int, points: int = 32) -> list[float]:
+def k_np(spectrum: Spectrum, p: float) -> float:
+    """Gap functional: sqrt(p log n) n^(1/p) ||d||_{p/(p-2)}, or log n ||d||_1 at p=inf."""
+    if p < 2:
+        raise ValueError(f"k_np requires p >= 2, got {p}")
+    return _gap_functional(gap_vector(spectrum), spectrum.n, p)
+
+
+_P_GRID_POINTS = 32
+
+
+def default_p_grid(n: int) -> list[float]:
     """Geometric grid of exponents in [2, max(2, log n)], plus infinity.
 
     Exponents above log n are redundant up to constants, so the grid stops
@@ -80,7 +86,7 @@ def default_p_grid(n: int, points: int = 32) -> list[float]:
     if top == 2.0:
         grid = [2.0]
     else:
-        grid = list(np.geomspace(2.0, top, points))
+        grid = list(np.geomspace(2.0, top, _P_GRID_POINTS))
     grid.append(math.inf)
     return grid
 
@@ -117,17 +123,13 @@ def mu_assumption(mu: np.ndarray, p: float) -> float:
         raise ValueError("mu must be a nonempty positive vector")
     if p < 2:
         raise ValueError(f"mu_assumption requires p >= 2, got {p}")
-    n = mu.size
-    inv = 1.0 / mu
-    if p == math.inf:
-        return math.log(n) * lp_norm(inv, 1)
-    return math.sqrt(p * math.log(n)) * n ** (1.0 / p) * conjugate_gap_norm(inv, p)
+    return _gap_functional(1.0 / mu, mu.size, p)
 
 
-def ellipsoid_covering_bound(a: np.ndarray, theta: float, c_bar: float = math.e) -> float:
+def ellipsoid_covering_bound(a: np.ndarray, theta: float) -> float:
     """Metric-entropy bound for covering an ellipsoid with unit balls.
 
-    log N <= sum_{j in J} log a_j + |J_theta| log(c_bar / theta) where
+    log N <= sum_{j in J} log a_j + |J_theta| log(e / theta) where
     J = {a_j > 1} and J_theta = {a_j^2 >= 1 - theta}. An empty J contributes 0.
     """
     a = np.asarray(a, dtype=np.float64)
@@ -138,7 +140,7 @@ def ellipsoid_covering_bound(a: np.ndarray, theta: float, c_bar: float = math.e)
     big = a[a > 1.0]
     wide = int(np.count_nonzero(a * a >= 1.0 - theta))
     first = float(np.log(big).sum()) if big.size else 0.0
-    return first + wide * math.log(c_bar / theta)
+    return first + wide * math.log(math.e / theta)
 
 
 def opnorm_pp_upper(M: np.ndarray, p: float) -> float:
@@ -304,21 +306,20 @@ def _norm_subgradient(y: np.ndarray, b: float) -> np.ndarray:
     return phase * (mags / max(mags.max(), 1e-300)) ** (b - 1.0)
 
 
+_ASCENT_STEPS = 500
+_ASCENT_RTOL = 1e-12
+
+
 def opnorm_lower(
-    M: np.ndarray,
-    p_dom: float,
-    p_tgt: float,
-    restarts: int = 8,
-    seed: int = 0,
-    max_iter: int = 500,
-    rtol: float = 1e-12,
+    M: np.ndarray, p_dom: float, p_tgt: float, restarts: int = 8, seed: int = 0
 ) -> float:
     """Lower bound on ||M||_{p_dom, p_tgt} = sup{||Mu||_p_tgt : ||u||_p_dom <= 1}.
 
     Multistart conditional-gradient ascent: each step replaces u by the
     maximizer of the linearized objective over the unit ball, so the value is
     nondecreasing and every iterate certifies a valid lower bound. One start
-    is the best coordinate vector, the rest are random.
+    is the best coordinate vector, the rest are random. Each start stops when
+    a step gains at most _ASCENT_RTOL relative, or after _ASCENT_STEPS steps.
     """
     M = np.atleast_2d(np.asarray(M))
     if restarts < 1:
@@ -341,10 +342,10 @@ def opnorm_lower(
     best = 0.0
     for u in starts:
         val = 0.0
-        for _ in range(max_iter):
+        for _ in range(_ASCENT_STEPS):
             y = M @ u
             new_val = lp_norm(y, p_tgt)
-            if new_val <= val * (1.0 + rtol):
+            if new_val <= val * (1.0 + _ASCENT_RTOL):
                 val = max(val, new_val)
                 break
             val = new_val
@@ -396,15 +397,10 @@ class AssumptionReport:
         }
 
 
-def assumption_report(
-    spectrum: Spectrum,
-    c0: float = DEFAULT_C0,
-    grid: list[float] | None = None,
-) -> AssumptionReport:
-    """Evaluate the gap functional over an exponent grid and issue the verdict."""
+def assumption_report(spectrum: Spectrum, c0: float = DEFAULT_C0) -> AssumptionReport:
+    """Evaluate the gap functional over default_p_grid and issue the verdict."""
     n = spectrum.n
-    if grid is None:
-        grid = default_p_grid(n)
+    grid = default_p_grid(n)
     d = gap_vector(spectrum)
     table = []
     for p in grid:

@@ -2,7 +2,9 @@
 
 Every subcommand is a pure function of (argv, input files); reports are JSON
 on stdout unless --out is given. Exit codes: 0 success, 1 usage error,
-2 numeric failure. PERTURB_SEED overrides the default seed (flag wins).
+2 numeric failure. Each subcommand takes only the shared flags it reads (see
+SHARED_FLAGS). PERTURB_SEED sets the default seed of gen and arrowhead, the
+two subcommands that draw one (--seed wins).
 """
 
 from __future__ import annotations
@@ -36,7 +38,14 @@ USAGE_ERROR, NUMERIC_ERROR = 1, 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the CLI contract wants 1."""
+    """argparse exits 2 on usage errors; the CLI contract wants 1.
+
+    Abbreviations are off, so a flag a subcommand does not take is rejected
+    rather than read as the prefix of one it does (solve's --n as --noise).
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -63,19 +72,23 @@ def _emit(payload: str, out: str | None) -> None:
         sys.stdout.write(payload + "\n")
 
 
+# Flags shared by several subcommands; build_parser gives each subcommand the
+# ones its handler reads.
+SHARED_FLAGS = {
+    "seed": dict(type=int, default=None, help="master seed (default: PERTURB_SEED or 0)"),
+    "n": dict(type=int, default=None, help="dimension"),
+    "p": dict(type=float, default=2.0, help="norm exponent"),
+    "c0": dict(type=float, default=bounds.DEFAULT_C0, help="assumption threshold"),
+    "tol": dict(type=float, default=rs_solver.DEFAULT_TOL, help="iteration tolerance"),
+    "format": dict(choices=["json", "csv"], default=None,
+                   help="records format (default: the config's)"),
+    "out": dict(default=None, help="write output here instead of stdout"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="perturb", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def shared(p):
-        p.add_argument("--seed", type=int, default=None, help="master seed (default: PERTURB_SEED or 0)")
-        p.add_argument("--n", type=int, default=None, help="dimension")
-        p.add_argument("--p", type=float, default=2.0, help="norm exponent")
-        p.add_argument("--c0", type=float, default=bounds.DEFAULT_C0, help="assumption threshold")
-        p.add_argument("--tol", type=float, default=rs_solver.DEFAULT_TOL, help="iteration tolerance")
-        p.add_argument("--format", choices=["json", "csv"], default=None,
-                       help="records format for exp (reports are always JSON)")
-        p.add_argument("--out", default=None, help="write output here instead of stdout")
 
     p_gen = sub.add_parser("gen", help="sample a random matrix / instance as JSON")
     p_gen.add_argument("--kind", required=True,
@@ -85,28 +98,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--trunc", type=float, default=3.0)
     p_gen.add_argument("--scalar", choices=["real", "complex"], default="real")
     p_gen.add_argument("--spectrum", default=None, help="spectrum spec JSON (inline or file)")
-    shared(p_gen)
 
     p_assume = sub.add_parser("assume", help="evaluate the eigenvalue-gap assumption")
     p_assume.add_argument("--spectrum", required=True)
-    shared(p_assume)
 
     p_solve = sub.add_parser("solve", help="leading eigenpair of A + E by the fixed point")
     p_solve.add_argument("--matrix", required=True, help="matrix JSON file for A")
     p_solve.add_argument("--noise", required=True, help="matrix JSON file for E")
     p_solve.add_argument("--certificate-cap", type=float, default=rs_solver.CERTIFICATE_CAP)
-    shared(p_solve)
 
     p_arrow = sub.add_parser("arrowhead", help="secular-equation eigenpair for arrowhead noise")
     p_arrow.add_argument("--spectrum", required=True)
-    shared(p_arrow)
 
     p_exp = sub.add_parser("exp", help="run a Monte Carlo experiment config")
     p_exp.add_argument("--config", required=True, help="experiment config JSON file")
     p_exp.add_argument("--threads", type=int, default=1)
     p_exp.add_argument("--out-dir", default=None, help="override the config output path")
-    shared(p_exp)
 
+    for p, names in (
+        (p_gen, ("seed", "n", "p", "out")),
+        (p_assume, ("n", "c0", "out")),
+        (p_solve, ("p", "tol", "out")),
+        (p_arrow, ("seed", "n", "tol", "out")),
+        (p_exp, ("format", "out")),
+    ):
+        for name in names:
+            p.add_argument(f"--{name}", **SHARED_FLAGS[name])
     return parser
 
 

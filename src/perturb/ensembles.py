@@ -1,4 +1,4 @@
-"""Seeded samplers for every random model the verification harness uses.
+"""Samplers, seeded by an int stream, for every random model the verification harness uses.
 
 All samplers are pure functions of (parameters, seed): replaying the same seed
 yields bit-identical matrices. Hermitian symmetry is enforced by mirroring the
@@ -26,7 +26,6 @@ from .matcore import Spectrum
 
 __all__ = [
     "EntryDistribution",
-    "Seed",
     "SpectrumSpec",
     "derive_stream",
     "rng_from_stream",
@@ -52,20 +51,6 @@ def derive_stream(master: int, *indices: int) -> int:
 
 def rng_from_stream(stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.PCG64(int(stream)))
-
-
-@dataclass(frozen=True)
-class Seed:
-    """Master seed plus a derived per-trial stream."""
-
-    master: int
-    stream: int = 0
-
-    def spawn(self, *indices: int) -> "Seed":
-        return Seed(master=self.master, stream=derive_stream(self.master, *indices))
-
-    def generator(self) -> np.random.Generator:
-        return rng_from_stream(self.stream if self.stream else self.master)
 
 
 @dataclass(frozen=True)
@@ -204,7 +189,7 @@ def sample_subgaussian_hermitian(
     n: int,
     dist: EntryDistribution,
     scalar: str = "real",
-    seed: Seed | int = 0,
+    seed: int = 0,
 ) -> np.ndarray:
     """Hermitian matrix with i.i.d. unit-variance entries above the diagonal.
 
@@ -213,7 +198,7 @@ def sample_subgaussian_hermitian(
     """
     if n < 2:
         raise ValueError("n >= 2 required")
-    rng = seed.generator() if isinstance(seed, Seed) else rng_from_stream(seed)
+    rng = rng_from_stream(seed)
     m = n * (n - 1) // 2
     if scalar == "complex":
         upper = dist.sample(rng, m) + 1j * dist.sample(rng, m)
@@ -226,36 +211,36 @@ def sample_subgaussian_hermitian(
     return _mirror(upper, diag)
 
 
-def sample_goe(n: int, seed: Seed | int = 0) -> np.ndarray:
+def sample_goe(n: int, seed: int = 0) -> np.ndarray:
     """GOE draw: real symmetric, off-diagonal N(0,1), diagonal N(0,2)."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    rng = seed.generator() if isinstance(seed, Seed) else rng_from_stream(seed)
+    rng = rng_from_stream(seed)
     upper = rng.standard_normal(n * (n - 1) // 2)
     diag = rng.standard_normal(n) * math.sqrt(2.0)
     return _mirror(upper, diag)
 
 
-def sample_gue(n: int, seed: Seed | int = 0) -> np.ndarray:
+def sample_gue(n: int, seed: int = 0) -> np.ndarray:
     """GUE draw, unitary-invariant: off-diagonal re,im ~ N(0, 1/2), diagonal N(0,1)."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    rng = seed.generator() if isinstance(seed, Seed) else rng_from_stream(seed)
+    rng = rng_from_stream(seed)
     m = n * (n - 1) // 2
     upper = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2.0)
     diag = rng.standard_normal(n)
     return _mirror(upper.astype(np.complex128), diag)
 
 
-def sample_arrowhead_vector(n: int, seed: Seed | int = 0) -> np.ndarray:
+def sample_arrowhead_vector(n: int, seed: int = 0) -> np.ndarray:
     """The vector g ~ N(0, I_{n-1}) of sample_arrowhead_noise, without its n x n matrix."""
     if n < 2:
         raise ValueError("n >= 2 required")
-    rng = seed.generator() if isinstance(seed, Seed) else rng_from_stream(seed)
+    rng = rng_from_stream(seed)
     return rng.standard_normal(n - 1)
 
 
-def sample_arrowhead_noise(n: int, seed: Seed | int = 0) -> tuple[np.ndarray, np.ndarray]:
+def sample_arrowhead_noise(n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Rank-2 arrowhead perturbation: first row/column g ~ N(0, I_{n-1}), rest zero."""
     g = sample_arrowhead_vector(n, seed)
     E = np.zeros((n, n))
@@ -265,7 +250,7 @@ def sample_arrowhead_noise(n: int, seed: Seed | int = 0) -> tuple[np.ndarray, np
 
 
 def sample_inconsistency_instance(
-    n: int, p: float, seed: Seed | int = 0
+    n: int, p: float, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal A from the inconsistency spectrum plus noise confined to rows 2..n.
 

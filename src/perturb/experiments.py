@@ -33,7 +33,7 @@ from .ensembles import (
     sample_subgaussian_hermitian,
 )
 from .errors import GapCollapseError, NumericFailureError
-from .matcore import EigDecomposition, dual_exponent, hermitian_eig, lp_norm
+from .matcore import EigDecomposition, dual_exponent, hermitian_eig, lp_norm, operator_norm_exact
 
 __all__ = [
     "ExperimentConfig",
@@ -190,32 +190,45 @@ def _diag_instance(cfg: ExperimentConfig, n: int):
     return spectrum, A, eig
 
 
-def _paper_norm(spectrum, eig: EigDecomposition, E: np.ndarray, p: float) -> float:
-    """The paper's ||E22 D^{-1}||_p, or inf when the shifted gaps collapse or it cannot be computed."""
+def _paper_norms(spectrum, eig: EigDecomposition, E: np.ndarray, p: float) -> tuple[float, float]:
+    """The paper's ||E22 D^{-1}||_p and ||D^{-1} E21||_{p'}.
+
+    Both are inf when the shifted gaps collapse or the first cannot be computed.
+    """
     part = rs_solver.partition(eig, E)
     try:
         d = rs_solver.build_shifted_gaps(spectrum, part.e11)
-        return rs_solver.contraction_certificate(d, part.e22, p)
+        cert = rs_solver.contraction_certificate(d, part.e22, p)
     except (GapCollapseError, NumericFailureError):
-        return math.inf
+        return math.inf, math.inf
+    return cert, lp_norm(part.e21 / d, dual_exponent(p))
+
+
+def _oracle_angle(spectrum, A: np.ndarray, eig: EigDecomposition, E: np.ndarray):
+    """hermitian_eig(A + E), and its sin-theta to u1 beside the Davis-Kahan and sin-theta bounds."""
+    tilde_eig = hermitian_eig(A + E)
+    overlap = abs(complex(np.vdot(eig.leading_vector(), tilde_eig.basis[:, 0])))
+    return tilde_eig, {
+        "sin_theta": math.sqrt(max(0.0, 1.0 - overlap * overlap)),
+        "dk_bound": bounds.davis_kahan_bound(spectrum, operator_norm_exact(E, 2)),
+        "rs_bound": bounds.rs_sin_theta_bound(spectrum, 1.0),
+    }
 
 
 def _trial_upper_bound(cfg: ExperimentConfig, n: int, stream: int) -> dict:
     spectrum, A, eig = _diag_instance(cfg, n)
     E = _draw_noise(cfg.ensemble, n, stream)
     report = rs_solver.solve(A, E, p=cfg.p, eig=eig, verify=False)
-    tilde_eig = hermitian_eig(A + E)
+    tilde_eig, oracle = _oracle_angle(spectrum, A, eig, E)
     rs_solver.verify_solution(A, E, report, spectrum, eig=eig, tilde_eig=tilde_eig)
-    overlap = abs(complex(np.vdot(eig.leading_vector(), tilde_eig.basis[:, 0])))
-    e_norm = float(np.abs(np.linalg.eigvalsh(E)).max())
     q_norm = report.q_norm2
     return {
         "max_coord_ratio": float(report.coord_ratios.max()),
         "sin_theta": q_norm / math.sqrt(1.0 + q_norm * q_norm),
-        "sin_theta_oracle": math.sqrt(max(0.0, 1.0 - overlap * overlap)),
-        "dk_bound": bounds.davis_kahan_bound(spectrum, e_norm),
-        "rs_bound": bounds.rs_sin_theta_bound(spectrum, 1.0),
-        "contraction_upper": _paper_norm(spectrum, eig, E, cfg.p),
+        "sin_theta_oracle": oracle["sin_theta"],
+        "dk_bound": oracle["dk_bound"],
+        "rs_bound": oracle["rs_bound"],
+        "contraction_upper": _paper_norms(spectrum, eig, E, cfg.p)[0],
         "q_norm2": q_norm,
         "certified": float(report.leading_certified),
         "fallback": float(report.method == "oracle-fallback"),
@@ -267,14 +280,7 @@ def _trial_weyl(cfg: ExperimentConfig, n: int, stream: int) -> dict:
 def _trial_dk_compare(cfg: ExperimentConfig, n: int, stream: int) -> dict:
     spectrum, A, eig = _diag_instance(cfg, n)
     E = _draw_noise(cfg.ensemble, n, stream)
-    tilde_eig = hermitian_eig(A + E)
-    overlap = abs(complex(np.vdot(eig.leading_vector(), tilde_eig.basis[:, 0])))
-    e_norm = float(np.abs(np.linalg.eigvalsh(E)).max())
-    return {
-        "sin_theta": math.sqrt(max(0.0, 1.0 - overlap * overlap)),
-        "dk_bound": bounds.davis_kahan_bound(spectrum, e_norm),
-        "rs_bound": bounds.rs_sin_theta_bound(spectrum, 1.0),
-    }
+    return _oracle_angle(spectrum, A, eig, E)[1]
 
 
 def _trial_opnorm_scaling(cfg: ExperimentConfig, n: int, stream: int) -> dict:
@@ -286,17 +292,9 @@ def _trial_opnorm_scaling(cfg: ExperimentConfig, n: int, stream: int) -> dict:
 def _trial_event_diagnostics(cfg: ExperimentConfig, n: int, stream: int) -> dict:
     spectrum, A, eig = _diag_instance(cfg, n)
     E = _draw_noise(cfg.ensemble, n, stream)
-    part = rs_solver.partition(eig, E)
-    root_log = math.sqrt(math.log(n))
-    e_inf_ratio = float(np.abs(E).max()) / root_log
-    try:
-        d = rs_solver.build_shifted_gaps(spectrum, part.e11)
-        cert = rs_solver.contraction_certificate(d, part.e22, cfg.p)
-        d21 = lp_norm(part.e21 / d, dual_exponent(cfg.p))
-    except GapCollapseError:
-        cert, d21 = math.inf, math.inf
+    cert, d21 = _paper_norms(spectrum, eig, E, cfg.p)
     return {
-        "e_inf_ratio": e_inf_ratio,
+        "e_inf_ratio": float(np.abs(E).max()) / math.sqrt(math.log(n)),
         "cert_p": cert,
         "cert_le_half": float(cert <= 0.5),
         "d21_dual": d21,

@@ -103,7 +103,8 @@ def lp_norm(v, p) -> float:
     """Vector norm (sum |v_j|^p)^(1/p); max |v_j| for p = inf.
 
     Accepts any p >= 1 including infinity. Uses a max-rescaled power sum so
-    large p does not overflow.
+    large p and large entries do not overflow. A matrix counts as the vector
+    of its entries (p = 2 gives the Frobenius norm).
     """
     v = np.asarray(v)
     if v.size == 0:
@@ -213,8 +214,12 @@ def hermitian_eig(M: np.ndarray) -> EigDecomposition:
     Raises
     ------
     NumericFailureError
-        If the reconstruction residual exceeds 1e-10 * ||M||_F, which signals
-        a failed factorization rather than roundoff.
+        If the reconstruction residual exceeds 1e-10 * max(||M||_F, 1), which
+        signals a failed factorization rather than roundoff. Both norms are
+        max-rescaled (lp_norm), so the check holds for entries near overflow.
+    InvalidSpectrumError
+        If the top eigenvalue is not simple (or M is 1 x 1): the leading pair
+        every caller reads is then undefined.
     """
     M = np.atleast_2d(np.asarray(M))
     if not is_hermitian(M):
@@ -234,21 +239,10 @@ def hermitian_eig(M: np.ndarray) -> EigDecomposition:
     if np.isrealobj(M):
         v = v.real
 
-    fro = float(np.linalg.norm(M, "fro"))
-    resid = float(np.linalg.norm((v * w) @ v.conj().T - M, "fro"))
-    if resid > 1e-10 * max(fro, 1.0):
+    resid = lp_norm((v * w) @ v.conj().T - M, 2)
+    if resid > 1e-10 * max(lp_norm(M, 2), 1.0):
         raise NumericFailureError("eigendecomposition reconstruction failed", residual=resid)
-
-    if w.size >= 2 and w[0] > w[1]:
-        spectrum = Spectrum(w)
-    else:
-        # Degenerate top eigenvalue: bypass the Spectrum guard so oracle callers
-        # (e.g. norm computations) still get the factorization.
-        spectrum = object.__new__(Spectrum)
-        lam = np.asarray(w, dtype=np.float64)
-        lam.setflags(write=False)
-        object.__setattr__(spectrum, "lambdas", lam)
-    return EigDecomposition(spectrum=spectrum, basis=v)
+    return EigDecomposition(spectrum=Spectrum(w), basis=v)
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ class TestEllipsoidCovering:
         assert ellipsoid_covering_bound(np.array([0.5, 0.5]), 0.25) == 0.0
 
     def test_worked_example(self):
-        got = ellipsoid_covering_bound(np.array([2.0, 2.0]), 0.25, math.e)
+        got = ellipsoid_covering_bound(np.array([2.0, 2.0]), 0.25)
         assert got == pytest.approx(2 * math.log(2) + 2 * math.log(4 * math.e), rel=1e-14)
 
     def test_quarter_theta_accepted(self):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -191,6 +192,44 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["assume", "--spectrum", LINEAR3, "--bogus"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("command, flag", [
+        ("gen", "--c0"), ("gen", "--tol"), ("gen", "--format"),
+        ("assume", "--seed"), ("assume", "--p"), ("assume", "--tol"), ("assume", "--format"),
+        ("solve", "--seed"), ("solve", "--n"), ("solve", "--c0"), ("solve", "--format"),
+        ("arrowhead", "--p"), ("arrowhead", "--c0"), ("arrowhead", "--format"),
+        ("exp", "--seed"), ("exp", "--n"), ("exp", "--p"), ("exp", "--c0"), ("exp", "--tol"),
+    ])
+    def test_flag_the_command_does_not_read_rejected(self, capsys, command, flag):
+        # solve's --noise comes after the flag: read as an abbreviation of
+        # --noise, the flag would be silently overwritten by it
+        argv = {
+            "gen": ["gen", "--kind", "goe", "--n", "4"],
+            "assume": ["assume", "--spectrum", LINEAR3],
+            "solve": ["solve", "--matrix", "A.json"],
+            "arrowhead": ["arrowhead", "--spectrum", LINEAR3],
+            "exp": ["exp", "--config", "cfg.json"],
+        }[command] + [flag, {"--format": "json"}.get(flag, "5")]
+        if command == "solve":
+            argv += ["--noise", "E.json"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("gen", {"--kind", "--dist", "--trunc", "--scalar", "--spectrum", "--seed", "--n", "--p"}),
+        ("assume", {"--spectrum", "--n", "--c0"}),
+        ("solve", {"--matrix", "--noise", "--certificate-cap", "--p", "--tol"}),
+        ("arrowhead", {"--spectrum", "--seed", "--n", "--tol"}),
+        ("exp", {"--config", "--threads", "--out-dir", "--format"}),
+    ])
+    def test_help_lists_only_the_flags_read(self, capsys, command, flags):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", capsys.readouterr().out))
+        assert listed == flags | {"--help", "--out"}
 
     def test_usage_error_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--matrix", "/no/such.json", "--noise", "/no/such.json")

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perturb.ensembles import rng_from_stream
-from perturb.errors import InvalidSpectrumError, UnsupportedExponentError
+from perturb.errors import InvalidSpectrumError, NumericFailureError, UnsupportedExponentError
 from perturb.matcore import (
     Spectrum,
     dual_exponent,
@@ -140,6 +140,26 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_rejects_degenerate_top(self):
+        # the leading eigenvector of diag(2, 2, 1) is not defined
+        with pytest.raises(InvalidSpectrumError):
+            hermitian_eig(np.diag([2.0, 2.0, 1.0]))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e160, 1e300])
+    def test_rejects_mispaired_factorization(self, monkeypatch, scale):
+        # eigh's vectors with the first two swapped: finite, but M != U diag(w) U*;
+        # past ~1e154 a plain sum of squares overflows and would pass it
+        eigh = np.linalg.eigh
+
+        def mispaired(M):
+            w, v = eigh(M)
+            return w, v[:, [1, 0, *range(2, v.shape[1])]]
+
+        monkeypatch.setattr(np.linalg, "eigh", mispaired)
+        M = scale * force_hermitian(rng_from_stream(31).standard_normal((6, 6)))
+        with pytest.raises(NumericFailureError):
+            hermitian_eig(M)
 
 
 class TestSpectrum:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -836,11 +837,10 @@ class TestSolveDriver:
 
     @pytest.mark.parametrize("scale", [1e200, 1e300])
     def test_huge_noise_residuals_finite(self, scale):
-        # residuals near 1e185 would overflow a plain sum of squares (the
-        # oracle's own reconstruction check still does, hence the errstate)
+        # residuals near 1e185 would overflow a plain sum of squares, here
+        # and in the oracle's reconstruction check
         s = Spectrum(2.0 * np.arange(8, 0, -1.0))
-        with np.errstate(over="ignore"):
-            rep = solve(np.diag(s.lambdas), scale * sample_goe(8, 3), eig=diag_eig(s))
+        rep = solve(np.diag(s.lambdas), scale * sample_goe(8, 3), eig=diag_eig(s))
         assert rep.method == "oracle-fallback" and rep.leading_certified
         assert 0.0 < rep.residual2 < math.inf
         assert 0.0 < rep.orth_residual < math.inf
@@ -945,6 +945,28 @@ class TestSolveDriver:
     def test_degenerate_top_eigenvalue_rejected(self):
         with pytest.raises(InvalidSpectrumError):
             solve(np.eye(3), np.zeros((3, 3)))
+
+    def test_degenerate_top_of_perturbed_matrix_rejected(self):
+        # the fallback's A + E = diag(3, 3, 1) has no leading eigenvector to report
+        with pytest.raises(InvalidSpectrumError):
+            solve(np.diag([3.0, 2.0, 1.0]), np.diag([0.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("pass_eig", [False, True])
+    @pytest.mark.parametrize("scale", [1e10, 1e100, 1e300])
+    @pytest.mark.parametrize("noise", [sample_goe, sample_gue])
+    def test_scaled_input_solved_as_at_unit_scale(self, noise, scale, pass_eig):
+        # no check may depend on the scale of A + E: not the imaginary part of
+        # E12 q, nor a sum of squares that overflows
+        n = 64
+        s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
+        E = noise(n, 3)
+        top = np.linalg.eigvalsh(np.diag(s.lambdas) + E)[-1]
+        eig = diag_eig(Spectrum(scale * s.lambdas)) if pass_eig else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve(scale * np.diag(s.lambdas), scale * E, eig=eig)
+        assert rep.method == "rs" and rep.leading_certified
+        assert rep.lambda_tilde == pytest.approx(scale * top, rel=1e-9)
 
     def test_unit_norm_and_positive_overlap(self):
         n = 16
