@@ -16,8 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import rng_from_stream
-from .errors import InvalidSpectrumError
-from .matcore import Spectrum, dual_exponent, force_hermitian, lp_norm, operator_norm_exact
+from .errors import InvalidSpectrumError, NumericFailureError
+from .matcore import (
+    Spectrum,
+    dual_exponent,
+    force_hermitian,
+    is_hermitian,
+    lp_norm,
+    operator_norm_exact,
+)
 
 __all__ = [
     "AssumptionReport",
@@ -315,23 +322,48 @@ def opnorm_lower(
 ) -> float:
     """Lower bound on ||M||_{p_dom, p_tgt} = sup{||Mu||_p_tgt : ||u||_p_dom <= 1}.
 
-    Multistart conditional-gradient ascent: each step replaces u by the
-    maximizer of the linearized objective over the unit ball, so the value is
-    nondecreasing and every iterate certifies a valid lower bound. One start
-    is the best coordinate vector, the rest are random. Each start stops when
-    a step gains at most _ASCENT_RTOL relative, or after _ASCENT_STEPS steps.
+    Every value returned is ||M u||_p_tgt at an explicit u on the unit
+    p_dom-sphere, so it is a true lower bound up to the rounding of one
+    product. M must have finite entries (ValueError otherwise).
+
+    At p_dom = p_tgt = 2 the supremum is ||M||_2, attained at the top right
+    singular vector v: from eigh when M is exactly self-adjoint (the
+    eigenvector of the largest |lambda|), from svd otherwise. The result is
+    ||M v||_2 / ||v||_2 or the best column norm, whichever is larger; seed is
+    not used.
+
+    Other exponents use multistart conditional-gradient ascent: each step
+    replaces u by the maximizer of the linearized objective over the unit
+    ball, so the value is nondecreasing and every iterate certifies a valid
+    lower bound. One start is the best coordinate vector, the rest are
+    random. Each start stops when a step gains at most _ASCENT_RTOL relative,
+    or after _ASCENT_STEPS steps.
     """
     M = np.atleast_2d(np.asarray(M))
     if restarts < 1:
         raise ValueError("restarts >= 1 required")
-    if not np.abs(M).max() > 0:
+    if not np.isfinite(M).all():
+        raise ValueError("opnorm_lower needs a matrix with finite entries")
+    if not M.any():
         return 0.0
-    rng = rng_from_stream(seed)
     n = M.shape[1]
+    col_norms = [lp_norm(M[:, j], p_tgt) for j in range(n)]
+    best_j = int(np.argmax(col_norms))
+    if p_dom == p_tgt == 2:
+        try:
+            if is_hermitian(M):
+                w, V = np.linalg.eigh(M)
+                v = V[:, int(np.argmax(np.abs(w)))]
+            else:
+                v = np.linalg.svd(M, full_matrices=False)[2][0].conj()
+        except np.linalg.LinAlgError as exc:
+            raise NumericFailureError(f"singular vector solver failed: {exc}") from exc
+        return max(col_norms[best_j], lp_norm(M @ v, 2) / lp_norm(v, 2))
+    rng = rng_from_stream(seed)
     complex_input = np.iscomplexobj(M)
 
     best_col = np.zeros(n, dtype=M.dtype)
-    best_col[int(np.argmax([lp_norm(M[:, j], p_tgt) for j in range(n)]))] = 1.0
+    best_col[best_j] = 1.0
     starts = [best_col]
     for _ in range(restarts - 1):
         u = rng.standard_normal(n)

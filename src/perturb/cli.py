@@ -3,8 +3,9 @@
 Every subcommand is a pure function of (argv, input files); reports are JSON
 on stdout unless --out is given. Exit codes: 0 success, 1 usage error,
 2 numeric failure. Each subcommand takes only the shared flags it reads (see
-SHARED_FLAGS). PERTURB_SEED sets the default seed of gen and arrowhead, the
-two subcommands that draw one (--seed wins).
+SHARED_FLAGS), and gen rejects a flag that its --kind does not read (see
+GEN_KINDS). PERTURB_SEED sets the default seed of gen and arrowhead, the two
+subcommands that draw one (--seed wins).
 """
 
 from __future__ import annotations
@@ -72,6 +73,16 @@ def _emit(payload: str, out: str | None) -> None:
         sys.stdout.write(payload + "\n")
 
 
+# The optional flags each gen kind reads; gen rejects any other flag given.
+GEN_KINDS = {
+    "goe": ("seed", "n"),
+    "gue": ("seed", "n"),
+    "subgaussian": ("seed", "n", "dist", "trunc", "scalar"),
+    "arrowhead": ("seed", "n"),
+    "inconsistency": ("seed", "n", "p"),
+    "diag": ("spectrum",),  # its size is the spectrum spec's "n"
+}
+
 # Flags shared by several subcommands; build_parser gives each subcommand the
 # ones its handler reads.
 SHARED_FLAGS = {
@@ -91,12 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="sample a random matrix / instance as JSON")
-    p_gen.add_argument("--kind", required=True,
-                       choices=["goe", "gue", "subgaussian", "arrowhead", "inconsistency", "diag"])
-    p_gen.add_argument("--dist", default="gaussian",
+    p_gen.add_argument("--kind", required=True, choices=list(GEN_KINDS))
+    p_gen.add_argument("--dist", default=None, help="subgaussian entry law (default: gaussian)",
                        choices=["gaussian", "rademacher", "uniform_pm1", "truncated_gaussian"])
-    p_gen.add_argument("--trunc", type=float, default=3.0)
-    p_gen.add_argument("--scalar", choices=["real", "complex"], default="real")
+    p_gen.add_argument("--trunc", type=float, default=None,
+                       help="truncated_gaussian level (default: 3)")
+    p_gen.add_argument("--scalar", choices=["real", "complex"], default=None,
+                       help="subgaussian scalar field (default: real)")
     p_gen.add_argument("--spectrum", default=None, help="spectrum spec JSON (inline or file)")
 
     p_assume = sub.add_parser("assume", help="evaluate the eigenvalue-gap assumption")
@@ -124,16 +136,23 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         for name in names:
             p.add_argument(f"--{name}", **SHARED_FLAGS[name])
+    p_gen.set_defaults(p=None)  # like gen's own flags, so _cmd_gen sees whether --p was given
     return parser
 
 
 def _cmd_gen(args) -> str:
-    seed = args.seed if args.seed is not None else _default_seed()
+    optional = {name for names in GEN_KINDS.values() for name in names}
+    unread = sorted(name for name in optional - set(GEN_KINDS[args.kind])
+                    if getattr(args, name) is not None)
+    if unread:
+        flags = ", ".join(f"--{name}" for name in unread)
+        raise ValueError(f"gen --kind {args.kind} does not read {flags}")
     if args.kind == "diag":
         if args.spectrum is None:
             raise ValueError("gen --kind diag needs --spectrum")
-        spec = _load_spectrum_arg(args.spectrum, args.n)
+        spec = _load_spectrum_arg(args.spectrum, None)
         return matrix_to_json(np.diag(realize_spectrum(spec).lambdas))
+    seed = args.seed if args.seed is not None else _default_seed()
     if args.n is None:
         raise ValueError("gen needs --n")
     if args.kind == "goe":
@@ -141,12 +160,14 @@ def _cmd_gen(args) -> str:
     if args.kind == "gue":
         return matrix_to_json(sample_gue(args.n, seed))
     if args.kind == "subgaussian":
-        dist = EntryDistribution(args.dist, args.trunc)
-        return matrix_to_json(sample_subgaussian_hermitian(args.n, dist, args.scalar, seed))
+        if args.trunc is not None and args.dist != "truncated_gaussian":
+            raise ValueError("gen reads --trunc only with --dist truncated_gaussian")
+        dist = EntryDistribution(args.dist or "gaussian", 3.0 if args.trunc is None else args.trunc)
+        return matrix_to_json(sample_subgaussian_hermitian(args.n, dist, args.scalar or "real", seed))
     if args.kind == "arrowhead":
         g, E = sample_arrowhead_noise(args.n, seed)
         return json.dumps({"g": json.loads(vector_to_json(g)), "E": json.loads(matrix_to_json(E))})
-    A, E = sample_inconsistency_instance(args.n, args.p, seed)
+    A, E = sample_inconsistency_instance(args.n, 2.0 if args.p is None else args.p, seed)
     return json.dumps({"A": json.loads(matrix_to_json(A)), "E": json.loads(matrix_to_json(E))})
 
 

@@ -125,6 +125,9 @@ class SpectrumSpec:
 
     @staticmethod
     def from_dict(obj: dict, n: int | None = None) -> "SpectrumSpec":
+        """Spec from its JSON form; n sizes a spec without "n" and must match one with it."""
+        if n is not None and "n" in obj and int(obj["n"]) != n:
+            raise ValueError(f"spectrum spec has n = {obj['n']}, but n = {n} was given")
         return SpectrumSpec(
             family=obj["family"],
             n=int(obj.get("n", n if n is not None else 0)),

@@ -23,12 +23,13 @@ from perturb.bounds import (
 )
 from perturb.ensembles import (
     SpectrumSpec,
+    derive_stream,
     realize_spectrum,
     rng_from_stream,
     sample_goe,
     sample_gue,
 )
-from perturb.errors import InvalidSpectrumError
+from perturb.errors import InvalidSpectrumError, NumericFailureError
 from perturb.matcore import (
     Spectrum,
     dual_exponent,
@@ -319,6 +320,51 @@ class TestCholeskyBelow:
 class TestOpnormLower:
     def test_zero_matrix(self):
         assert opnorm_dual_lower(np.zeros((4, 4)), 3.0) == 0.0
+        assert opnorm_lower(np.zeros((4, 4)), 2.0, 2.0) == 0.0
+
+    @pytest.mark.parametrize("shape", ["goe", "gue", "rectangular", "non-self-adjoint"])
+    def test_p2_is_the_spectral_norm(self, shape):
+        # GOE n = 128 draws, on which 500 ascent steps stop short of ||M||_2
+        # by more than 1e-12 relative; the closed form does not
+        for t in range(4):
+            stream = derive_stream(1007, 128, t)
+            X = sample_gue(128, stream) if shape == "gue" else sample_goe(128, stream)
+            M = {"rectangular": X[:, :96], "non-self-adjoint": np.triu(X)}.get(shape, X)
+            val = opnorm_lower(M, 2.0, 2.0)
+            exact = float(np.linalg.norm(M, 2))
+            assert abs(val - exact) <= 1e-12 * exact
+            assert val >= float(np.linalg.norm(M, axis=0).max())
+
+    def test_p2_self_adjoint_takes_largest_magnitude(self):
+        assert opnorm_lower(np.diag([1.0, -3.0, 2.0]), 2.0, 2.0) == 3.0
+
+    def test_p2_ignores_seed_but_checks_restarts(self):
+        M = sample_goe(16, 3)
+        assert opnorm_lower(M, 2.0, 2.0, seed=0) == opnorm_lower(M, 2.0, 2.0, seed=99)
+        with pytest.raises(ValueError, match="restarts"):
+            opnorm_lower(M, 2.0, 2.0, restarts=0)
+
+    @pytest.mark.parametrize("solver", ["eigh", "svd"])
+    def test_p2_solver_failure_is_typed(self, monkeypatch, solver):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, solver, fail)
+        M = sample_goe(8, 1) if solver == "eigh" else np.triu(sample_goe(8, 1))
+        with pytest.raises(NumericFailureError):
+            opnorm_lower(M, 2.0, 2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("p_dom, p_tgt", [(2.0, 2.0), (4.0 / 3.0, 4.0), (1.0, math.inf)])
+    def test_non_finite_rejected(self, bad, p_dom, p_tgt):
+        M = np.eye(4)
+        M[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            opnorm_lower(M, p_dom, p_tgt)
+
+    def test_non_finite_rejected_by_dual_lower(self):
+        with pytest.raises(ValueError, match="finite"):
+            opnorm_dual_lower(np.full((3, 3), math.nan), 4.0)
 
     def test_p2_matches_spectral(self):
         rng = rng_from_stream(8)

@@ -27,6 +27,18 @@ class TestAssume:
         assert report["n"] == 3
         assert {"p", "np_norm", "k"} <= set(report["table"][0])
 
+    def test_n_mismatching_the_spec_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "assume", "--spectrum", LINEAR3, "--n", "10")
+        assert code == 1
+        assert out == ""
+        assert "n = 3" in err
+
+    def test_n_sizes_a_spec_without_one(self, capsys):
+        code, out, _ = run_cli(capsys, "assume", "--spectrum",
+                               '{"family":"linear","params":{"scale":1}}', "--n", "10")
+        assert code == 0
+        assert json.loads(out)["n"] == 10
+
     def test_spectrum_from_file(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(LINEAR3)
@@ -64,6 +76,37 @@ class TestGen:
         _, out, _ = run_cli(capsys, "gen", "--kind", "diag", "--spectrum", LINEAR3)
         M = matrix_from_json(out)
         np.testing.assert_allclose(np.diag(M), [3.0, 2.0, 1.0])
+
+    @pytest.mark.parametrize("kind_args, flag", [
+        (["--kind", "goe", "--n", "4"], ["--p", "7"]),
+        (["--kind", "gue", "--n", "4"], ["--p", "7"]),
+        (["--kind", "subgaussian", "--n", "4"], ["--p", "7"]),
+        (["--kind", "arrowhead", "--n", "4"], ["--p", "7"]),
+        (["--kind", "goe", "--n", "4"], ["--dist", "rademacher"]),
+        (["--kind", "goe", "--n", "4"], ["--scalar", "complex"]),
+        (["--kind", "inconsistency", "--n", "4"], ["--trunc", "2"]),
+        (["--kind", "goe", "--n", "4"], ["--spectrum", LINEAR3]),
+        (["--kind", "diag", "--spectrum", LINEAR3], ["--seed", "1"]),
+        (["--kind", "diag", "--spectrum", LINEAR3], ["--n", "3"]),
+    ])
+    def test_flag_the_kind_does_not_read_rejected(self, capsys, kind_args, flag):
+        code, out, err = run_cli(capsys, "gen", *kind_args, *flag)
+        assert code == 1
+        assert out == ""
+        assert f"does not read {flag[0]}" in err
+
+    def test_trunc_without_truncated_gaussian_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "--kind", "subgaussian", "--n", "4",
+                                 "--dist", "gaussian", "--trunc", "2")
+        assert code == 1
+        assert out == ""
+        assert "--trunc only with --dist truncated_gaussian" in err
+
+    def test_subgaussian_reads_its_flags(self, capsys):
+        code, out, _ = run_cli(capsys, "gen", "--kind", "subgaussian", "--n", "4", "--seed", "1",
+                               "--dist", "truncated_gaussian", "--trunc", "2", "--scalar", "complex")
+        assert code == 0
+        assert json.loads(out)["scalar"] == "complex"
 
     def test_env_seed_precedence(self, capsys, monkeypatch):
         monkeypatch.setenv("PERTURB_SEED", "9")

@@ -164,6 +164,20 @@ class TestInconsistencyInstance:
         assert 0.5 <= ratio <= 2.0
 
 
+class TestSpectrumSpecFromDict:
+    def test_n_fills_a_spec_without_one(self):
+        spec = SpectrumSpec.from_dict({"family": "linear", "params": {"scale": 1}}, n=10)
+        assert spec.n == 10
+
+    def test_matching_n_accepted(self):
+        spec = SpectrumSpec.from_dict({"family": "linear", "n": 3, "params": {"scale": 1}}, n=3)
+        assert spec.n == 3
+
+    def test_mismatched_n_rejected(self):
+        with pytest.raises(ValueError, match="n = 3.*n = 10"):
+            SpectrumSpec.from_dict({"family": "linear", "n": 3, "params": {"scale": 1}}, n=10)
+
+
 class TestRealizeSpectrum:
     def test_linear(self):
         s = realize_spectrum(SpectrumSpec("linear", 3, {"scale": 1.0}))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from perturb import rs_solver
+from perturb import experiments, rs_solver
 from perturb.ensembles import SpectrumSpec, realize_spectrum, rng_from_stream, sample_goe
 from perturb.experiments import (
     ExperimentConfig,
@@ -103,6 +103,16 @@ class TestRunExperiment:
         for r in records:
             if r.statistics["certified"] == 1.0:
                 assert abs(r.statistics["sin_theta"] - r.statistics["sin_theta_oracle"]) <= 1e-9
+
+    def test_oracle_angle_resolves_small_angles(self):
+        # sin theta ~ 5e-11 here; sqrt(1 - overlap^2) of the same vector reads 0
+        n = 16
+        spectrum = realize_spectrum(MULTISCALE.with_n(n))
+        eig = EigDecomposition(spectrum=spectrum, basis=np.eye(n))
+        E = 1e-9 * sample_goe(n, 4)
+        _, oracle = experiments._oracle_angle(spectrum, np.diag(spectrum.lambdas), eig, E)
+        first_order = float(np.linalg.norm(E[1:, 0] / spectrum.gaps()))
+        assert oracle["sin_theta"] == pytest.approx(first_order, rel=1e-3)
 
     def test_inconsistency_mean_norm_floor(self):
         cfg = make_cfg(
