@@ -214,9 +214,10 @@ def hermitian_eig(M: np.ndarray) -> EigDecomposition:
     Raises
     ------
     NumericFailureError
-        If the reconstruction residual exceeds 1e-10 * max(||M||_F, 1), which
-        signals a failed factorization rather than roundoff. Both norms are
-        max-rescaled (lp_norm), so the check holds for entries near overflow.
+        If the reconstruction residual exceeds 1e-10 ||M||_F, which signals a
+        failed factorization rather than roundoff at any scale of M. Both
+        norms are max-rescaled (lp_norm), so the check holds for entries near
+        overflow.
     InvalidSpectrumError
         If the top eigenvalue is not simple (or M is 1 x 1): the leading pair
         every caller reads is then undefined.
@@ -240,7 +241,7 @@ def hermitian_eig(M: np.ndarray) -> EigDecomposition:
         v = v.real
 
     resid = lp_norm((v * w) @ v.conj().T - M, 2)
-    if resid > 1e-10 * max(lp_norm(M, 2), 1.0):
+    if resid > 1e-10 * lp_norm(M, 2):
         raise NumericFailureError("eigendecomposition reconstruction failed", residual=resid)
     return EigDecomposition(spectrum=Spectrum(w), basis=v)
 

@@ -19,15 +19,22 @@ weighted Frobenius norm ||S||_F, padded for rounding, in O(n^2); then the
 paper's ||E22 D^{-1}||_p from contraction_certificate (at p = 2 a Lanczos
 estimate proved by one Cholesky factorization). The report carries the bound
 that gated the loop and names its rung, along with the step count, the
-residuals and a leading-eigenvalue certificate. That certificate needs no
-eigendecomposition of A + E: the residual bound puts an eigenvalue near
-lambda~, and Cauchy interlacing (identity basis, O(n^2)) or one Cholesky
-factorization (bounds.cholesky_below) shows that none lies above it. Only
-when these proofs are inconclusive does the dense computation decide.
+residuals and a leading-eigenvalue certificate. That certificate is for the
+exact A + E and needs no eigendecomposition of it: the residual bound puts
+an eigenvalue near lambda~, and Cauchy interlacing (identity basis, O(n^2))
+or one Cholesky factorization (bounds.cholesky_below) shows that none lies
+above it. Only when these proofs are inconclusive does the dense
+computation decide.
 
 solve calls partition, solve_q, assemble_eigvec and verify_solution in turn,
 and EigDecomposition.is_identity decides once whether the basis is the
-identity. The randomized Weyl domination check is in bounds.
+identity. On that basis, the paper's own setting, A must be
+diag(eig.spectrum.lambdas), and solve reads each n x n operand as few times
+as the proofs allow: A's off-diagonal entries once, to prove them zero; E
+for finiteness, self-adjointness, the gate, one matvec per loop step, and in
+verification E u~, the |E| row sums and the interlacing bound. It forms no
+I* E I, no product with the identity, and no A + E unless the Cholesky proof
+or the oracle is reached. The randomized Weyl domination check is in bounds.
 """
 
 from __future__ import annotations
@@ -88,7 +95,9 @@ CERTIFICATE_CAP = 0.9
 # OpenBLAS 0.3.31 keeps a real gemv of up to 4.1e5 entries on one thread and
 # splits one of 5.2e5 over its threads.
 _MATVEC_BAND = 1 << 18
-# Entries per row band of _weighted_frobenius_upper's scaled copy of M.
+# Entries per row band of the O(n^2) reductions (_weighted_frobenius_upper,
+# _abs_row_sums): the band stays in cache, and a real gemv over it stays on
+# the calling thread (see _matvec).
 _FROBENIUS_BAND = 1 << 16
 
 
@@ -245,36 +254,53 @@ def contraction_certificate(d: np.ndarray, e22: np.ndarray, p: float) -> float:
 def _weighted_frobenius_upper(M: np.ndarray, d: np.ndarray, hollow: bool = False) -> float:
     """Upper bound on ||D^{-1/2} M D^{-1/2}||_F for D = diag(d) > 0, in O(m^2).
 
-    With ``hollow`` the diagonal of M is left out. d may carry one rounding
-    (relative error u = eps/2), as fl(t - a) does. The sum of squares runs
-    over the N real numbers that make up the scaled entries (N = m^2 for
-    real M, 2 m^2 for complex M). To first order the computed norm errs by
-    at most (N/2 + 9) u relative: 2.5 u in each weight fl(1/fl(sqrt(d_j))),
-    2 u for the two products that scale an entry, gamma_{N + 2} for the
-    squares and their sum in any order (Higham, Accuracy and Stability of
-    Numerical Algorithms, sec. 3.1), halved by the square root, and u for
-    the root. pad is twice that, which absorbs the second-order terms, and
-    the padded norm is rounded up. Assumes no underflow; a non-finite sum of
-    squares gives inf. M is scaled and summed in row bands of at most
-    _FROBENIUS_BAND entries, which stay in cache, and the sum is numpy's, on
-    the calling thread, not a BLAS dot product (see _matvec).
+    With ``hollow`` the diagonal of M is left out. The square of the norm is
+    sum_i v_i sum_j p_ij v_j with p_ij = |M_ij / sigma|^2 and v = sigma / d,
+    where sigma is the power of two with sigma <= max(d) < 2 sigma. Dividing
+    by sigma is exact, every v_j exceeds 1/2, and the value does not change
+    when M and d are scaled by the same power of two. Per row band of at most
+    _FROBENIUS_BAND entries, M / sigma is squared in place (a complex entry
+    as its real and imaginary parts) and multiplied by v in one gemv that
+    OpenBLAS keeps on the calling thread (see _matvec); a dot product with v
+    sums the rows.
+
+    Rounding, with u = eps/2 and N = m (real M) or 2 m (complex M) squares
+    per row: d may carry one rounding, as fl(t - a) does, and fl(sigma / d_j)
+    adds one, so each term p_ij v_i v_j carries five relative errors of at
+    most u (the square and two per weight). The gemv's inner products of N
+    terms and the outer one of m terms add gamma_N and gamma_m in any order
+    of summation, fused multiply-adds allowed (Higham, Accuracy and Stability
+    of Numerical Algorithms, sec. 3.1). All terms are nonnegative, so the sum
+    errs by at most gamma_{N + m + 5} relative; the square root halves that
+    and adds u. pad = (N + m + 7) u is twice the first-order bound, which
+    absorbs the second-order terms, and the padded norm is rounded up.
+    Assumes no underflow (max(d) normal); a sum that is not finite gives inf.
     """
     m = M.shape[0]
-    w = 1.0 / np.sqrt(d)
+    top = float(d.max())
+    if not np.finfo(np.float64).tiny <= top < math.inf:
+        return math.inf
+    exponent = math.frexp(top)[1] - 1
+    scale = math.ldexp(1.0, -exponent)
+    complex_case = np.iscomplexobj(M)
     rows = max(1, _FROBENIUS_BAND // max(m, 1))
-    band = np.empty((min(rows, m), m), dtype=np.result_type(M, w))
-    s = 0.0
-    for i in range(0, m, rows):
-        W = band[: min(rows, m - i)]
-        np.multiply(M[i:i + rows], w, out=W)
-        W *= w[i:i + rows, np.newaxis]
-        if hollow:
-            W.flat[i :: m + 1] = 0.0  # entries (r, i + r), the diagonal of M
-        R = W.view(W.real.dtype)  # complex entries as (real, imaginary) pairs
-        s += float(np.einsum("ij,ij->", R, R))
+    band = np.empty((min(rows, m), m), dtype=np.result_type(M, np.float64))
+    y = np.empty(m)
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum that is not finite gives inf
+        v = math.ldexp(1.0, exponent) / d
+        vv = np.repeat(v, 2) if complex_case else v  # weights of the (real, imaginary) pairs
+        for i in range(0, m, rows):
+            W = band[: min(rows, m - i)]
+            np.multiply(M[i:i + rows], scale, out=W)
+            if hollow:
+                W.flat[i :: m + 1] = 0.0  # entries (r, i + r), the diagonal of M
+            R = W.view(np.float64)
+            R *= R
+            np.matmul(R, vv, out=y[i:i + rows])
+        s = float(y @ v)
     if not math.isfinite(s):
         return math.inf
-    pad = ((2 if np.iscomplexobj(band) else 1) * m * m + 18) * (np.finfo(np.float64).eps / 2.0)
+    pad = ((3 if complex_case else 2) * m + 7) * (np.finfo(np.float64).eps / 2.0)
     return float(np.nextafter(math.sqrt(s) * (1.0 + pad), math.inf))
 
 
@@ -301,6 +327,16 @@ def contraction_gate(d: np.ndarray, e22: np.ndarray, p: float, cap: float) -> Co
     return paper if paper.bound <= frobenius.bound else frobenius
 
 
+def _unit(spectrum: Spectrum) -> float:
+    """min(1, max(|lambda_1|, |lambda_n|)): the absolute unit of the tolerances.
+
+    At or above unit scale it is 1; below it the stop test, the residual
+    target and tau scale with A, so a scaled-down input is solved as its
+    unit-scale copy is.
+    """
+    return min(1.0, max(abs(float(spectrum.lambdas[0])), abs(float(spectrum.lambdas[-1]))))
+
+
 def solve_q(
     part: PartitionedPerturbation,
     spectrum: Spectrum,
@@ -321,8 +357,9 @@ def solve_q(
     Returns q, the number of steps and the ContractionGate that admitted the
     loop. Raises ContractionFailureError before iterating if no rung of
     contraction_gate is at most ``certificate_cap``. Stops when
-    ||D (q_next - q)||_p <= tol and the quadratic residual is below
-    tol * (||E21||_2 + 1); raises NonConvergenceError when a shifted gap
+    ||D (q_next - q)||_p <= tol * unit and the quadratic residual is below
+    tol * (||E21||_2 + unit), unit = min(1, max(|lambda_1|, |lambda_n|));
+    raises NonConvergenceError when a shifted gap
     d_j + Re(E12 q) is not positive, after three consecutive non-contracting
     steps, or at the step cap. Both errors carry the gate's bound and rung.
     Raises ValueError unless tol is finite and positive and p >= 1.
@@ -342,7 +379,9 @@ def solve_q(
         )
     cap = max(200, int(math.ceil(-10.0 * math.log2(tol))))
     e21, e12, e22 = part.e21, part.e12, part.e22
-    target = tol * (lp_norm(e21, 2) + 1.0)
+    unit = _unit(spectrum)
+    step_tol = tol * unit
+    target = tol * (lp_norm(e21, 2) + unit)
     d_min = float(d.min())
 
     q = np.zeros_like(e21)
@@ -359,7 +398,7 @@ def solve_q(
             )
         q_next = (e22q + e21) / (d + shift)
         change = lp_norm(d * (q_next - q), p)
-        if change >= prev_change and change > tol:
+        if change >= prev_change and change > step_tol:
             bad_steps += 1
             if bad_steps >= 3:
                 raise NonConvergenceError(
@@ -372,7 +411,7 @@ def solve_q(
         prev_change = change
         q = q_next
         e22q = _matvec(e22, q)
-        if change <= tol:
+        if change <= step_tol:
             resid = lp_norm(d * q - e22q - (e21 - (e12 @ q) * q), 2)
             if resid <= target:
                 return q, step, gate
@@ -382,11 +421,21 @@ def solve_q(
 
 
 def assemble_eigvec(eig: EigDecomposition, q: np.ndarray) -> np.ndarray:
-    """Unit vector (u + U_perp q) (1 + ||q||^2)^(-1/2); overlap with u1 is positive."""
+    """Unit vector (u + U_perp q) (1 + ||q||^2)^(-1/2); overlap with u1 is positive.
+
+    On the identity basis u + U_perp q is (1, q) with no product: for finite
+    q its entries are those of e1 + I[:, 1:] q, bit for bit (a -0.0 in q
+    reads +0.0 there too).
+    """
     q = np.asarray(q)
     if q.size != eig.n - 1:
         raise ValueError(f"q must have length n-1 = {eig.n - 1}")
-    u = eig.leading_vector() + _matvec(eig.tail_basis(), q)
+    if eig.is_identity:
+        u = np.zeros(eig.n, dtype=np.result_type(eig.basis, q))
+        u[0] = 1.0
+        u[1:] += q
+    else:
+        u = eig.leading_vector() + _matvec(eig.tail_basis(), q)
     return u / math.sqrt(1.0 + float(np.vdot(q, q).real))
 
 
@@ -416,58 +465,108 @@ def coordinate_bounds(q: np.ndarray, spectrum: Spectrum) -> np.ndarray:
     return spectrum.gaps() * np.abs(q) * scale / math.sqrt(math.log(spectrum.n))
 
 
-def _interlacing_bound(A_tilde: np.ndarray, t: float) -> float:
-    """Upper bound on ||G^{-1/2} F G^{-1/2}||_F, where A~[1:, 1:] = diag(a) + F and g = t - a.
+def _is_diagonal(M: np.ndarray) -> bool:
+    """True when every off-diagonal entry of the square M is zero; NaN counts as nonzero.
 
-    inf unless every g_j is positive. A value below 1 proves
-    lambda_max(A~[1:, 1:]) < t; see _top_eigenvalue_within.
+    One read of the off-diagonal entries: after M's first entry, its n^2 - 1
+    remaining entries in row-major order form n - 1 rows of n + 1, each
+    ending on the diagonal.
     """
-    block = A_tilde[1:, 1:]
-    g = t - block.diagonal().real
+    n = M.shape[0]
+    return n < 2 or not np.any(M.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n])
+
+
+def _abs_row_sums(M: np.ndarray) -> np.ndarray:
+    """sum_j |M_ij| for every row i, in row bands of at most _FROBENIUS_BAND entries."""
+    m = M.shape[1]
+    rows = max(1, _FROBENIUS_BAND // max(m, 1))
+    band = np.empty((min(rows, M.shape[0]), m))
+    out = np.empty(M.shape[0])
+    for i in range(0, M.shape[0], rows):
+        W = band[: min(rows, M.shape[0] - i)]
+        np.abs(M[i:i + rows], out=W)
+        W.sum(axis=1, out=out[i:i + rows])
+    return out
+
+
+def _interlacing_bound(E: np.ndarray, a: np.ndarray, t: float) -> float:
+    """Upper bound on ||G^{-1/2} F G^{-1/2}||_F for the trailing block of A~ = diag(a) + E.
+
+    A~[1:, 1:] = diag(c) + F with c = a[1:] + Re diag(E)[1:] and F the
+    hollow E[1:, 1:], and g = t - c, all in exact arithmetic. inf unless
+    every g_j is positive. A value below 1 proves lambda_max(A~[1:, 1:]) < t;
+    see _top_eigenvalue_within. The computed fl(c_j) is within
+    u |fl(c_j)| / (1 - u) of c_j, u = eps/2, so g is taken at
+    t' = t - eps max_j |fl(c_j)|, rounded down: each t' - fl(c_j) is then at
+    most the exact g_j, and its one rounding is _weighted_frobenius_upper's.
+    """
+    c = a[1:] + E.diagonal()[1:].real
+    t = float(np.nextafter(t - np.finfo(np.float64).eps * float(np.abs(c).max()), -math.inf))
+    g = t - c
     if not np.all(g > 0):
         return math.inf
-    return _weighted_frobenius_upper(block, g, hollow=True)
+    return _weighted_frobenius_upper(E[1:, 1:], g, hollow=True)
 
 
 def _top_eigenvalue_within(
-    A_tilde: np.ndarray, lam: float, residual2: float, tau: float, identity: bool
+    M: np.ndarray, a: np.ndarray | None, lam: float, residual2: float, tau: float
 ) -> bool:
     """True when |lambda_max(A~) - lam| <= tau is proved; False when the proof is inconclusive.
 
-    A~ is the floating-point matrix A + E, and u~ the report's vector. With
-    u = eps/2 the unit roundoff and pad = 2 (n+2) u, the proof needs no
-    eigendecomposition:
+    On the identity basis A~ = diag(a) + M is the exact A + E, with a the
+    diagonal of A and M = E. On other bases a is None and M is the
+    floating-point sum fl(A + E). u~ is the report's vector. With u = eps/2
+    the unit roundoff, pad = 2 (n+2) u and ||A~||_inf taken as
+    max_i (sum_j |M_ij| + |a_i|), the proof needs no eigendecomposition:
 
-    * lower side: r = residual2 + pad ||A~||_inf bounds the exact
-      ||A~ u~ - lam u~||_2 / ||u~||_2, so some eigenvalue of A~ lies within
-      r of lam (the residual bound; Parlett, The Symmetric Eigenvalue
-      Problem). r <= tau gives lambda_max >= lam - tau.
+    * lower side: the computed residual2 errs from the exact
+      ||A~ u~ - lam u~||_2 / ||u~||_2 by at most (n + 3) u ||A~||_inf to first
+      order (the products, the sum with a u~ or the rounding of fl(A + E),
+      lam u~ and the difference), so r = residual2 + pad ||A~||_inf bounds it
+      and some eigenvalue of A~ lies within r of lam (the residual bound;
+      Parlett, The Symmetric Eigenvalue Problem). r <= tau gives
+      lambda_max >= lam - tau.
     * upper side, on the identity basis: let t = lam - r, rounded down.
       Cauchy interlacing gives lambda_2(A~) <= lambda_max(A~[1:, 1:])
       (Horn and Johnson, Matrix Analysis, sec. 4.3). Write
-      A~[1:, 1:] = diag(a) + F with F zero on the diagonal and G = diag(g),
-      g = t - a > 0. Then t I - A~[1:, 1:] = G^{1/2} (I - K) G^{1/2} with
+      A~[1:, 1:] = diag(c) + F with F zero on the diagonal and G = diag(g),
+      g = t - c > 0. Then t I - A~[1:, 1:] = G^{1/2} (I - K) G^{1/2} with
       K = G^{-1/2} F G^{-1/2}, positive definite when ||K||_F < 1
-      (_interlacing_bound, padded for rounding). So lambda_2 < lam - r, and
-      the eigenvalue within r of lam is lambda_max. O(n^2), and conclusive
-      when u~ is close to e1, as on the identity basis.
-    * upper side otherwise: cholesky_below on a copy of A~, with t = lam + tau
-      rounded down, proves lambda_max < t. Its diagonal shift s must stay
+      (_interlacing_bound, padded for rounding, including that of c). So
+      lambda_2 < lam - r, and the eigenvalue within r of lam is lambda_max.
+      O(n^2), and conclusive when u~ is close to e1, as on the identity basis.
+    * upper side otherwise: cholesky_below on H = fl(A + E), formed here on
+      the identity basis, proves lambda_max(H) < t with t = lam + tau, rounded
+      down, less rho = eps ||A~||_inf, rounded down. H differs from A + E by
+      at most u |A + E| entrywise (on the diagonal only, on the identity
+      basis), so by at most rho in the 2-norm, and Weyl's inequality gives
+      lambda_max(A + E) < t + rho <= lam + tau. Its diagonal shift s must stay
       under tau (max_shift): a larger s puts t - s at or below lam, where the
       factorization is expected to fail, so it is not tried.
 
-    pad is twice the first-order rounding bound, which absorbs the
+    pad is twice the first-order bound of the lower side, which absorbs the
     second-order terms and ||u~||_2 - 1. Assumes no underflow. r > tau or an
     inconclusive upper side leaves the question to the caller.
     """
-    n = A_tilde.shape[0]
-    pad = 2.0 * (n + 2) * (np.finfo(np.float64).eps / 2.0)
-    r = residual2 + pad * float(np.abs(A_tilde).sum(axis=1).max())
+    n = M.shape[0]
+    unit_roundoff = np.finfo(np.float64).eps / 2.0
+    sums = _abs_row_sums(M)
+    if a is not None:
+        sums += np.abs(a)
+    norm = float(sums.max())
+    r = residual2 + 2.0 * (n + 2) * unit_roundoff * norm
     if not r <= tau:
         return False
-    if identity and _interlacing_bound(A_tilde, float(np.nextafter(lam - r, -math.inf))) < 1.0:
+    if a is not None and _interlacing_bound(M, a, float(np.nextafter(lam - r, -math.inf))) < 1.0:
         return True
-    return cholesky_below(A_tilde.copy(), float(np.nextafter(lam + tau, -math.inf)), max_shift=tau)
+    if a is None:
+        H = M.copy()
+    else:
+        H = M.astype(np.result_type(M, a))
+        H[np.diag_indices(n)] += a
+    t = float(np.nextafter(lam + tau, -math.inf))
+    t = float(np.nextafter(t - np.finfo(np.float64).eps * norm, -math.inf))
+    return cholesky_below(H, t, max_shift=tau)
 
 
 def verify_solution(
@@ -481,55 +580,78 @@ def verify_solution(
     """Fill residuals and the leading-eigenpair certificate on a report.
 
     Certification needs both lambda~ > (lambda1 + lambda2)/2 and
-    |lambda_max(A + E) - lambda~| <= tau with tau = 1e-9 (1 + |lambda~|).
-    Without ``tilde_eig`` the second condition is proved by the residual
-    bound (lower side) and, for the upper side, Cauchy interlacing when
-    ``eig`` has the identity basis, else one Cholesky factorization; see
+    |lambda_max(A + E) - lambda~| <= tau with tau = 1e-9 (unit + |lambda~|),
+    unit = min(1, max(|lambda_1|, |lambda_n|)) from ``spectrum``. Without
+    ``tilde_eig`` the second condition is proved for the exact A + E by the
+    residual bound (lower side) and, for the upper side, Cauchy interlacing
+    when ``eig`` has the identity basis, else one Cholesky factorization; see
     _top_eigenvalue_within. When that proof is inconclusive, or when
     ``tilde_eig`` is passed, lambda_max is read from the dense oracle.
     Neither is tried when the first condition fails. Failures are recorded,
     never raised, except that the oracle raises InvalidSpectrumError when the
     top eigenvalue of A + E is not simple.
 
+    On the identity basis A must be diagonal (else ValueError), and A + E is
+    never formed unless the Cholesky proof or the oracle is reached: A~ u~ is
+    E u~ + a u~ with a the diagonal of A. Elsewhere A + E is formed once.
+
     orth_residual is ||U~_perp* A~ u~||_2 for any orthonormal basis U~_perp
     of u~'s complement, that is ||A~ u~ - u~ (u~* A~ u~)||_2 for unit u~.
     Both residuals take the max-rescaled lp_norm, so entries near 1e300 do
     not overflow the sum of squares.
     """
-    A_tilde = A + E
+    A, E = np.asarray(A), np.asarray(E)
     u, lam = report.u_tilde, report.lambda_tilde
-    w = _matvec(A_tilde, u)
+    if eig is not None and eig.is_identity:
+        if not _is_diagonal(A):
+            raise ValueError("eig has the identity basis but A is not diagonal")
+        M, a = E, A.diagonal()
+        w = _matvec(E, u) + a * u
+    else:
+        M, a = A + E, None
+        w = _matvec(M, u)
     report.residual2 = lp_norm(w - lam * u, 2)
     report.orth_residual = lp_norm(w - u * np.vdot(u, w), 2)
     report.coord_ratios = coordinate_bounds(report.q, spectrum)
     report.q_norm2 = float(np.linalg.norm(report.q))
     half = (spectrum.lambdas[0] + spectrum.lambdas[1]) / 2.0
-    tau = 1e-9 * (1.0 + abs(lam))
+    tau = 1e-9 * (_unit(spectrum) + abs(lam))
     if not lam > half:
         report.leading_certified = False
-    elif tilde_eig is None and _top_eigenvalue_within(
-        A_tilde, lam, report.residual2, tau, eig is not None and eig.is_identity
-    ):
+    elif tilde_eig is None and _top_eigenvalue_within(M, a, lam, report.residual2, tau):
         report.leading_certified = True
     else:
         if tilde_eig is None:
-            tilde_eig = hermitian_eig(A_tilde)
+            tilde_eig = hermitian_eig(M if a is None else A + E)
         top = float(tilde_eig.spectrum.lambdas[0])
         report.leading_certified = bool(abs(lam - top) <= tau)
     return report
 
 
-def _check_operands(A: np.ndarray, E: np.ndarray) -> None:
-    """Raise ValueError unless A and E are finite, square, alike in shape, and A self-adjoint."""
+def _check_operands(A: np.ndarray, E: np.ndarray, eig: EigDecomposition | None) -> None:
+    """Raise ValueError unless A and E are valid operands and an identity-basis ``eig`` describes A.
+
+    A and E must be finite, square and alike in shape, and A exactly
+    self-adjoint. On the identity basis A must be diag(eig.spectrum.lambdas)
+    exactly. One
+    read of A's off-diagonal entries proves it diagonal (_is_diagonal), after
+    which its finiteness and self-adjointness are O(n) checks on its
+    diagonal. A non-identity ``eig`` is trusted, not checked.
+    """
     for name, M in (("A", A), ("E", E)):
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError(f"{name} must be a square matrix, got shape {M.shape}")
+    identity = eig is not None and eig.is_identity and A.shape == (eig.n, eig.n)
+    diagonal = identity and _is_diagonal(A)
+    for name, M in (("A", A.diagonal() if diagonal else A), ("E", E)):
         if not np.all(np.isfinite(M)):
             raise ValueError(f"{name} has non-finite entries")
-    if not is_hermitian(A):
+    if not (np.all(A.diagonal().imag == 0) if diagonal else is_hermitian(A)):
         raise ValueError("A is not exactly self-adjoint (M != M*)")
     if A.shape != E.shape:
         raise ValueError(f"A has shape {A.shape} but E has shape {E.shape}")
+    if identity and not (diagonal and np.array_equal(A.diagonal(), eig.spectrum.lambdas)):
+        raise ValueError("eig has the identity basis, but A is not diag(eig.spectrum.lambdas)")
 
 
 def solve(
@@ -544,7 +666,9 @@ def solve(
     """End-to-end solve with oracle fallback.
 
     A and E must be finite, square, of one shape and exactly self-adjoint;
-    anything else raises ValueError. Runs the partition / fixed-point /
+    anything else raises ValueError. An ``eig`` with the identity basis must
+    describe A, which must then be exactly diag(eig.spectrum.lambdas), else
+    ValueError; any other ``eig`` is trusted. Runs the partition / fixed-point /
     assembly chain; on any PerturbError there (gap collapse, contraction
     failure, divergence, a complex eigenvalue) it falls back to the dense
     oracle's leading eigenpair, tags the report method "oracle-fallback"
@@ -558,7 +682,7 @@ def solve(
     where the oracle decides, raises InvalidSpectrumError.
     """
     A, E = np.asarray(A), np.asarray(E)
-    _check_operands(A, E)
+    _check_operands(A, E, eig)
     if eig is None:
         eig = hermitian_eig(A)
     part = partition(eig, E)

@@ -146,10 +146,11 @@ class TestHermitianEig:
         with pytest.raises(InvalidSpectrumError):
             hermitian_eig(np.diag([2.0, 2.0, 1.0]))
 
-    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e160, 1e300])
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e160, 1e300, 1e-20, 1e-300])
     def test_rejects_mispaired_factorization(self, monkeypatch, scale):
         # eigh's vectors with the first two swapped: finite, but M != U diag(w) U*;
-        # past ~1e154 a plain sum of squares overflows and would pass it
+        # past ~1e154 a plain sum of squares overflows and would pass it, and
+        # below unit scale an absolute floor on the residual would
         eigh = np.linalg.eigh
 
         def mispaired(M):

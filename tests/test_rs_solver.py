@@ -296,6 +296,29 @@ def abs2(z) -> Fraction:
     return Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
 
 
+def exact_weighted_square(M: np.ndarray, d: np.ndarray, hollow: bool = False) -> Fraction:
+    """sum_ij |M_ij|^2 / (d_i d_j) in exact arithmetic; with ``hollow`` the diagonal is left out.
+
+    Integer arithmetic: every real or imaginary part is X 2^low with an
+    integer X and one exponent low for all of them, and with d_j = p_j / q_j
+    and L = lcm_j p_j, w_j = L / d_j = q_j (L / p_j) is an integer. So the
+    sum is (w^T |X|^2 w) 4^low / L^2.
+    """
+    parts = [np.frexp(x) for x in ((M.real, M.imag) if np.iscomplexobj(M) else (M,))]
+    low = min(int(e.min()) for _, e in parts) - 53
+    squares = np.zeros(M.shape, dtype=object)
+    for f, e in parts:
+        X = np.ldexp(f, 53).astype(np.int64).astype(object) << (e - 53 - low).astype(object)
+        squares += X * X
+    if hollow:
+        np.fill_diagonal(squares, 0)
+    ratios = [float(x).as_integer_ratio() for x in d]
+    L = math.lcm(*(p for p, _ in ratios))
+    w = np.array([q * (L // p) for p, q in ratios], dtype=object)
+    total = w @ (squares @ w)
+    return Fraction(total, L * L) * Fraction(4) ** low
+
+
 def random_hermitian(rng, m: int, complex_case: bool) -> np.ndarray:
     M = rng.standard_normal((m, m))
     if complex_case:
@@ -329,23 +352,54 @@ class TestContractionGate:
 
     @pytest.mark.parametrize("complex_case", [False, True])
     def test_frobenius_pad_covers_rounding(self, complex_case):
-        # in exact rational arithmetic, bound^2 >= sum_ij |e_ij|^2 / (d_i d_j);
+        # in exact rational arithmetic, bound^2 >= sum_ij |e_ij|^2 / (d_i d_j),
+        # the diagonal left out in the hollow form, with d spread over 2^-40..2^40;
         # on the rank-one blocks ||S||_F is ||S||_2 itself
         rng = rng_from_stream(131)
         for t in range(40):
-            m = int(rng.integers(2, 9))
+            m = int(rng.integers(3, 10))
             if t % 2:
                 v = rng.standard_normal(m) + (1j * rng.standard_normal(m) if complex_case else 0)
                 e22 = np.outer(v, v.conj())
             else:
                 e22 = random_hermitian(rng, m, complex_case)
-            d = rng.uniform(0.5, 3.0, m)
-            bound = rs_solver._weighted_frobenius_upper(e22, d)
-            exact = sum(
-                abs2(e22[i, j]) / (Fraction(d[i]) * Fraction(d[j]))
-                for i in range(m) for j in range(m)
-            )
-            assert Fraction(bound) ** 2 >= exact
+            d = np.ldexp(rng.uniform(1.0, 2.0, m), rng.integers(-40, 41, m))
+            for hollow in (False, True):
+                bound = rs_solver._weighted_frobenius_upper(e22, d, hollow=hollow)
+                exact = exact_weighted_square(e22, d, hollow)
+                assert exact <= Fraction(bound) ** 2 <= exact * (1 + Fraction(1, 10**12))
+
+    @pytest.mark.parametrize("complex_case", [False, True])
+    def test_frobenius_pad_covers_rounding_over_bands(self, complex_case):
+        # m = 300 takes two row bands of _FROBENIUS_BAND entries; d's 7-bit
+        # mantissas keep the exact sum's common denominator small
+        rng = rng_from_stream(139)
+        m = 300
+        assert rs_solver._FROBENIUS_BAND // m < m
+        e22 = random_hermitian(rng, m, complex_case)
+        d = np.ldexp(1.0 + rng.integers(0, 64, m) / 64.0, rng.integers(-40, 41, m))
+        for hollow in (False, True):
+            bound = rs_solver._weighted_frobenius_upper(e22, d, hollow=hollow)
+            exact = exact_weighted_square(e22, d, hollow)
+            assert exact <= Fraction(bound) ** 2 <= exact * (1 + Fraction(1, 10**12))
+
+    @pytest.mark.parametrize("complex_case", [False, True])
+    @pytest.mark.parametrize("k", [500, 900, 1000, -500, -900, -1000])
+    def test_frobenius_bound_scale_free(self, k, complex_case):
+        # E22 and d scaled by one power of two give the same bits
+        n = 128
+        s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
+        E = sample_gue(n, 149) if complex_case else sample_goe(n, 149)
+        part = partition(diag_eig(s), E)
+        d = build_shifted_gaps(s, part.e11)
+        e22, d_k = np.ldexp(part.e22.real, k), np.ldexp(d, k)
+        if complex_case:
+            e22 = e22 + 1j * np.ldexp(part.e22.imag, k)
+        assert np.array_equal(e22 * 2.0 ** -k, part.e22) and np.array_equal(np.ldexp(d_k, -k), d)
+        for hollow in (False, True):
+            bound = rs_solver._weighted_frobenius_upper(part.e22, d, hollow=hollow)
+            assert 0.0 < bound < math.inf
+            assert rs_solver._weighted_frobenius_upper(e22, d_k, hollow=hollow) == bound
 
     def test_ladder(self):
         # E22 = 0.5 I on unit gaps: ||S||_F = 1 exceeds the cap and the paper's
@@ -453,6 +507,24 @@ class TestAssembleEigvec:
         for j in range(7):
             assert np.vdot(eig.basis[:, j + 1], u) == pytest.approx(q[j] * scale, abs=1e-12)
         assert np.vdot(eig.basis[:, 0], u).real == pytest.approx(scale, abs=1e-12)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_identity_basis_matches_product(self, dtype):
+        # (1, q) without the product has the bits of e1 + I[:, 1:] q, whose
+        # -0.0 entries read +0.0; n = 600 puts I[:, 1:] over _MATVEC_BAND entries
+        rng = rng_from_stream(83)
+        n = 600
+        q = rng.standard_normal(n - 1).astype(dtype)
+        if dtype is complex:
+            q += 1j * rng.standard_normal(n - 1)
+        q[:3] = [-0.0, 0.0, 1e-300]
+        eig = EigDecomposition(Spectrum(np.arange(n, 0, -1.0)), np.eye(n, dtype=dtype))
+        assert eig.is_identity and eig.tail_basis().size > rs_solver._MATVEC_BAND
+        expected = (eig.leading_vector() + eig.tail_basis() @ q) / math.sqrt(
+            1.0 + float(np.vdot(q, q).real)
+        )
+        got = assemble_eigvec(eig, q)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 class TestMatvec:
@@ -639,29 +711,34 @@ class TestVerifySolution:
         # lambda_max(A~[1:, 1:]) is at least its eigenvalue: the bound is never below 1
         n = 32
         s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
-        A_tilde = np.diag(s.lambdas) + sample_goe(n, 41)
+        E = sample_goe(n, 41)
+        A_tilde = np.diag(s.lambdas) + E
         w, V = np.linalg.eigh(A_tilde)
         lam, u = float(w[-2]), V[:, -2]
         residual2 = float(np.linalg.norm(A_tilde @ u - lam * u))
         assert residual2 <= 1e-12 * abs(lam)
-        assert rs_solver._interlacing_bound(A_tilde, lam) >= 1.0
+        assert rs_solver._interlacing_bound(E, s.lambdas, lam) >= 1.0
         tau = 1e-9 * (1.0 + abs(lam))
-        assert not rs_solver._top_eigenvalue_within(A_tilde, lam, residual2, tau, identity=True)
+        assert not rs_solver._top_eigenvalue_within(E, s.lambdas, lam, residual2, tau)
 
     @pytest.mark.parametrize("complex_case", [False, True])
     def test_interlacing_pad_covers_rounding(self, complex_case):
-        # in exact rational arithmetic with g_j = t - a_j,
-        # bound^2 >= sum_{i != j} |f_ij|^2 / (g_i g_j)
+        # in exact rational arithmetic with c_j = a_j + e_jj and g_j = t - c_j,
+        # bound^2 >= sum_{i != j} |e_ij|^2 / (g_i g_j). Near 1e6 the rounding
+        # of fl(a_j + e_jj), up to 6e-11, is far above the kernel's pad
+        # relative to g_j ~ 1: t must be lowered to cover it
         rng = rng_from_stream(137)
         for trial in range(40):
             m = int(rng.integers(3, 10))
-            B = random_hermitian(rng, m, complex_case)
-            B[np.diag_indices(m)] -= 4.0 * np.arange(m)
-            t = float(B.diagonal().real[1:].max() + rng.uniform(0.5, 3.0))
-            bound = rs_solver._interlacing_bound(B, t)
-            g = [Fraction(t) - Fraction(a) for a in B.diagonal().real[1:]]
+            E = random_hermitian(rng, m, complex_case)
+            a = (1e6 if trial % 2 else 0.0) - 4.0 * np.arange(m)
+            c = a[1:] + E.diagonal().real[1:]
+            t = float(c.max() + rng.uniform(0.5, 3.0))
+            bound = rs_solver._interlacing_bound(E, a, t)
+            assert bound < math.inf
+            g = [Fraction(t) - Fraction(x) - Fraction(y) for x, y in zip(a[1:], E.diagonal().real[1:])]
             exact = sum(
-                abs2(B[1 + i, 1 + j]) / (g[i] * g[j])
+                abs2(E[1 + i, 1 + j]) / (g[i] * g[j])
                 for i in range(m - 1) for j in range(m - 1) if i != j
             )
             assert Fraction(bound) ** 2 >= exact
@@ -678,8 +755,8 @@ class TestVerifySolution:
             return cholesky(M)
 
         monkeypatch.setattr(np.linalg, "cholesky", counted)
-        A_tilde = np.diag([1.0, 1.0 - 4e-16, 0.5, 0.25])
-        assert rs_solver._top_eigenvalue_within(A_tilde, 1.0, 0.0, 2e-9, identity=True)
+        a = np.array([1.0, 1.0 - 4e-16, 0.5, 0.25])
+        assert rs_solver._top_eigenvalue_within(np.zeros((4, 4)), a, 1.0, 0.0, 2e-9)
         assert len(calls) == 1
 
     def test_interlacing_needs_identity_basis(self, monkeypatch):
@@ -707,6 +784,32 @@ class TestVerifySolution:
             rep = solve(A, E, eig=EigDecomposition(s, basis))
             assert rep.method == "rs" and rep.leading_certified
             assert (len(interlacing), len(factorizations)) == (used, 1 - used)
+
+    def test_identity_basis_needs_diagonal_A(self):
+        # on the identity basis verification reads only A's diagonal
+        n = 16
+        s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
+        E = sample_goe(n, 19)
+        rep = solve(np.diag(s.lambdas), E, eig=diag_eig(s), verify=False)
+        A = np.diag(s.lambdas)
+        A[2, 7] = A[7, 2] = 0.5
+        with pytest.raises(ValueError, match="eig has the identity basis but A is not diagonal"):
+            verify_solution(A, E, rep, s, eig=diag_eig(s))
+
+    def test_identity_path_matches_dense_path(self):
+        # E u~ + a u~ and the banded |E| row sums against the formed A + E
+        n = 64
+        s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
+        A = np.diag(s.lambdas)
+        for t in range(5):
+            E = sample_goe(n, derive_stream(151, t))
+            rep = solve(A, E, eig=diag_eig(s), verify=False)
+            identity = verify_solution(A, E, SolverReport(**vars(rep)), s, eig=diag_eig(s))
+            dense = verify_solution(A, E, SolverReport(**vars(rep)), s)
+            assert identity.leading_certified and dense.leading_certified
+            a_norm = np.abs(np.linalg.eigvalsh(A + E)).max()
+            assert abs(identity.residual2 - dense.residual2) <= 1e-14 * a_norm
+            assert abs(identity.orth_residual - dense.orth_residual) <= 1e-14 * a_norm
 
     def test_random_certified_residual(self):
         n = 32
@@ -927,9 +1030,10 @@ class TestSolveDriver:
         rep = solve(np.diag(s.lambdas), 0.1 * sample_goe(3, 7), tol=5e-324)
         assert rep.method in ("rs", "oracle-fallback") and rep.leading_certified
 
-    @pytest.mark.parametrize("basis,checks", [("identity", 2), ("rotated", 3)])
+    @pytest.mark.parametrize("basis,checks", [("identity", 1), ("rotated", 3)])
     def test_self_adjointness_checked_once_per_matrix(self, monkeypatch, basis, checks):
-        # A at entry, E in partition, and U* E U on a general basis
+        # E in partition; on a general basis also A at entry and U* E U (on the
+        # identity basis A is proved diagonal, and its diagonal real)
         n = 16
         s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
         A, eig = np.diag(s.lambdas), diag_eig(s)
@@ -942,6 +1046,37 @@ class TestSolveDriver:
         assert rep.method == "rs" and rep.leading_certified
         assert len(calls) == checks
 
+    @pytest.mark.parametrize("defect", ["diagonal", "off-diagonal"])
+    def test_identity_eig_must_describe_A(self, defect):
+        # on the identity basis solve reads only the diagonal of A; an A that is
+        # not diag(eig.spectrum.lambdas) would be a different matrix, solved silently
+        n = 16
+        s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
+        A, E = np.diag(s.lambdas), sample_goe(n, 19)
+        if defect == "diagonal":
+            A[0, 0] += 50.0
+        else:
+            A[2, 7] = A[7, 2] = 1e-300
+        for verify in (False, True):
+            with pytest.raises(ValueError, match="eig has the identity basis, but A is not diag"):
+                solve(A, E, eig=diag_eig(s), verify=verify)
+        rep = solve(A, E)  # A's own decomposition
+        top = np.linalg.eigvalsh(A + E)[-1]
+        assert rep.leading_certified and rep.lambda_tilde == pytest.approx(top, rel=1e-9)
+
+    @pytest.mark.parametrize("i,j,value,message", [
+        (2, 7, math.nan, "A has non-finite entries"),
+        (3, 3, math.inf, "A has non-finite entries"),
+        (3, 3, 2.0 + 1j, "A is not exactly self-adjoint"),
+    ])
+    def test_identity_basis_operand_messages(self, i, j, value, message):
+        # A's checks are O(n) on the identity basis, with the same messages
+        s = spectrum(*range(8, 0, -1))
+        A = np.diag(s.lambdas).astype(type(value))
+        A[i, j] = value
+        with pytest.raises(ValueError, match=message):
+            solve(A, 0.1 * sample_goe(8, 7), eig=diag_eig(s), verify=False)
+
     def test_degenerate_top_eigenvalue_rejected(self):
         with pytest.raises(InvalidSpectrumError):
             solve(np.eye(3), np.zeros((3, 3)))
@@ -952,11 +1087,12 @@ class TestSolveDriver:
             solve(np.diag([3.0, 2.0, 1.0]), np.diag([0.0, 1.0, 0.0]))
 
     @pytest.mark.parametrize("pass_eig", [False, True])
-    @pytest.mark.parametrize("scale", [1e10, 1e100, 1e300])
+    @pytest.mark.parametrize("scale", [1e10, 1e100, 1e300, 1e-10, 1e-100, 1e-300])
     @pytest.mark.parametrize("noise", [sample_goe, sample_gue])
     def test_scaled_input_solved_as_at_unit_scale(self, noise, scale, pass_eig):
         # no check may depend on the scale of A + E: not the imaginary part of
-        # E12 q, nor a sum of squares that overflows
+        # E12 q, nor a sum of squares that overflows, nor an absolute
+        # tolerance that a small A + E meets after one step
         n = 64
         s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
         E = noise(n, 3)
@@ -966,7 +1102,7 @@ class TestSolveDriver:
             warnings.simplefilter("error")
             rep = solve(scale * np.diag(s.lambdas), scale * E, eig=eig)
         assert rep.method == "rs" and rep.leading_certified
-        assert rep.lambda_tilde == pytest.approx(scale * top, rel=1e-9)
+        assert rep.lambda_tilde == pytest.approx(scale * top, rel=1e-9, abs=0.0)
 
     def test_unit_norm_and_positive_overlap(self):
         n = 16
