@@ -88,7 +88,6 @@ GEN_KINDS = {
 SHARED_FLAGS = {
     "seed": dict(type=int, default=None, help="master seed (default: PERTURB_SEED or 0)"),
     "n": dict(type=int, default=None, help="dimension"),
-    "p": dict(type=float, default=2.0, help="norm exponent"),
     "c0": dict(type=float, default=bounds.DEFAULT_C0, help="assumption threshold"),
     "tol": dict(type=float, default=rs_solver.DEFAULT_TOL, help="iteration tolerance"),
     "format": dict(choices=["json", "csv"], default=None,
@@ -110,6 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--scalar", choices=["real", "complex"], default=None,
                        help="subgaussian scalar field (default: real)")
     p_gen.add_argument("--spectrum", default=None, help="spectrum spec JSON (inline or file)")
+    p_gen.add_argument("--p", type=float, default=None,
+                       help="inconsistency norm exponent (default: 2)")
 
     p_assume = sub.add_parser("assume", help="evaluate the eigenvalue-gap assumption")
     p_assume.add_argument("--spectrum", required=True)
@@ -128,15 +129,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--out-dir", default=None, help="override the config output path")
 
     for p, names in (
-        (p_gen, ("seed", "n", "p", "out")),
+        (p_gen, ("seed", "n", "out")),
         (p_assume, ("n", "c0", "out")),
-        (p_solve, ("p", "tol", "out")),
+        (p_solve, ("tol", "out")),
         (p_arrow, ("seed", "n", "tol", "out")),
         (p_exp, ("format", "out")),
     ):
         for name in names:
             p.add_argument(f"--{name}", **SHARED_FLAGS[name])
-    p_gen.set_defaults(p=None)  # like gen's own flags, so _cmd_gen sees whether --p was given
     return parser
 
 
@@ -181,9 +181,7 @@ def _cmd_assume(args) -> str:
 def _cmd_solve(args) -> str:
     A = matrix_from_json(Path(args.matrix).read_text())
     E = matrix_from_json(Path(args.noise).read_text())
-    report = rs_solver.solve(
-        A, E, p=args.p, tol=args.tol, certificate_cap=args.certificate_cap
-    )
+    report = rs_solver.solve(A, E, tol=args.tol, certificate_cap=args.certificate_cap)
     return json.dumps(report.to_dict(), indent=1)
 
 

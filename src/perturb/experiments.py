@@ -43,8 +43,6 @@ __all__ = [
     "run_experiment",
     "summarize",
     "export_records",
-    "records_from_json",
-    "records_from_csv",
     "run_and_export",
 ]
 
@@ -191,14 +189,18 @@ def _diag_instance(cfg: ExperimentConfig, n: int):
 
 
 def _paper_norms(spectrum, eig: EigDecomposition, E: np.ndarray, p: float) -> tuple[float, float]:
-    """The paper's ||E22 D^{-1}||_p and ||D^{-1} E21||_{p'}.
+    """The paper's ||E22 D^{-1}||_p, from bounds.opnorm_pp_upper, and ||D^{-1} E21||_{p'}.
 
-    Both are inf when the shifted gaps collapse or the first cannot be computed.
+    The first is a certified upper bound: exact at p in {1, inf}, proved by
+    one Cholesky factorization at p = 2, interpolated at other p. It is a
+    record statistic only; solve gates its loop on ||D^{-1/2} E22 D^{-1/2}||_2,
+    which is at most this norm. Both are inf when the shifted gaps collapse
+    or the first cannot be computed.
     """
     part = rs_solver.partition(eig, E)
     try:
         d = rs_solver.build_shifted_gaps(spectrum, part.e11)
-        cert = rs_solver.contraction_certificate(d, part.e22, p)
+        cert = bounds.opnorm_pp_upper(part.e22 / d[np.newaxis, :], p)
     except (GapCollapseError, NumericFailureError):
         return math.inf, math.inf
     return cert, lp_norm(part.e21 / d, dual_exponent(p))
@@ -223,7 +225,7 @@ def _oracle_angle(spectrum, A: np.ndarray, eig: EigDecomposition, E: np.ndarray)
 def _trial_upper_bound(cfg: ExperimentConfig, n: int, stream: int) -> dict:
     spectrum, A, eig = _diag_instance(cfg, n)
     E = _draw_noise(cfg.ensemble, n, stream)
-    report = rs_solver.solve(A, E, p=cfg.p, eig=eig, verify=False)
+    report = rs_solver.solve(A, E, eig=eig, verify=False)
     tilde_eig, oracle = _oracle_angle(spectrum, A, eig, E)
     rs_solver.verify_solution(A, E, report, spectrum, eig=eig, tilde_eig=tilde_eig)
     q_norm = report.q_norm2
@@ -385,35 +387,6 @@ def export_records(records: list[TrialRecord], fmt: str, path) -> None:
                 [r.kind, r.n, r.trial_index, r.stream]
                 + [repr(float(r.statistics[k])) for k in names]
             )
-
-
-def records_from_json(text: str) -> list[TrialRecord]:
-    return [
-        TrialRecord(
-            kind=obj["kind"],
-            n=int(obj["n"]),
-            trial_index=int(obj["trial_index"]),
-            stream=int(obj["stream"]),
-            statistics={k: float(v) for k, v in obj["statistics"].items()},
-        )
-        for obj in json.loads(text)
-    ]
-
-
-def records_from_csv(text: str) -> list[TrialRecord]:
-    rows = list(csv.reader(text.splitlines()))
-    header = rows[0]
-    names = header[4:]
-    return [
-        TrialRecord(
-            kind=row[0],
-            n=int(row[1]),
-            trial_index=int(row[2]),
-            stream=int(row[3]),
-            statistics={k: float(v) for k, v in zip(names, row[4:])},
-        )
-        for row in rows[1:]
-    ]
 
 
 def run_and_export(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:

@@ -28,7 +28,6 @@ __all__ = [
     "matrix_to_json",
     "matrix_from_json",
     "vector_to_json",
-    "vector_from_json",
 ]
 
 
@@ -281,11 +280,3 @@ def vector_to_json(v: np.ndarray) -> str:
     v = np.asarray(v)
     scalar = "complex" if np.iscomplexobj(v) else "real"
     return json.dumps({"len": int(v.size), "scalar": scalar, "entries": _encode_entries(v)})
-
-
-def vector_from_json(text: str) -> np.ndarray:
-    obj = json.loads(text)
-    entries = _decode_entries(obj["entries"], obj["scalar"])
-    if entries.size != int(obj["len"]):
-        raise ValueError("vector JSON length mismatch")
-    return entries

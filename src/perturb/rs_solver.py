@@ -15,11 +15,12 @@ matvec per step. In y = D^{1/2} q the same loop reads
 so its linear part contracts at ||S||_2, the spectral radius of E22 D^{-1}
 (S is Hermitian and similar to it). The loop runs only when a proved upper
 bound on ||S||_2 is at or below a cap. contraction_gate tries two rungs: the
-weighted Frobenius norm ||S||_F, padded for rounding, in O(n^2); then the
-paper's ||E22 D^{-1}||_p from contraction_certificate (at p = 2 a Lanczos
-estimate proved by one Cholesky factorization). The report carries the bound
-that gated the loop and names its rung, along with the step count, the
-residuals and a leading-eigenvalue certificate. That certificate is for the
+weighted Frobenius norm ||S||_F, padded for rounding, in O(n^2); then ||S||_2
+itself (a Lanczos estimate proved by one Cholesky factorization). The paper's
+||E22 D^{-1}||_p is at least ||S||_2 for every p, so it is not on the solve
+path; the experiments record it. The report carries the bound that gated the
+loop and names its rung, along with the step count, the residuals and a
+leading-eigenvalue certificate. That certificate is for the
 exact A + E and needs no eigendecomposition of it: the residual bound puts
 an eigenvalue near lambda~, and Cauchy interlacing (identity basis, O(n^2))
 or one Cholesky factorization (bounds.cholesky_below) shows that none lies
@@ -69,7 +70,6 @@ __all__ = [
     "ContractionGate",
     "partition",
     "build_shifted_gaps",
-    "contraction_certificate",
     "contraction_gate",
     "solve_q",
     "assemble_eigvec",
@@ -132,9 +132,9 @@ def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
 class PartitionedPerturbation:
     """Noise matrix expressed in the eigenbasis of A and split around u1.
 
-    e21 is exactly conj(e12) and e22 is exactly Hermitian, so block
-    reassembly reproduces U* E U up to one symmetrization. The blocks may be
-    views of the caller's E (see partition).
+    e21 is exactly conj(e12) and e22 is exactly Hermitian: the blocks of
+    U* E U, symmetrized at most once. They may be views of the caller's E
+    (see partition).
     """
 
     e11: float
@@ -145,18 +145,6 @@ class PartitionedPerturbation:
     def e21(self) -> np.ndarray:
         return self.e12.conj()
 
-    @property
-    def n(self) -> int:
-        return int(self.e12.size + 1)
-
-    def reassemble(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n), dtype=self.e22.dtype)
-        out[0, 0] = self.e11
-        out[0, 1:] = self.e12
-        out[1:, 0] = self.e21
-        out[1:, 1:] = self.e22
-        return out
-
 
 @dataclass
 class SolverReport:
@@ -166,7 +154,7 @@ class SolverReport:
     ``contraction_rung`` the rung that proved it (see contraction_gate):
     the first at or under the cap, else the smallest computed. The rung is
     empty when the gate did not finish (collapsed shifted gaps, or a
-    NumericFailureError from the paper's norm; the bound is then inf).
+    NumericFailureError from the spectral rung; the bound is then inf).
     """
 
     q: np.ndarray
@@ -241,16 +229,6 @@ def build_shifted_gaps(spectrum: Spectrum, e11: float) -> np.ndarray:
     return d
 
 
-def contraction_certificate(d: np.ndarray, e22: np.ndarray, p: float) -> float:
-    """Certified upper bound on the paper's ||E22 D^{-1}||_{p,p}, from bounds.opnorm_pp_upper.
-
-    Exact at p in {1, inf}. At p = 2 it is proved by one Cholesky
-    factorization and lies within a relative 5e-10 above the exact norm (the
-    exact norm itself when the proof is inconclusive); other p interpolate.
-    """
-    return opnorm_pp_upper(e22 / d[np.newaxis, :], p)
-
-
 def _weighted_frobenius_upper(M: np.ndarray, d: np.ndarray, hollow: bool = False) -> float:
     """Upper bound on ||D^{-1/2} M D^{-1/2}||_F for D = diag(d) > 0, in O(m^2).
 
@@ -311,20 +289,51 @@ class ContractionGate(NamedTuple):
     rung: str
 
 
-def contraction_gate(d: np.ndarray, e22: np.ndarray, p: float, cap: float) -> ContractionGate:
+def _spectral_upper(e22: np.ndarray, d: np.ndarray) -> float:
+    """Upper bound on ||S||_2, S = D^{-1/2} E22 D^{-1/2}, from bounds.opnorm_pp_upper at p = 2.
+
+    S is formed as E22 * (w w^T) with w = 1 / sqrt(d). The product w_i w_j
+    equals w_j w_i bit for bit, so for an exactly Hermitian E22 the computed
+    S is exactly Hermitian too, and the exact-norm fallback of
+    opnorm_pp_upper takes its eigenvalues with no Gram matrix.
+
+    Rounding, with u = eps/2 and m the order of S: d may carry one rounding,
+    as fl(t - a) does, and fl(sqrt(d_j)) and the reciprocal add one each, so
+    w_j errs by at most 2.5 u relative; the weight product and the product
+    with e_ij add one each. So fl(S) = S + S o Delta entrywise with
+    |Delta_ij| <= 7 u to first order, and
+    ||fl(S) - S||_2 <= ||S o Delta||_F <= 7 u ||S||_F <= 7 u sqrt(m) ||S||_2,
+    which gives ||S||_2 <= ||fl(S)||_2 / (1 - 7 sqrt(m) u). opnorm_pp_upper
+    bounds ||fl(S)||_2 for the matrix as computed, and the pad
+    14 sqrt(m) u is twice the first-order term, which absorbs the
+    second-order terms and the rounding of 1 + pad; the padded bound is
+    rounded up. The pad rests on ||S||_F <= sqrt(m) ||S||_2 alone, not on a
+    computed ||S||_F, which can overflow where ||S||_2 does not. Assumes no
+    underflow; an S or a norm that is not finite gives inf.
+    """
+    pad = 14.0 * math.sqrt(e22.shape[0]) * (np.finfo(np.float64).eps / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a norm that is not finite gives inf
+        w = 1.0 / np.sqrt(d)
+        S = e22 * (w[:, np.newaxis] * w[np.newaxis, :])
+        if not np.all(np.isfinite(S)):
+            return math.inf
+        return float(np.nextafter(opnorm_pp_upper(S, 2) * (1.0 + pad), math.inf))
+
+
+def contraction_gate(d: np.ndarray, e22: np.ndarray, cap: float) -> ContractionGate:
     """The first proved upper bound on ||S||_2, S = D^{-1/2} E22 D^{-1/2}, that is at most ``cap``.
 
     Rungs, cheapest first: "weighted-frobenius", the padded ||S||_F, in
-    O(n^2) (||S||_2 <= ||S||_F); then "paper-norm", the paper's
-    ||E22 D^{-1}||_p from contraction_certificate (||S||_2 is the spectral
-    radius of E22 D^{-1}, at most any of its operator norms). When neither
+    O(n^2) (||S||_2 <= ||S||_F); then "spectral", ||S||_2 itself, padded
+    (_spectral_upper: a Lanczos estimate proved by one Cholesky
+    factorization, within a relative 1e-9 of the exact norm). When neither
     is at most ``cap``, returns the smaller.
     """
     frobenius = ContractionGate(_weighted_frobenius_upper(e22, d), "weighted-frobenius")
     if frobenius.bound <= cap:
         return frobenius
-    paper = ContractionGate(contraction_certificate(d, e22, p), "paper-norm")
-    return paper if paper.bound <= frobenius.bound else frobenius
+    spectral = ContractionGate(_spectral_upper(e22, d), "spectral")
+    return spectral if spectral.bound <= frobenius.bound else frobenius
 
 
 def _unit(spectrum: Spectrum) -> float:
@@ -340,7 +349,6 @@ def _unit(spectrum: Spectrum) -> float:
 def solve_q(
     part: PartitionedPerturbation,
     spectrum: Spectrum,
-    p: float = 2.0,
     tol: float = DEFAULT_TOL,
     certificate_cap: float = CERTIFICATE_CAP,
 ) -> tuple[np.ndarray, int, ContractionGate]:
@@ -357,19 +365,20 @@ def solve_q(
     Returns q, the number of steps and the ContractionGate that admitted the
     loop. Raises ContractionFailureError before iterating if no rung of
     contraction_gate is at most ``certificate_cap``. Stops when
-    ||D (q_next - q)||_p <= tol * unit and the quadratic residual is below
+    ||D (q_next - q)||_2 <= tol * unit and the quadratic residual is below
     tol * (||E21||_2 + unit), unit = min(1, max(|lambda_1|, |lambda_n|));
     raises NonConvergenceError when a shifted gap
     d_j + Re(E12 q) is not positive, after three consecutive non-contracting
     steps, or at the step cap. Both errors carry the gate's bound and rung.
-    Raises ValueError unless tol is finite and positive and p >= 1.
+    Raises ValueError unless tol is finite and positive and certificate_cap
+    is positive (inf admits every finite bound).
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    if not p >= 1:
-        raise ValueError(f"p must be at least 1, got {p}")
+    if not certificate_cap > 0.0:
+        raise ValueError(f"certificate_cap must be positive, got {certificate_cap}")
     d = build_shifted_gaps(spectrum, part.e11)
-    gate = contraction_gate(d, part.e22, p, certificate_cap)
+    gate = contraction_gate(d, part.e22, certificate_cap)
     if not gate.bound <= certificate_cap:
         raise ContractionFailureError(
             f"iteration operator norm bound {gate.bound:.4g} ({gate.rung}) "
@@ -397,12 +406,12 @@ def solve_q(
                 rung=gate.rung,
             )
         q_next = (e22q + e21) / (d + shift)
-        change = lp_norm(d * (q_next - q), p)
+        change = lp_norm(d * (q_next - q), 2)
         if change >= prev_change and change > step_tol:
             bad_steps += 1
             if bad_steps >= 3:
                 raise NonConvergenceError(
-                    f"fixed-point iteration diverging: ||D dq||_p = {change:.4g}",
+                    f"fixed-point iteration diverging: ||D dq||_2 = {change:.4g}",
                     certified_norm=gate.bound,
                     rung=gate.rung,
                 )
@@ -439,20 +448,21 @@ def assemble_eigvec(eig: EigDecomposition, q: np.ndarray) -> np.ndarray:
     return u / math.sqrt(1.0 + float(np.vdot(q, q).real))
 
 
-def eigenvalue_from_q(lambda1: float, e11: float, e12: np.ndarray, q: np.ndarray) -> float:
+def eigenvalue_from_q(spectrum: Spectrum, e11: float, e12: np.ndarray, q: np.ndarray) -> float:
     """Eigenvalue identity lambda1 + E11 + E12 q; the product must be real.
 
-    Its imaginary part may not exceed 1e-10 max(1, sum_j |E12_j| |q_j|), a
-    bound that scales with the terms of the dot product, so a large A + E is
-    judged as its unit-scale copy is.
+    Its imaginary part may not exceed 1e-10 max(unit, sum_j |E12_j| |q_j|),
+    unit = min(1, max(|lambda_1|, |lambda_n|)) from ``spectrum``: a bound
+    that scales with the terms of the dot product and, below unit scale,
+    with A, so a scaled A + E is judged as its unit-scale copy is.
     """
     e12, q = np.asarray(e12), np.asarray(q)
     cross = complex(e12 @ q)
-    if abs(cross.imag) > 1e-10 * max(1.0, float(np.abs(e12) @ np.abs(q))):
+    if abs(cross.imag) > 1e-10 * max(_unit(spectrum), float(np.abs(e12) @ np.abs(q))):
         raise InconsistentEigenvalueError(
             f"E12 q has imaginary part {cross.imag:.3g}; not an eigenpair"
         )
-    return float(lambda1 + e11 + cross.real)
+    return float(spectrum.lambdas[0] + e11 + cross.real)
 
 
 def coordinate_bounds(q: np.ndarray, spectrum: Spectrum) -> np.ndarray:
@@ -657,7 +667,6 @@ def _check_operands(A: np.ndarray, E: np.ndarray, eig: EigDecomposition | None) 
 def solve(
     A: np.ndarray,
     E: np.ndarray,
-    p: float = 2.0,
     tol: float = DEFAULT_TOL,
     certificate_cap: float = CERTIFICATE_CAP,
     eig: EigDecomposition | None = None,
@@ -676,10 +685,11 @@ def solve(
     ``fallback_reason`` (empty on "rs"), so pipelines never silently lose a
     trial. The contraction gate runs once either way and its bound and rung
     are reported; the bound is inf when the shifted gaps collapse or the
-    paper's norm cannot be computed (a NumericFailureError from the exact
-    norm's eigensolver, e.g. when M* M overflows); that error falls back
-    like the others. A top eigenvalue that is not simple, of A or of A + E
-    where the oracle decides, raises InvalidSpectrumError.
+    spectral rung's eigensolver fails (a NumericFailureError, which falls
+    back like the others). ``tol`` must be finite and positive and
+    ``certificate_cap`` positive (inf allowed), else ValueError. A top
+    eigenvalue that is not simple, of A or of A + E where the oracle
+    decides, raises InvalidSpectrumError.
     """
     A, E = np.asarray(A), np.asarray(E)
     _check_operands(A, E, eig)
@@ -690,13 +700,11 @@ def solve(
     tilde_eig = None
     gate = ContractionGate(math.inf, "")
     try:
-        q, iterations, gate = solve_q(
-            part, spectrum, p=p, tol=tol, certificate_cap=certificate_cap
-        )
+        q, iterations, gate = solve_q(part, spectrum, tol=tol, certificate_cap=certificate_cap)
         report = SolverReport(
             q=q,
             u_tilde=assemble_eigvec(eig, q),
-            lambda_tilde=eigenvalue_from_q(spectrum.lambdas[0], part.e11, part.e12, q),
+            lambda_tilde=eigenvalue_from_q(spectrum, part.e11, part.e12, q),
             iterations=iterations,
             contraction_upper=gate.bound,
             contraction_rung=gate.rung,

@@ -239,7 +239,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, flag", [
         ("gen", "--c0"), ("gen", "--tol"), ("gen", "--format"),
         ("assume", "--seed"), ("assume", "--p"), ("assume", "--tol"), ("assume", "--format"),
-        ("solve", "--seed"), ("solve", "--n"), ("solve", "--c0"), ("solve", "--format"),
+        ("solve", "--seed"), ("solve", "--n"), ("solve", "--p"), ("solve", "--c0"),
+        ("solve", "--format"),
         ("arrowhead", "--p"), ("arrowhead", "--c0"), ("arrowhead", "--format"),
         ("exp", "--seed"), ("exp", "--n"), ("exp", "--p"), ("exp", "--c0"), ("exp", "--tol"),
     ])
@@ -263,7 +264,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, flags", [
         ("gen", {"--kind", "--dist", "--trunc", "--scalar", "--spectrum", "--seed", "--n", "--p"}),
         ("assume", {"--spectrum", "--n", "--c0"}),
-        ("solve", {"--matrix", "--noise", "--certificate-cap", "--p", "--tol"}),
+        ("solve", {"--matrix", "--noise", "--certificate-cap", "--tol"}),
         ("arrowhead", {"--spectrum", "--seed", "--n", "--tol"}),
         ("exp", {"--config", "--threads", "--out-dir", "--format"}),
     ])
@@ -307,6 +308,18 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err == "error: tol must be finite and positive, got 0.0\n"
+
+    @pytest.mark.parametrize("cap", ["nan", "-1", "0"])
+    def test_usage_error_bad_certificate_cap(self, capsys, tmp_path, cap):
+        (tmp_path / "A.json").write_text(matrix_to_json(np.diag([3.0, 2.0, 1.0])))
+        (tmp_path / "E.json").write_text(matrix_to_json(np.zeros((3, 3))))
+        code, out, err = run_cli(
+            capsys, "solve", "--matrix", str(tmp_path / "A.json"), "--noise", str(tmp_path / "E.json"),
+            "--certificate-cap", cap,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: certificate_cap must be positive")
 
     def test_usage_error_bad_json(self, capsys, tmp_path):
         p = tmp_path / "bad.json"
