@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericFailureError
-from .matcore import Spectrum
+from .matcore import Spectrum, json_fields
 
 __all__ = ["SecularSolution", "solve_gamma", "arrowhead_eigvec", "lower_bound_check"]
 
@@ -38,13 +38,7 @@ class SecularSolution:
         return np.concatenate(([self.a], self.w))
 
     def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "rho": [float(x) for x in self.rho],
-            "a": self.a,
-            "w": [float(x) for x in self.w],
-            "top_eigenvalue": self.top_eigenvalue,
-        }
+        return json_fields(self)
 
 
 def _secular(gamma: float, g2: np.ndarray, gaps: np.ndarray) -> tuple[float, float]:

@@ -22,6 +22,7 @@ from .matcore import (
     dual_exponent,
     force_hermitian,
     is_hermitian,
+    json_fields,
     lp_norm,
     operator_norm_exact,
 )
@@ -416,17 +417,7 @@ class AssumptionReport:
     rs_l2_bound: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "c0": self.c0,
-            "d": self.d,
-            "table": self.table,
-            "best_p": self.best_p,
-            "k_best": self.k_best,
-            "satisfied": self.satisfied,
-            "dk_bound": self.dk_bound,
-            "rs_l2_bound": self.rs_l2_bound,
-        }
+        return json_fields(self)
 
 
 def assumption_report(spectrum: Spectrum, c0: float = DEFAULT_C0) -> AssumptionReport:

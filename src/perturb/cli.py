@@ -33,7 +33,7 @@ from .ensembles import (
 )
 from .errors import PerturbError
 from .experiments import ExperimentConfig, run_and_export
-from .matcore import matrix_from_json, matrix_to_json, vector_to_json
+from .matcore import matrix_from_json, matrix_to_dict, matrix_to_json, vector_to_dict
 
 USAGE_ERROR, NUMERIC_ERROR = 1, 2
 
@@ -166,9 +166,9 @@ def _cmd_gen(args) -> str:
         return matrix_to_json(sample_subgaussian_hermitian(args.n, dist, args.scalar or "real", seed))
     if args.kind == "arrowhead":
         g, E = sample_arrowhead_noise(args.n, seed)
-        return json.dumps({"g": json.loads(vector_to_json(g)), "E": json.loads(matrix_to_json(E))})
+        return json.dumps({"g": vector_to_dict(g), "E": matrix_to_dict(E)})
     A, E = sample_inconsistency_instance(args.n, 2.0 if args.p is None else args.p, seed)
-    return json.dumps({"A": json.loads(matrix_to_json(A)), "E": json.loads(matrix_to_json(E))})
+    return json.dumps({"A": matrix_to_dict(A), "E": matrix_to_dict(E)})
 
 
 def _cmd_assume(args) -> str:

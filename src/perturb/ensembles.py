@@ -17,16 +17,17 @@ Conventions recorded here because they are not canonical:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import InvalidSpectrumError
-from .matcore import Spectrum
+from .matcore import Spectrum, check_keys, json_fields
 
 __all__ = [
     "EntryDistribution",
     "SpectrumSpec",
+    "SPECTRUM_FAMILIES",
     "derive_stream",
     "rng_from_stream",
     "realize_spectrum",
@@ -107,11 +108,22 @@ class EntryDistribution:
         return draws / self._trunc_std()
 
 
+# The params each spectrum family reads (see realize_spectrum); a spec with
+# any other param is rejected.
+SPECTRUM_FAMILIES = {
+    "explicit": ("lambdas",),
+    "linear": ("scale",),
+    "multiscale": ("eps",),
+    "lowrank": ("r", "lambda1", "delta"),
+    "inconsistency": ("p",),
+}
+
+
 @dataclass(frozen=True)
 class SpectrumSpec:
     """Declarative spectrum family, realized by :func:`realize_spectrum`.
 
-    families and params:
+    families and params (SPECTRUM_FAMILIES; ValueError on any other):
       explicit      {"lambdas": [...]}
       linear        {"scale": s}            lambda_j = (n+1-j) * s
       multiscale    {"eps": e}              lambda_j = (n+1-j) * (log n)^(2+e)
@@ -123,9 +135,18 @@ class SpectrumSpec:
     n: int
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.family not in SPECTRUM_FAMILIES:
+            raise ValueError(f"unknown spectrum family {self.family!r}")
+        check_keys(self.params, SPECTRUM_FAMILIES[self.family], f"spectrum family {self.family!r}")
+
     @staticmethod
     def from_dict(obj: dict, n: int | None = None) -> "SpectrumSpec":
-        """Spec from its JSON form; n sizes a spec without "n" and must match one with it."""
+        """Spec from its JSON form, keyed by the field names only.
+
+        n sizes a spec without "n" and must match one with it.
+        """
+        check_keys(obj, [f.name for f in fields(SpectrumSpec)], "spectrum spec")
         if n is not None and "n" in obj and int(obj["n"]) != n:
             raise ValueError(f"spectrum spec has n = {obj['n']}, but n = {n} was given")
         return SpectrumSpec(
@@ -135,7 +156,7 @@ class SpectrumSpec:
         )
 
     def to_dict(self) -> dict:
-        return {"family": self.family, "n": self.n, "params": dict(self.params)}
+        return json_fields(self)
 
     def with_n(self, n: int) -> "SpectrumSpec":
         return SpectrumSpec(family=self.family, n=int(n), params=self.params)
@@ -164,17 +185,16 @@ def realize_spectrum(spec: SpectrumSpec) -> Spectrum:
         lam = np.zeros(n)
         lam[:r] = lam1 - delta * np.arange(r)
         return Spectrum(lam)
-    if fam == "inconsistency":
-        p = float(prm["p"])
-        if not 2.0 <= p < math.inf:
-            raise InvalidSpectrumError("inconsistency family needs p in [2, inf)")
-        # gaps lambda1 - lambda_{j+1} = j^((p-2)/p) n^(1/p) / log^2 n, anchored at
-        # lambda_n = 3 sqrt(n). Defined for j >= 1 so the p=2 exponent 0 is safe.
-        jj = np.arange(1, n, dtype=np.float64)
-        gaps = jj ** ((p - 2.0) / p) * n ** (1.0 / p) / math.log(n) ** 2
-        lam1 = 3.0 * math.sqrt(n) + gaps[-1]
-        return Spectrum(np.concatenate(([lam1], lam1 - gaps)))
-    raise ValueError(f"unknown spectrum family {fam!r}")
+    # the inconsistency family, the last one SpectrumSpec admits
+    p = float(prm["p"])
+    if not 2.0 <= p < math.inf:
+        raise InvalidSpectrumError("inconsistency family needs p in [2, inf)")
+    # gaps lambda1 - lambda_{j+1} = j^((p-2)/p) n^(1/p) / log^2 n, anchored at
+    # lambda_n = 3 sqrt(n). Defined for j >= 1 so the p=2 exponent 0 is safe.
+    jj = np.arange(1, n, dtype=np.float64)
+    gaps = jj ** ((p - 2.0) / p) * n ** (1.0 / p) / math.log(n) ** 2
+    lam1 = 3.0 * math.sqrt(n) + gaps[-1]
+    return Spectrum(np.concatenate(([lam1], lam1 - gaps)))
 
 
 def _mirror(upper_strict: np.ndarray, diag: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import csv
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +33,22 @@ from .ensembles import (
     sample_subgaussian_hermitian,
 )
 from .errors import GapCollapseError, NumericFailureError
-from .matcore import EigDecomposition, dual_exponent, hermitian_eig, lp_norm, operator_norm_exact
+from .matcore import (
+    EigDecomposition,
+    check_keys,
+    dual_exponent,
+    hermitian_eig,
+    json_fields,
+    lp_norm,
+    operator_norm_exact,
+)
 
 __all__ = [
     "ExperimentConfig",
     "TrialRecord",
     "SummaryStats",
     "EXPERIMENT_KINDS",
+    "ENSEMBLE_TAGS",
     "run_experiment",
     "summarize",
     "export_records",
@@ -49,6 +58,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One campaign: its JSON form has exactly these field names as keys.
+
+    ``ensemble`` is {"tag": ..., "params": {...}} (ENSEMBLE_TAGS), ``output``
+    {"path": ..., "format": "csv" | "json"}; any other key is a ValueError.
+    """
+
     kind: str
     spectrum: SpectrumSpec
     ensemble: dict
@@ -65,11 +80,19 @@ class ExperimentConfig:
             raise ValueError("trials >= 1 required")
         if any(n < 2 for n in self.n_list):
             raise ValueError("every n must be >= 2")
+        _noise_law(self.ensemble)
+        check_keys(self.output, ("path", "format"), "output")
+        fmt = self.output.get("format", "csv")
+        if fmt not in ("csv", "json"):
+            raise ValueError(f"output format must be 'csv' or 'json', got {fmt!r}")
 
     @staticmethod
     def from_dict(obj: dict) -> "ExperimentConfig":
+        """Config from its JSON form; "seed" is an int or {"master": int}."""
+        check_keys(obj, [f.name for f in fields(ExperimentConfig)], "experiment config")
         seed = obj.get("seed", 0)
         if isinstance(seed, dict):
+            check_keys(seed, ("master",), "seed")
             seed = seed.get("master", 0)
         return ExperimentConfig(
             kind=obj["kind"],
@@ -83,16 +106,7 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "spectrum": self.spectrum.to_dict(),
-            "ensemble": dict(self.ensemble),
-            "n_list": list(self.n_list),
-            "trials": self.trials,
-            "seed": {"master": self.seed},
-            "p": self.p,
-            "output": dict(self.output),
-        }
+        return {**json_fields(self), "seed": {"master": self.seed}}
 
 
 @dataclass(frozen=True)
@@ -104,13 +118,7 @@ class TrialRecord:
     statistics: dict
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "trial_index": self.trial_index,
-            "stream": self.stream,
-            "statistics": dict(self.statistics),
-        }
+        return json_fields(self)
 
 
 @dataclass(frozen=True)
@@ -120,7 +128,7 @@ class SummaryStats:
     groups: tuple
 
     def to_dict(self) -> dict:
-        return {"groups": [dict(g) for g in self.groups]}
+        return json_fields(self)
 
 
 def _quantile(sorted_vals: np.ndarray, q: float) -> float:
@@ -165,19 +173,37 @@ def summarize(records: list[TrialRecord]) -> SummaryStats:
 # Per-kind trial handlers
 # ---------------------------------------------------------------------------
 
+# The params each ensemble tag reads (see _draw_noise).
+ENSEMBLE_TAGS = {
+    "zero": (),  # diagnostic: exercises the pipeline with E = 0
+    "goe": (),
+    "gue": (),
+    "subgaussian": ("dist", "trunc", "scalar"),
+}
+
+
+def _noise_law(ensemble: dict) -> tuple[str, dict]:
+    """The ensemble's tag (default "goe") and params; ValueError on a key or param nothing reads."""
+    check_keys(ensemble, ("tag", "params"), "ensemble")
+    tag, params = ensemble.get("tag", "goe"), ensemble.get("params", {})
+    if tag not in ENSEMBLE_TAGS:
+        raise ValueError(f"unknown ensemble tag {tag!r}")
+    check_keys(params, ENSEMBLE_TAGS[tag], f"ensemble tag {tag!r}")
+    if "trunc" in params and params.get("dist") != "truncated_gaussian":
+        raise ValueError("ensemble reads trunc only with dist truncated_gaussian")
+    return tag, params
+
+
 def _draw_noise(ensemble: dict, n: int, stream: int) -> np.ndarray:
-    tag = ensemble.get("tag", "goe")
-    params = ensemble.get("params", {})
-    if tag == "zero":  # diagnostic: exercises the pipeline with E = 0
+    tag, params = _noise_law(ensemble)
+    if tag == "zero":
         return np.zeros((n, n))
     if tag == "goe":
         return sample_goe(n, stream)
     if tag == "gue":
         return sample_gue(n, stream)
-    if tag == "subgaussian":
-        dist = EntryDistribution(params.get("dist", "gaussian"), params.get("trunc", 3.0))
-        return sample_subgaussian_hermitian(n, dist, params.get("scalar", "real"), stream)
-    raise ValueError(f"unknown ensemble tag {tag!r}")
+    dist = EntryDistribution(params.get("dist", "gaussian"), params.get("trunc", 3.0))
+    return sample_subgaussian_hermitian(n, dist, params.get("scalar", "real"), stream)
 
 
 def _diag_instance(cfg: ExperimentConfig, n: int):
@@ -366,7 +392,7 @@ def run_experiment(
 # ---------------------------------------------------------------------------
 
 def export_records(records: list[TrialRecord], fmt: str, path) -> None:
-    """Write records as CSV (header kind,n,trial_index,stream,<sorted stats>) or JSON."""
+    """Write records as JSON or CSV from TrialRecord's fields; CSV spreads statistics by name."""
     if not records:
         raise ValueError("no records to export")
     if any(not r.statistics for r in records):
@@ -378,14 +404,14 @@ def export_records(records: list[TrialRecord], fmt: str, path) -> None:
         return
     if fmt != "csv":
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+    columns = [f.name for f in fields(TrialRecord)][:-1]  # statistics: one column per name
     names = sorted(records[0].statistics)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["kind", "n", "trial_index", "stream"] + names)
+        writer.writerow(columns + names)
         for r in records:
             writer.writerow(
-                [r.kind, r.n, r.trial_index, r.stream]
-                + [repr(float(r.statistics[k])) for k in names]
+                [getattr(r, c) for c in columns] + [repr(float(r.statistics[k])) for k in names]
             )
 
 

@@ -7,6 +7,7 @@ deliberately boring: dense float64/complex128 arrays, deterministic output.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -25,8 +26,12 @@ __all__ = [
     "hermitian_eig",
     "is_hermitian",
     "force_hermitian",
+    "check_keys",
+    "json_fields",
+    "matrix_to_dict",
     "matrix_to_json",
     "matrix_from_json",
+    "vector_to_dict",
     "vector_to_json",
 ]
 
@@ -246,7 +251,7 @@ def hermitian_eig(M: np.ndarray) -> EigDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# JSON round-trips (CLI wire format)
+# JSON form (CLI wire format, reports and records)
 # ---------------------------------------------------------------------------
 
 def _encode_entries(a: np.ndarray):
@@ -258,16 +263,53 @@ def _encode_entries(a: np.ndarray):
 def _decode_entries(entries, scalar: str) -> np.ndarray:
     if scalar == "complex":
         return np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
-    return np.asarray(entries, dtype=np.float64)
+    if scalar == "real":
+        return np.asarray(entries, dtype=np.float64)
+    raise ValueError(f"scalar must be 'real' or 'complex', got {scalar!r}")
+
+
+def _json_value(v):
+    if isinstance(v, np.ndarray):
+        return _encode_entries(v)
+    if dataclasses.is_dataclass(v):
+        return json_fields(v)
+    if isinstance(v, dict):
+        return {k: _json_value(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_value(x) for x in v]
+    return v
+
+
+def json_fields(obj) -> dict:
+    """A dataclass's fields in declaration order, as JSON-ready values.
+
+    Arrays become their entries (complex ones as [re, im], as in
+    matrix_to_json) and nested dataclasses dicts; dicts, lists and tuples
+    are copied.
+    """
+    return {f.name: _json_value(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+
+
+def check_keys(obj: dict, allowed, what: str) -> None:
+    """Raise ValueError if ``obj`` has a key outside ``allowed``: nothing would read it."""
+    unread = sorted(set(obj) - set(allowed))
+    if unread:
+        raise ValueError(f"{what} does not read {', '.join(map(repr, unread))}; "
+                         f"it reads {', '.join(map(repr, allowed)) or 'no keys'}")
+
+
+def matrix_to_dict(M: np.ndarray) -> dict:
+    M = np.atleast_2d(np.asarray(M))
+    scalar = "complex" if np.iscomplexobj(M) else "real"
+    return {"n": M.shape[0], "scalar": scalar, "entries": _encode_entries(M)}
 
 
 def matrix_to_json(M: np.ndarray) -> str:
-    M = np.atleast_2d(np.asarray(M))
-    scalar = "complex" if np.iscomplexobj(M) else "real"
-    return json.dumps({"n": M.shape[0], "scalar": scalar, "entries": _encode_entries(M)})
+    return json.dumps(matrix_to_dict(M))
 
 
 def matrix_from_json(text: str) -> np.ndarray:
+    """Square matrix from matrix_to_json's form; ValueError on an unknown scalar or size."""
     obj = json.loads(text)
     n = int(obj["n"])
     entries = _decode_entries(obj["entries"], obj["scalar"])
@@ -276,7 +318,11 @@ def matrix_from_json(text: str) -> np.ndarray:
     return entries.reshape(n, n)
 
 
-def vector_to_json(v: np.ndarray) -> str:
+def vector_to_dict(v: np.ndarray) -> dict:
     v = np.asarray(v)
     scalar = "complex" if np.iscomplexobj(v) else "real"
-    return json.dumps({"len": int(v.size), "scalar": scalar, "entries": _encode_entries(v)})
+    return {"len": int(v.size), "scalar": scalar, "entries": _encode_entries(v)}
+
+
+def vector_to_json(v: np.ndarray) -> str:
+    return json.dumps(vector_to_dict(v))

@@ -61,6 +61,7 @@ from .matcore import (
     force_hermitian,
     hermitian_eig,
     is_hermitian,
+    json_fields,
     lp_norm,
 )
 
@@ -172,26 +173,7 @@ class SolverReport:
     fallback_reason: str = ""
 
     def to_dict(self) -> dict:
-        def seq(v):
-            if np.iscomplexobj(v):
-                return [[float(z.real), float(z.imag)] for z in np.asarray(v)]
-            return [float(x) for x in np.asarray(v)]
-
-        return {
-            "q": seq(self.q),
-            "u_tilde": seq(self.u_tilde),
-            "lambda_tilde": self.lambda_tilde,
-            "iterations": self.iterations,
-            "contraction_upper": self.contraction_upper,
-            "contraction_rung": self.contraction_rung,
-            "residual2": self.residual2,
-            "orth_residual": self.orth_residual,
-            "coord_ratios": seq(self.coord_ratios),
-            "q_norm2": self.q_norm2,
-            "leading_certified": self.leading_certified,
-            "method": self.method,
-            "fallback_reason": self.fallback_reason,
-        }
+        return json_fields(self)
 
 
 def partition(eig: EigDecomposition, E: np.ndarray) -> PartitionedPerturbation:
@@ -294,8 +276,10 @@ def _spectral_upper(e22: np.ndarray, d: np.ndarray) -> float:
 
     S is formed as E22 * (w w^T) with w = 1 / sqrt(d). The product w_i w_j
     equals w_j w_i bit for bit, so for an exactly Hermitian E22 the computed
-    S is exactly Hermitian too, and the exact-norm fallback of
-    opnorm_pp_upper takes its eigenvalues with no Gram matrix.
+    S is exactly Hermitian too. The proof (bounds._spectral_norm_upper)
+    forms the Gram matrix S* S, an n^3 product, for its Lanczos estimate and
+    Cholesky factorization; only when that proof is inconclusive does the
+    exact-norm fallback read eigvalsh(S), with no Gram matrix.
 
     Rounding, with u = eps/2 and m the order of S: d may carry one rounding,
     as fl(t - a) does, and fl(sqrt(d_j)) and the reciprocal add one each, so
@@ -326,8 +310,9 @@ def contraction_gate(d: np.ndarray, e22: np.ndarray, cap: float) -> ContractionG
     Rungs, cheapest first: "weighted-frobenius", the padded ||S||_F, in
     O(n^2) (||S||_2 <= ||S||_F); then "spectral", ||S||_2 itself, padded
     (_spectral_upper: a Lanczos estimate proved by one Cholesky
-    factorization, within a relative 1e-9 of the exact norm). When neither
-    is at most ``cap``, returns the smaller.
+    factorization of the Gram matrix S* S, an n^3 product formed in
+    bounds._spectral_norm_upper, within a relative 1e-9 of the exact norm).
+    When neither is at most ``cap``, returns the smaller.
     """
     frobenius = ContractionGate(_weighted_frobenius_upper(e22, d), "weighted-frobenius")
     if frobenius.bound <= cap:
@@ -344,6 +329,14 @@ def _unit(spectrum: Spectrum) -> float:
     unit-scale copy is.
     """
     return min(1.0, max(abs(float(spectrum.lambdas[0])), abs(float(spectrum.lambdas[-1]))))
+
+
+def _check_options(tol: float, certificate_cap: float) -> None:
+    """ValueError unless tol is finite and positive and certificate_cap positive (inf allowed)."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not certificate_cap > 0.0:
+        raise ValueError(f"certificate_cap must be positive, got {certificate_cap}")
 
 
 def solve_q(
@@ -373,10 +366,7 @@ def solve_q(
     Raises ValueError unless tol is finite and positive and certificate_cap
     is positive (inf admits every finite bound).
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    if not certificate_cap > 0.0:
-        raise ValueError(f"certificate_cap must be positive, got {certificate_cap}")
+    _check_options(tol, certificate_cap)
     d = build_shifted_gaps(spectrum, part.e11)
     gate = contraction_gate(d, part.e22, certificate_cap)
     if not gate.bound <= certificate_cap:
@@ -687,10 +677,12 @@ def solve(
     are reported; the bound is inf when the shifted gaps collapse or the
     spectral rung's eigensolver fails (a NumericFailureError, which falls
     back like the others). ``tol`` must be finite and positive and
-    ``certificate_cap`` positive (inf allowed), else ValueError. A top
+    ``certificate_cap`` positive (inf allowed), else ValueError before any
+    work on A or E. A top
     eigenvalue that is not simple, of A or of A + E where the oracle
     decides, raises InvalidSpectrumError.
     """
+    _check_options(tol, certificate_cap)
     A, E = np.asarray(A), np.asarray(E)
     _check_operands(A, E, eig)
     if eig is None:

@@ -230,6 +230,24 @@ class TestExp:
         assert (tmp_path / "o2/records.json").exists()
 
 
+    @pytest.mark.parametrize("change, unread", [
+        ({"seed": {"mastr": 5}}, "'mastr'"),
+        ({"ensembel": {"tag": "gue"}}, "'ensembel'"),
+        ({"P": 4}, "'P'"),
+        ({"spectrum": {"family": "multiscale", "params": {"epsilon": 5}}}, "'epsilon'"),
+        ({"ensemble": {"tag": "goe", "params": {"dist": "rademacher"}}}, "'dist'"),
+        ({"output": {"path": "out", "fromat": "json"}}, "'fromat'"),
+    ])
+    def test_unread_config_key_is_a_usage_error(self, capsys, tmp_path, change, unread):
+        cfg = {"kind": "weyl", "n_list": [8], "trials": 1, **change}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "exp", "--config", str(cfg_path), "--out-dir", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert f"does not read {unread}" in err
+        assert not (tmp_path / "records.csv").exists()
+
+
 class TestExitCodes:
     def test_usage_error_unknown_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -320,6 +338,15 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("error: certificate_cap must be positive")
+
+    def test_usage_error_unknown_matrix_scalar(self, capsys, tmp_path):
+        (tmp_path / "A.json").write_text('{"n": 2, "scalar": "bogus", "entries": [2, 0, 0, 1]}')
+        (tmp_path / "E.json").write_text(matrix_to_json(np.zeros((2, 2))))
+        code, out, err = run_cli(
+            capsys, "solve", "--matrix", str(tmp_path / "A.json"), "--noise", str(tmp_path / "E.json")
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: scalar must be 'real' or 'complex', got 'bogus'\n"
 
     def test_usage_error_bad_json(self, capsys, tmp_path):
         p = tmp_path / "bad.json"

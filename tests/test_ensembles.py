@@ -177,6 +177,25 @@ class TestSpectrumSpecFromDict:
         with pytest.raises(ValueError, match="n = 3.*n = 10"):
             SpectrumSpec.from_dict({"family": "linear", "n": 3, "params": {"scale": 1}}, n=10)
 
+    def test_unread_key_rejected(self):
+        with pytest.raises(ValueError, match="does not read 'size'"):
+            SpectrumSpec.from_dict({"family": "linear", "size": 3, "params": {"scale": 1}})
+
+    @pytest.mark.parametrize("family, param", [
+        ("explicit", "lambda"),
+        ("linear", "eps"),
+        ("multiscale", "epsilon"),
+        ("lowrank", "rank"),
+        ("inconsistency", "eps"),
+    ])
+    def test_param_the_family_does_not_read_rejected(self, family, param):
+        with pytest.raises(ValueError, match=f"'{family}' does not read '{param}'"):
+            SpectrumSpec.from_dict({"family": family, "n": 4, "params": {param: 1.0}})
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="unknown spectrum family 'geometric'"):
+            SpectrumSpec("geometric", 4)
+
 
 class TestRealizeSpectrum:
     def test_linear(self):

@@ -1,12 +1,20 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from perturb import bounds, experiments, rs_solver
-from perturb.ensembles import SpectrumSpec, realize_spectrum, rng_from_stream, sample_goe
+from perturb.ensembles import (
+    EntryDistribution,
+    SpectrumSpec,
+    realize_spectrum,
+    rng_from_stream,
+    sample_goe,
+    sample_subgaussian_hermitian,
+)
 from perturb.experiments import (
     ExperimentConfig,
     TrialRecord,
@@ -47,6 +55,56 @@ class TestConfig:
         cfg = make_cfg("upper_bound", n_list=(8, 16))
         back = ExperimentConfig.from_dict(cfg.to_dict())
         assert back == cfg
+
+    BASE = {"kind": "weyl", "n_list": [8], "trials": 1}
+
+    @pytest.mark.parametrize("change, unread", [
+        ({"P": 4}, "'P'"),
+        ({"ensembel": {"tag": "gue"}}, "'ensembel'"),
+        ({"seed": {"mastr": 5}}, "'mastr'"),
+        ({"seed": {"master": 5, "stream": 1}}, "'stream'"),
+        ({"ensemble": {"tag": "goe", "param": {}}}, "'param'"),
+        ({"ensemble": {"tag": "goe", "params": {"dist": "rademacher"}}}, "'dist'"),
+        ({"ensemble": {"tag": "zero", "params": {"scale": 2}}}, "'scale'"),
+        ({"ensemble": {"tag": "subgaussian", "params": {"distribution": "rademacher"}}},
+         "'distribution'"),
+        ({"output": {"path": "out", "fromat": "json"}}, "'fromat'"),
+        ({"spectrum": {"family": "multiscale", "params": {"epsilon": 5}}}, "'epsilon'"),
+        ({"spectrum": {"family": "multiscale", "parms": {"eps": 5}}}, "'parms'"),
+    ])
+    def test_unread_key_rejected(self, change, unread):
+        with pytest.raises(ValueError, match=f"does not read {unread}"):
+            ExperimentConfig.from_dict({**self.BASE, **change})
+
+    @pytest.mark.parametrize("ensemble, message", [
+        ({"tag": "cauchy"}, "unknown ensemble tag 'cauchy'"),
+        ({"tag": "goe", "params": {"dist": "rademacher"}}, "does not read 'dist'"),
+        ({"tag": "subgaussian", "params": {"trunc": 2.0}}, "trunc only with dist truncated_gaussian"),
+    ])
+    def test_constructor_checks_the_ensemble(self, ensemble, message):
+        # rejected when the config is made, before any trial runs
+        with pytest.raises(ValueError, match=message):
+            make_cfg("weyl", ensemble=ensemble)
+
+    def test_bad_output_format_rejected_before_the_run(self):
+        with pytest.raises(ValueError, match="output format must be 'csv' or 'json', got 'xml'"):
+            make_cfg("weyl", output={"path": "out", "format": "xml"})
+
+    def test_subgaussian_params_are_read(self):
+        ensemble = {"tag": "subgaussian",
+                    "params": {"dist": "truncated_gaussian", "trunc": 2.0, "scalar": "complex"}}
+        cfg = make_cfg("weyl", ensemble=ensemble, trials=1)
+        rec = run_experiment(cfg)[0][0]
+        X = sample_subgaussian_hermitian(16, EntryDistribution("truncated_gaussian", 2.0),
+                                         "complex", rec.stream)
+        assert rec.statistics["margin"] == bounds.verify_shifted_domination(
+            X, experiments._weyl_mu(16), tau=0.0)[1]
+
+    def test_readme_config_is_valid(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Experiment configs", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+        cfg = ExperimentConfig.from_dict(json.loads(block))
+        assert (cfg.kind, cfg.seed, cfg.n_list) == ("upper_bound", 7, (64, 128, 256))
 
 
 class TestPaperNorm:

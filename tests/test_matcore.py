@@ -260,3 +260,9 @@ class TestJsonRoundTrip:
     def test_bad_length(self):
         with pytest.raises(ValueError):
             matrix_from_json('{"n": 2, "scalar": "real", "entries": [1, 2, 3]}')
+
+    @pytest.mark.parametrize("scalar", ["bogus", "Real", ""])
+    def test_unknown_scalar_rejected(self, scalar):
+        text = json.dumps({"n": 1, "scalar": scalar, "entries": [1.0]})
+        with pytest.raises(ValueError, match="scalar must be 'real' or 'complex'"):
+            matrix_from_json(text)

@@ -1099,7 +1099,7 @@ class TestSolveDriver:
         with pytest.raises(ValueError, match=message):
             solve(A, E, verify=False)
 
-    @pytest.mark.parametrize("kwargs,message", [
+    BAD_OPTIONS = [
         ({"tol": 0.0}, "tol must be finite and positive"),
         ({"tol": -1e-9}, "tol must be finite and positive"),
         ({"tol": math.inf}, "tol must be finite and positive"),
@@ -1107,11 +1107,28 @@ class TestSolveDriver:
         ({"certificate_cap": math.nan}, "certificate_cap must be positive"),
         ({"certificate_cap": -1.0}, "certificate_cap must be positive"),
         ({"certificate_cap": 0.0}, "certificate_cap must be positive"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("kwargs,message", BAD_OPTIONS)
     def test_bad_parameters_rejected(self, kwargs, message):
         s = spectrum(3, 2, 1)
         with pytest.raises(ValueError, match=message):
             solve(np.diag(s.lambdas), 0.1 * sample_goe(3, 7), **kwargs)
+
+    @pytest.mark.parametrize("kwargs,message", BAD_OPTIONS)
+    def test_bad_parameters_rejected_before_any_work(self, monkeypatch, kwargs, message):
+        # the eigenbasis of A and the partition of E are most of a dense solve
+        def fail(*args):
+            raise AssertionError("solve worked on A and E before checking its options")
+
+        monkeypatch.setattr(rs_solver, "hermitian_eig", fail)
+        monkeypatch.setattr(rs_solver, "partition", fail)
+        with pytest.raises(ValueError, match=message) as via_solve:
+            solve(sample_goe(8, 3), sample_goe(8, 4), **kwargs)
+        part = rs_solver.PartitionedPerturbation(0.0, np.zeros(2), np.zeros((2, 2)))
+        with pytest.raises(ValueError) as via_solve_q:
+            rs_solver.solve_q(part, spectrum(3, 2, 1), **kwargs)
+        assert str(via_solve.value) == str(via_solve_q.value)
 
     def test_subnormal_tol_reports(self):
         # the step cap grows with log2(1/tol), which stays finite for any positive tol
