@@ -2,7 +2,7 @@
 
 Library layout:
 
-* :mod:`perturb.matcore` -- dense Hermitian arithmetic and the eig oracle
+* :mod:`perturb.matcore` -- dense Hermitian arithmetic and the eigen oracles
 * :mod:`perturb.ensembles` -- seeded random-matrix samplers and spectra
 * :mod:`perturb.bounds` -- gap functionals, operator-norm estimators and the Weyl check
 * :mod:`perturb.rs_solver` -- the quadratic fixed-point solver and certificates
@@ -63,6 +63,7 @@ from .matcore import (
     hermitian_eig,
     lp_norm,
     operator_norm_exact,
+    top_eigpair,
 )
 from .rs_solver import (
     PartitionedPerturbation,

@@ -454,7 +454,7 @@ def _trs_sphere_min(B: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
     for the multiplier sigma <= lambda_min(B) by bisection; the hard case
     (no root below lambda_min) pads with the bottom eigenvector.
     """
-    w, V = np.linalg.eigh(force_hermitian(B))
+    w, V = np.linalg.eigh(B if is_hermitian(B) else force_hermitian(B))
     ct = V.conj().T @ np.asarray(c)
     d_min = float(w[0])
     cnorm = float(np.linalg.norm(ct))
@@ -510,7 +510,7 @@ def verify_shifted_domination(
         raise ValueError("tau must lie in [0, 1]")
     B = np.diag(mu) - X
     if tau == 0.0 or g is None or not np.any(np.asarray(g)):
-        margin = float(np.linalg.eigvalsh(force_hermitian(B))[0])
+        margin = float(np.linalg.eigvalsh(B if is_hermitian(B) else force_hermitian(B))[0])
         return bool(margin >= 0.0), margin
     margin, _ = _trs_sphere_min(B, tau * np.asarray(g))
     return bool(margin >= 0.0), margin

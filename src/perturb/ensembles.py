@@ -198,11 +198,18 @@ def realize_spectrum(spec: SpectrumSpec) -> Spectrum:
 
 
 def _mirror(upper_strict: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """Assemble an exactly Hermitian matrix from a strict upper triangle and a real diagonal."""
+    """Assemble an exactly Hermitian matrix from a strict upper triangle and a real diagonal.
+
+    The packed triangle is in row-major order, as np.triu_indices(n, 1) lists
+    it; it is copied one row slice at a time, which is faster than indexing
+    with those indices.
+    """
     n = diag.size
     out = np.zeros((n, n), dtype=upper_strict.dtype)
-    iu = np.triu_indices(n, k=1)
-    out[iu] = upper_strict
+    start = 0
+    for i in range(n - 1):
+        out[i, i + 1:] = upper_strict[start:start + n - 1 - i]
+        start += n - 1 - i
     out = out + out.conj().T
     out[np.diag_indices(n)] = diag
     return out

@@ -37,10 +37,10 @@ from .matcore import (
     EigDecomposition,
     check_keys,
     dual_exponent,
-    hermitian_eig,
     json_fields,
     lp_norm,
     operator_norm_exact,
+    top_eigpair,
 )
 
 __all__ = [
@@ -233,15 +233,16 @@ def _paper_norms(spectrum, eig: EigDecomposition, E: np.ndarray, p: float) -> tu
 
 
 def _oracle_angle(spectrum, A: np.ndarray, eig: EigDecomposition, E: np.ndarray):
-    """hermitian_eig(A + E), and its sin-theta to u1 beside the Davis-Kahan and sin-theta bounds.
+    """top_eigpair(A + E): its eigenvalue, and its vector's sin-theta to u1 beside two bounds.
 
-    sin-theta is the norm of the top vector's component orthogonal to u1
-    (||v[1:]||_2 on the identity basis), which resolves angles far below
-    the ~1.5e-8 floor of sqrt(1 - overlap^2).
+    The bounds are Davis-Kahan's and the paper's sin-theta bound. sin-theta
+    is the norm of the top vector's component orthogonal to u1 (||v[1:]||_2
+    on the identity basis), which resolves angles far below the ~1.5e-8
+    floor of sqrt(1 - overlap^2).
     """
-    tilde_eig = hermitian_eig(A + E)
-    u1, top = eig.leading_vector(), tilde_eig.basis[:, 0]
-    return tilde_eig, {
+    lambda_max, top = top_eigpair(A + E)
+    u1 = eig.leading_vector()
+    return lambda_max, {
         "sin_theta": min(1.0, float(np.linalg.norm(top - u1 * np.vdot(u1, top)))),
         "dk_bound": bounds.davis_kahan_bound(spectrum, operator_norm_exact(E, 2)),
         "rs_bound": bounds.rs_sin_theta_bound(spectrum, 1.0),
@@ -252,8 +253,8 @@ def _trial_upper_bound(cfg: ExperimentConfig, n: int, stream: int) -> dict:
     spectrum, A, eig = _diag_instance(cfg, n)
     E = _draw_noise(cfg.ensemble, n, stream)
     report = rs_solver.solve(A, E, eig=eig, verify=False)
-    tilde_eig, oracle = _oracle_angle(spectrum, A, eig, E)
-    rs_solver.verify_solution(A, E, report, spectrum, eig=eig, tilde_eig=tilde_eig)
+    lambda_max, oracle = _oracle_angle(spectrum, A, eig, E)
+    rs_solver.verify_solution(A, E, report, spectrum, eig=eig, lambda_max=lambda_max)
     q_norm = report.q_norm2
     return {
         "max_coord_ratio": float(report.coord_ratios.max()),
@@ -338,12 +339,8 @@ def _trial_event_diagnostics(cfg: ExperimentConfig, n: int, stream: int) -> dict
 def _trial_phase_transition(cfg: ExperimentConfig, n: int, stream: int) -> dict:
     spectrum, A, _ = _diag_instance(cfg, n)
     E = _draw_noise(cfg.ensemble, n, stream) / math.sqrt(n)  # edge-normalized noise
-    tilde_eig = hermitian_eig(A + E)
-    top = tilde_eig.basis[:, 0]
-    return {
-        "overlap_sq": float(abs(top[0]) ** 2),
-        "lambda_max": float(tilde_eig.spectrum.lambdas[0]),
-    }
+    lambda_max, top = top_eigpair(A + E)
+    return {"overlap_sq": float(abs(top[0]) ** 2), "lambda_max": lambda_max}
 
 
 EXPERIMENT_KINDS = {

@@ -1,8 +1,12 @@
-"""Dense Hermitian matrix/vector arithmetic, lp norms, and the eigendecomposition oracle.
+"""Dense Hermitian matrix/vector arithmetic, lp norms, and the two eigen oracles.
 
 Everything downstream (the fixed-point solver, the secular solver, the Monte
-Carlo harness) is validated against :func:`hermitian_eig`, so this module is
+Carlo harness) is validated against these oracles, so this module is
 deliberately boring: dense float64/complex128 arrays, deterministic output.
+:func:`hermitian_eig` is the full eigendecomposition, used for the eigenbasis
+of A. :func:`top_eigpair` is the leading eigenpair alone, from eigvalsh and
+inverse iteration; it is the oracle for A + E, where every caller reads only
+the top eigenvalue or its vector.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ __all__ = [
     "dual_exponent",
     "operator_norm_exact",
     "hermitian_eig",
+    "top_eigpair",
     "is_hermitian",
     "force_hermitian",
     "check_keys",
@@ -248,6 +253,80 @@ def hermitian_eig(M: np.ndarray) -> EigDecomposition:
     if resid > 1e-10 * lp_norm(M, 2):
         raise NumericFailureError("eigendecomposition reconstruction failed", residual=resid)
     return EigDecomposition(spectrum=Spectrum(w), basis=v)
+
+
+# Inverse-iteration solves top_eigpair makes at most; one or two is the usual count.
+_INVERSE_SOLVES = 3
+# Seed of top_eigpair's fixed Gaussian start vector.
+_START_SEED = 0x7E1
+
+
+def top_eigpair(M: np.ndarray) -> tuple[float, np.ndarray]:
+    """Top eigenvalue and unit eigenvector of a self-adjoint M, without the other eigenvectors.
+
+    M is first scaled by the power of two that brings its largest entry into
+    [1, 2), which is exact, so inputs from 1e-300 to 1e300 are solved as
+    their unit-scale copies are and no norm below can overflow. The
+    eigenvalue lambda is the largest of np.linalg.eigvalsh(M). The vector
+    comes from inverse iteration, solves of (M - sigma I) x = b with
+    sigma = lambda + eps ||M||_2, the next float or more above lambda. The
+    first b is e_k, k the first index of the largest diagonal entry, plus a
+    fixed Gaussian vector of norm about 1 on the rows that have a nonzero
+    off-diagonal entry. So an exactly diagonal M gets b = e_k, a diagonal
+    M - sigma I with no zero entry, and the vector e_k exactly. Iteration
+    stops once the unit x has ||M x - (x* M x) x||_2 <= sqrt(n) eps ||M||_2,
+    the rounding level of the product M x, or after _INVERSE_SOLVES solves.
+
+    Keeps hermitian_eig's contract for the pair it returns: the vector's
+    largest-magnitude entry is real positive, a real M gives a real vector,
+    and output is deterministic. Raises ValueError unless M is exactly
+    self-adjoint; InvalidSpectrumError unless the top eigenvalue is simple
+    (or if M is 1 x 1); NumericFailureError when an entry is not finite,
+    when eigvalsh or a solve fails, or when ||M u - lambda u||_2 exceeds
+    1e-10 ||M||_F, hermitian_eig's reconstruction threshold applied to this
+    one pair.
+    """
+    M = np.atleast_2d(np.asarray(M))
+    if not is_hermitian(M):
+        raise ValueError("top_eigpair requires an exactly self-adjoint matrix")
+    n = M.shape[0]
+    if n < 2:
+        raise InvalidSpectrumError("the top eigenvalue of a 1 x 1 matrix has no gap")
+    big = float(np.abs(M).max())
+    if not math.isfinite(big):
+        raise NumericFailureError("top_eigpair requires finite entries")
+    exponent = math.frexp(big)[1] - 1 if big > 0.0 else 0
+    M = M * math.ldexp(1.0, -exponent)
+    try:
+        w = np.linalg.eigvalsh(M)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailureError(f"eigenvalue solver did not converge: {exc}") from exc
+    lam = float(w[-1])
+    if not lam > float(w[-2]):
+        raise InvalidSpectrumError("top eigenvalue must be simple (lambda1 > lambda2)")
+    eps = np.finfo(np.float64).eps
+    norm2 = max(abs(lam), abs(float(w[0])))
+    diag = M.diagonal()
+    coupled = np.count_nonzero(M, axis=1) > (diag != 0)
+    start = np.random.default_rng(_START_SEED).standard_normal(n) / math.sqrt(n)
+    b = np.where(coupled, start, 0.0)
+    b[int(np.argmax(diag.real))] += 1.0
+    shifted = M.copy()
+    shifted.flat[:: n + 1] -= lam + eps * norm2
+    for _ in range(_INVERSE_SOLVES):
+        try:
+            x = np.linalg.solve(shifted, b)
+        except np.linalg.LinAlgError as exc:
+            raise NumericFailureError(f"inverse iteration solve failed: {exc}") from exc
+        b = x / np.linalg.norm(x)
+        Mb = M @ b
+        if np.linalg.norm(Mb - np.vdot(b, Mb).real * b) <= math.sqrt(n) * eps * norm2:
+            break
+    resid = float(np.linalg.norm(Mb - lam * b))
+    if not resid <= 1e-10 * float(np.linalg.norm(M)):
+        raise NumericFailureError("inverse iteration residual too large", residual=resid)
+    anchor = b[int(np.abs(b).argmax())]
+    return math.ldexp(lam, exponent), b * (abs(anchor) / anchor)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,7 @@ from .matcore import (
     is_hermitian,
     json_fields,
     lp_norm,
+    top_eigpair,
 )
 
 __all__ = [
@@ -575,18 +576,19 @@ def verify_solution(
     report: SolverReport,
     spectrum: Spectrum,
     eig: EigDecomposition | None = None,
-    tilde_eig: EigDecomposition | None = None,
+    lambda_max: float | None = None,
 ) -> SolverReport:
     """Fill residuals and the leading-eigenpair certificate on a report.
 
     Certification needs both lambda~ > (lambda1 + lambda2)/2 and
     |lambda_max(A + E) - lambda~| <= tau with tau = 1e-9 (unit + |lambda~|),
     unit = min(1, max(|lambda_1|, |lambda_n|)) from ``spectrum``. Without
-    ``tilde_eig`` the second condition is proved for the exact A + E by the
+    ``lambda_max`` the second condition is proved for the exact A + E by the
     residual bound (lower side) and, for the upper side, Cauchy interlacing
     when ``eig`` has the identity basis, else one Cholesky factorization; see
-    _top_eigenvalue_within. When that proof is inconclusive, or when
-    ``tilde_eig`` is passed, lambda_max is read from the dense oracle.
+    _top_eigenvalue_within. When that proof is inconclusive, lambda_max is
+    read from the dense oracle, top_eigpair(A + E); a ``lambda_max`` passed
+    in (the oracle's top eigenvalue, already computed) is used as it is.
     Neither is tried when the first condition fails. Failures are recorded,
     never raised, except that the oracle raises InvalidSpectrumError when the
     top eigenvalue of A + E is not simple.
@@ -618,13 +620,12 @@ def verify_solution(
     tau = 1e-9 * (_unit(spectrum) + abs(lam))
     if not lam > half:
         report.leading_certified = False
-    elif tilde_eig is None and _top_eigenvalue_within(M, a, lam, report.residual2, tau):
+    elif lambda_max is None and _top_eigenvalue_within(M, a, lam, report.residual2, tau):
         report.leading_certified = True
     else:
-        if tilde_eig is None:
-            tilde_eig = hermitian_eig(M if a is None else A + E)
-        top = float(tilde_eig.spectrum.lambdas[0])
-        report.leading_certified = bool(abs(lam - top) <= tau)
+        if lambda_max is None:
+            lambda_max = top_eigpair(M if a is None else A + E)[0]
+        report.leading_certified = bool(abs(lam - lambda_max) <= tau)
     return report
 
 
@@ -670,9 +671,9 @@ def solve(
     ValueError; any other ``eig`` is trusted. Runs the partition / fixed-point /
     assembly chain; on any PerturbError there (gap collapse, contraction
     failure, divergence, a complex eigenvalue) it falls back to the dense
-    oracle's leading eigenpair, tags the report method "oracle-fallback"
-    and records the caught error as "<ErrorType>: <message>" in
-    ``fallback_reason`` (empty on "rs"), so pipelines never silently lose a
+    oracle's leading eigenpair, top_eigpair(A + E), tags the report method
+    "oracle-fallback" and records the caught error as "<ErrorType>: <message>"
+    in ``fallback_reason`` (empty on "rs"), so pipelines never silently lose a
     trial. The contraction gate runs once either way and its bound and rung
     are reported; the bound is inf when the shifted gaps collapse or the
     spectral rung's eigensolver fails (a NumericFailureError, which falls
@@ -689,7 +690,7 @@ def solve(
         eig = hermitian_eig(A)
     part = partition(eig, E)
     spectrum = eig.spectrum
-    tilde_eig = None
+    lambda_max = None
     gate = ContractionGate(math.inf, "")
     try:
         q, iterations, gate = solve_q(part, spectrum, tol=tol, certificate_cap=certificate_cap)
@@ -703,8 +704,7 @@ def solve(
             method="rs",
         )
     except PerturbError as err:
-        tilde_eig = hermitian_eig(A + E)
-        u_top = tilde_eig.basis[:, 0]
+        lambda_max, u_top = top_eigpair(A + E)
         head = complex(np.vdot(eig.leading_vector(), u_top))
         if abs(head) > 0:
             u_top = u_top * (abs(head) / head)  # overlap with u1 real nonnegative
@@ -714,7 +714,7 @@ def solve(
         report = SolverReport(
             q=q,
             u_tilde=u_top,
-            lambda_tilde=float(tilde_eig.spectrum.lambdas[0]),
+            lambda_tilde=lambda_max,
             iterations=0,
             contraction_upper=getattr(err, "certified_norm", gate.bound),
             contraction_rung=getattr(err, "rung", gate.rung),
@@ -722,7 +722,7 @@ def solve(
             fallback_reason=f"{type(err).__name__}: {err}",
         )
     if verify:
-        verify_solution(A, E, report, spectrum, eig=eig, tilde_eig=tilde_eig)
+        verify_solution(A, E, report, spectrum, eig=eig, lambda_max=lambda_max)
     else:
         report.coord_ratios = coordinate_bounds(report.q, spectrum)
         report.q_norm2 = float(np.linalg.norm(report.q))

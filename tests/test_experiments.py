@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from perturb import bounds, experiments, rs_solver
+from perturb import bounds, experiments, matcore, rs_solver
 from perturb.ensembles import (
     EntryDistribution,
     SpectrumSpec,
@@ -169,6 +169,24 @@ class TestRunExperiment:
         _, oracle = experiments._oracle_angle(spectrum, np.diag(spectrum.lambdas), eig, E)
         first_order = float(np.linalg.norm(E[1:, 0] / spectrum.gaps()))
         assert oracle["sin_theta"] == pytest.approx(first_order, rel=1e-3)
+
+    @pytest.mark.parametrize("tag", ["goe", "zero"])
+    def test_oracle_kinds_read_top_pair_only(self, monkeypatch, tag):
+        # A + E goes to top_eigpair; hermitian_eig is left for the eigenbasis of A
+        def fail(M):
+            raise AssertionError("full eigendecomposition in a campaign trial")
+
+        monkeypatch.setattr(matcore, "hermitian_eig", fail)
+        monkeypatch.setattr(rs_solver, "hermitian_eig", fail)
+        lowrank = SpectrumSpec("lowrank", 0, {"r": 1, "lambda1": 3.0, "delta": 3.0})
+        for kind, spectrum in (
+            ("upper_bound", MULTISCALE), ("dk_compare", MULTISCALE), ("phase_transition", lowrank),
+        ):
+            records, _ = run_experiment(make_cfg(kind, spectrum=spectrum, ensemble={"tag": tag}))
+            if tag == "zero":  # A + E = A is diagonal: its top vector is e_1 exactly
+                stats = records[0].statistics
+                assert stats.get("sin_theta_oracle", stats.get("sin_theta", 0.0)) == 0.0
+                assert stats.get("overlap_sq", 1.0) == 1.0
 
     def test_inconsistency_mean_norm_floor(self):
         cfg = make_cfg(

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perturb.ensembles import rng_from_stream
+from perturb.ensembles import (
+    SpectrumSpec,
+    realize_spectrum,
+    rng_from_stream,
+    sample_goe,
+    sample_gue,
+)
 from perturb.errors import InvalidSpectrumError, NumericFailureError, UnsupportedExponentError
 from perturb.matcore import (
     Spectrum,
@@ -18,6 +24,7 @@ from perturb.matcore import (
     matrix_from_json,
     matrix_to_json,
     operator_norm_exact,
+    top_eigpair,
     vector_to_json,
 )
 
@@ -161,6 +168,95 @@ class TestHermitianEig:
         M = scale * force_hermitian(rng_from_stream(31).standard_normal((6, 6)))
         with pytest.raises(NumericFailureError):
             hermitian_eig(M)
+
+
+def _oracle_input(kind: str, n: int) -> np.ndarray:
+    if kind == "goe":
+        return sample_goe(n, 41)
+    if kind == "gue":
+        return sample_gue(n, 43)
+    spectrum = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
+    return np.diag(spectrum.lambdas) + sample_goe(n, 47)
+
+
+class TestTopEigpair:
+    @pytest.mark.parametrize("n", [2, 3, 64, 256])
+    @pytest.mark.parametrize("kind", ["goe", "gue", "diag_noise"])
+    def test_agrees_with_hermitian_eig(self, kind, n):
+        M = _oracle_input(kind, n)
+        lam, u = top_eigpair(M)
+        eig = hermitian_eig(M)
+        top = float(eig.spectrum.lambdas[0])
+        assert abs(lam - top) <= 1e-13 * abs(top)
+        assert np.linalg.norm(u - eig.basis[:, 0]) <= 1e-12
+        # iteration ran to the rounding level of M u, not just under the 1e-12 above
+        Mu = M @ u
+        rounding = math.sqrt(n) * np.finfo(float).eps * np.abs(eig.spectrum.lambdas).max()
+        assert np.linalg.norm(Mu - np.vdot(u, Mu).real * u) <= 2.0 * rounding
+        assert np.iscomplexobj(u) == (kind == "gue")
+        anchor = u[np.abs(u).argmax()]
+        assert anchor.real > 0 and abs(anchor.imag) <= 1e-14 * abs(anchor)
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 256])
+    def test_diagonal_gives_unit_vector_exactly(self, n):
+        # the zero ensemble's A + E: no singular LU, and e_k exactly
+        lam = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0})).lambdas
+        order = rng_from_stream(53).permutation(n)
+        top, u = top_eigpair(np.diag(lam[order]))
+        k = int(np.argmax(lam[order]))
+        assert top == lam[0]
+        assert np.array_equal(u, np.eye(n)[k])
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    @pytest.mark.parametrize("kind", ["goe", "gue"])
+    def test_extreme_scale_as_unit_scale(self, kind, scale):
+        M = _oracle_input(kind, 64)
+        lam, u = top_eigpair(M)
+        lam_s, u_s = top_eigpair(scale * M)
+        assert abs(lam_s / scale - lam) <= 1e-13 * abs(lam)
+        assert np.linalg.norm(u_s - u) <= 1e-12
+
+    @pytest.mark.parametrize("exponent", [-996, 996])
+    def test_power_of_two_scale_is_exact(self, exponent):
+        M = _oracle_input("gue", 64)
+        lam, u = top_eigpair(M)
+        lam_s, u_s = top_eigpair(M * 2.0**exponent)
+        assert lam_s == math.ldexp(lam, exponent)
+        assert np.array_equal(u_s, u)
+
+    def test_deterministic(self):
+        M = _oracle_input("gue", 64)
+        (a, u), (b, v) = top_eigpair(M), top_eigpair(M)
+        assert a == b and np.array_equal(u, v)
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError):
+            top_eigpair(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("M", [np.diag([2.0, 2.0, 1.0]), np.array([[1.0]])])
+    def test_rejects_tied_top(self, M):
+        with pytest.raises(InvalidSpectrumError):
+            top_eigpair(M)
+
+    def test_eigvalsh_failure_is_numeric_failure(self, monkeypatch):
+        def fail(M):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NumericFailureError):
+            top_eigpair(_oracle_input("goe", 8))
+
+    def test_solve_failure_is_numeric_failure(self, monkeypatch):
+        def fail(M, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", fail)
+        with pytest.raises(NumericFailureError):
+            top_eigpair(_oracle_input("goe", 8))
+
+    def test_non_finite_is_numeric_failure(self):
+        with pytest.raises(NumericFailureError):
+            top_eigpair(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
 class TestSpectrum:

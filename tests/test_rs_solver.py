@@ -36,6 +36,7 @@ from perturb.matcore import (
     hermitian_eig,
     is_hermitian,
     lp_norm,
+    top_eigpair,
 )
 from perturb.rs_solver import (
     PartitionedPerturbation,
@@ -773,20 +774,20 @@ class TestVerifySolution:
             r = np.linalg.norm(A_tilde @ u - lam * u) + pad * np.abs(A_tilde).sum(axis=1).max()
             assert r <= tau <= pad * np.trace(lam * np.eye(4) - A_tilde)
         oracle = verify_solution(
-            A, E, SolverReport(**vars(rep)), s, eig=diag_eig(s), tilde_eig=hermitian_eig(A + E)
+            A, E, SolverReport(**vars(rep)), s, eig=diag_eig(s), lambda_max=top_eigpair(A + E)[0]
         )
         calls, interlacing = [], []
 
         def counted(M):
             calls.append(1)
-            return hermitian_eig(M)
+            return top_eigpair(M)
 
         def inconclusive(*args):
             # the interlacing rung is inconclusive too: only the oracle is left
             interlacing.append(1)
             return math.inf
 
-        monkeypatch.setattr(rs_solver, "hermitian_eig", counted)
+        monkeypatch.setattr(rs_solver, "top_eigpair", counted)
         monkeypatch.setattr(rs_solver, "_interlacing_bound", inconclusive)
         monkeypatch.setattr(np.linalg, "cholesky", cholesky)
         verify_solution(A, E, rep, s, eig=diag_eig(s))
@@ -966,9 +967,9 @@ class TestSolveDriver:
 
         def counted(M):
             calls.append(1)
-            return hermitian_eig(M)
+            return top_eigpair(M)
 
-        monkeypatch.setattr(rs_solver, "hermitian_eig", counted)
+        monkeypatch.setattr(rs_solver, "top_eigpair", counted)
         n = 32
         s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
         E = sample_goe(n, 31)
