@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import rng_from_stream
 from .errors import InvalidSpectrumError, NumericFailureError
 from .matcore import (
     Spectrum,
@@ -194,7 +193,7 @@ def _lanczos_top(G: np.ndarray) -> float:
     n = G.shape[0]
     steps = min(n, _LANCZOS_STEPS)
     V = np.empty((steps, n), dtype=G.dtype)
-    v = rng_from_stream(_LANCZOS_STREAM).standard_normal(n)
+    v = np.random.default_rng(_LANCZOS_STREAM).standard_normal(n)
     V[0] = v / np.linalg.norm(v)
     alpha, beta = np.zeros(steps), np.zeros(steps)
     theta = -math.inf
@@ -360,7 +359,7 @@ def opnorm_lower(
         except np.linalg.LinAlgError as exc:
             raise NumericFailureError(f"singular vector solver failed: {exc}") from exc
         return max(col_norms[best_j], lp_norm(M @ v, 2) / lp_norm(v, 2))
-    rng = rng_from_stream(seed)
+    rng = np.random.default_rng(int(seed))
     complex_input = np.iscomplexobj(M)
 
     best_col = np.zeros(n, dtype=M.dtype)
@@ -500,10 +499,14 @@ def verify_shifted_domination(
 
     tau = 0 reduces to the semidefinite test X <= D_mu with margin
     lambda_min(D_mu - X); tau > 0 minimizes the shifted form on the unit
-    sphere via a trust-region-style secular solve.
+    sphere via a trust-region-style secular solve. Raises ValueError unless
+    X, mu and g are finite, mu is positive and tau lies in [0, 1].
     """
     X = np.atleast_2d(np.asarray(X))
     mu = np.asarray(mu, dtype=np.float64)
+    for name, v in (("X", X), ("mu", mu), ("g", g)):
+        if v is not None and not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} has non-finite entries")
     if np.any(mu <= 0):
         raise ValueError("mu must be positive")
     if not 0.0 <= tau <= 1.0:

@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         (p_gen, ("seed", "n", "out")),
         (p_assume, ("n", "c0", "out")),
         (p_solve, ("tol", "out")),
-        (p_arrow, ("seed", "n", "tol", "out")),
+        (p_arrow, ("seed", "n", "out")),
         (p_exp, ("format", "out")),
     ):
         for name in names:
@@ -190,7 +190,7 @@ def _cmd_arrowhead(args) -> str:
     spec = _load_spectrum_arg(args.spectrum, args.n)
     spectrum = realize_spectrum(spec)
     g = sample_arrowhead_vector(spectrum.n, seed)
-    gamma = arrow.solve_gamma(spectrum, g, tol=min(args.tol, 1e-14))
+    gamma = arrow.solve_gamma(spectrum, g)
     sol = arrow.arrowhead_eigvec(spectrum, g, gamma)
     return json.dumps(sol.to_dict(), indent=1)
 

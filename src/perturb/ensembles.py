@@ -60,29 +60,17 @@ class EntryDistribution:
 
     tag: one of "gaussian", "rademacher", "uniform_pm1", "truncated_gaussian".
     truncated_gaussian(c) truncates N(0,1) to [-c, c] and rescales back to unit
-    variance. ``bound`` records the almost-sure bound for the bounded tags
-    (nan for gaussian).
+    variance.
     """
 
     tag: str
     trunc: float = 3.0
-    bound: float = field(init=False)
 
     def __post_init__(self):
         if self.tag not in ("gaussian", "rademacher", "uniform_pm1", "truncated_gaussian"):
             raise ValueError(f"unknown entry distribution {self.tag!r}")
         if self.tag == "truncated_gaussian" and not self.trunc > 0:
             raise ValueError("truncation level must be positive")
-        object.__setattr__(self, "bound", self._as_bound())
-
-    def _as_bound(self) -> float:
-        if self.tag == "rademacher":
-            return 1.0
-        if self.tag == "uniform_pm1":
-            return math.sqrt(3.0)
-        if self.tag == "truncated_gaussian":
-            return self.trunc / self._trunc_std()
-        return math.nan
 
     def _trunc_std(self) -> float:
         # Variance of N(0,1) conditioned on |x| <= c: 1 - 2c phi(c) / (2 Phi(c) - 1).

@@ -93,41 +93,23 @@ DEFAULT_TOL = 1e-12
 # needs E12 not too large against the gaps. 0.9 accepts the slow band and flags
 # it in reports; inputs that still fail to converge fall back to the oracle.
 CERTIFICATE_CAP = 0.9
-# Largest real matrix-vector product _matvec hands to BLAS in one call.
-# OpenBLAS 0.3.31 keeps a real gemv of up to 4.1e5 entries on one thread and
-# splits one of 5.2e5 over its threads.
-_MATVEC_BAND = 1 << 18
 # Entries per row band of the O(n^2) reductions (_weighted_frobenius_upper,
-# _abs_row_sums): the band stays in cache, and a real gemv over it stays on
-# the calling thread (see _matvec).
+# _abs_row_sums): it bounds the band's temporary, which stays in cache.
 _FROBENIUS_BAND = 1 << 16
 
 
 def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """M @ x on the calling thread, for the O(n^2) products of the rs path.
+    """M @ x for the O(n^2) products of the rs path; a real one on the calling thread.
 
-    A BLAS gemv split over threads waits for every thread at its end. When
-    another process holds a core that wait takes a scheduler time slice,
-    several times the product itself, and the loop makes one product per
-    step. So a real M of more than _MATVEC_BAND entries goes to BLAS in row
-    bands of at most that size (the last may take one row more), each run
-    on the calling thread. Every band but the last is a multiple of four
-    rows, the column group of OpenBLAS's gemv kernel, and the last is never
-    a single row, so each entry comes out as in one single-threaded call.
-    Complex products are left whole: OpenBLAS threads them from a few
-    thousand entries, too few rows for a band to pay.
+    A real product is np.vecdot(x, M): one dot product per row of M, never
+    split across threads, so no step of the loop waits on a thread that
+    another process holds. A complex product stays M @ x: on a 511 x 511
+    complex M, np.vecdot(x.conj(), M) took 0.18 ms against 0.066 ms for
+    M @ x (2-core VM, numpy 2.4.6).
     """
-    rows, cols = M.shape
-    if M.size <= _MATVEC_BAND or np.iscomplexobj(M) or np.iscomplexobj(x):
+    if np.iscomplexobj(M) or np.iscomplexobj(x):
         return M @ x
-    step = max(4, _MATVEC_BAND // cols // 4 * 4)
-    out = np.empty(rows, dtype=np.result_type(M, x))
-    starts = list(range(0, rows, step))
-    if len(starts) > 1 and rows - starts[-1] == 1:
-        starts.pop()  # the last band takes the single row left over
-    for start, stop in zip(starts, starts[1:] + [rows]):
-        np.matmul(M[start:stop], x, out=out[start:stop])
-    return out
+    return np.vecdot(x, M)
 
 
 @dataclass(frozen=True)
@@ -221,20 +203,20 @@ def _weighted_frobenius_upper(M: np.ndarray, d: np.ndarray, hollow: bool = False
     by sigma is exact, every v_j exceeds 1/2, and the value does not change
     when M and d are scaled by the same power of two. Per row band of at most
     _FROBENIUS_BAND entries, M / sigma is squared in place (a complex entry
-    as its real and imaginary parts) and multiplied by v in one gemv that
-    OpenBLAS keeps on the calling thread (see _matvec); a dot product with v
-    sums the rows.
+    as its real and imaginary parts) and each row is dotted with v by
+    np.vecdot, on the calling thread; a dot product with v sums the rows.
 
     Rounding, with u = eps/2 and N = m (real M) or 2 m (complex M) squares
     per row: d may carry one rounding, as fl(t - a) does, and fl(sigma / d_j)
     adds one, so each term p_ij v_i v_j carries five relative errors of at
-    most u (the square and two per weight). The gemv's inner products of N
-    terms and the outer one of m terms add gamma_N and gamma_m in any order
-    of summation, fused multiply-adds allowed (Higham, Accuracy and Stability
-    of Numerical Algorithms, sec. 3.1). All terms are nonnegative, so the sum
-    errs by at most gamma_{N + m + 5} relative; the square root halves that
-    and adds u. pad = (N + m + 7) u is twice the first-order bound, which
-    absorbs the second-order terms, and the padded norm is rounded up.
+    most u (the square and two per weight). The row dot products of N terms
+    and the outer one of m terms add gamma_N and gamma_m in any order of
+    summation, fused multiply-adds allowed (Higham, Accuracy and Stability
+    of Numerical Algorithms, sec. 3.1), so the pad holds whatever order the
+    BLAS dot sums in. All terms are nonnegative, so the sum errs by at most
+    gamma_{N + m + 5} relative; the square root halves that and adds u.
+    pad = (N + m + 7) u is twice the first-order bound, which absorbs the
+    second-order terms, and the padded norm is rounded up.
     Assumes no underflow (max(d) normal); a sum that is not finite gives inf.
     """
     m = M.shape[0]
@@ -257,7 +239,7 @@ def _weighted_frobenius_upper(M: np.ndarray, d: np.ndarray, hollow: bool = False
                 W.flat[i :: m + 1] = 0.0  # entries (r, i + r), the diagonal of M
             R = W.view(np.float64)
             R *= R
-            np.matmul(R, vv, out=y[i:i + rows])
+            np.vecdot(R, vv, out=y[i:i + rows])
         s = float(y @ v)
     if not math.isfinite(s):
         return math.inf

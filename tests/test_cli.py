@@ -259,7 +259,8 @@ class TestExitCodes:
         ("assume", "--seed"), ("assume", "--p"), ("assume", "--tol"), ("assume", "--format"),
         ("solve", "--seed"), ("solve", "--n"), ("solve", "--p"), ("solve", "--c0"),
         ("solve", "--format"),
-        ("arrowhead", "--p"), ("arrowhead", "--c0"), ("arrowhead", "--format"),
+        ("arrowhead", "--p"), ("arrowhead", "--c0"), ("arrowhead", "--tol"),
+        ("arrowhead", "--format"),
         ("exp", "--seed"), ("exp", "--n"), ("exp", "--p"), ("exp", "--c0"), ("exp", "--tol"),
     ])
     def test_flag_the_command_does_not_read_rejected(self, capsys, command, flag):
@@ -283,7 +284,7 @@ class TestExitCodes:
         ("gen", {"--kind", "--dist", "--trunc", "--scalar", "--spectrum", "--seed", "--n", "--p"}),
         ("assume", {"--spectrum", "--n", "--c0"}),
         ("solve", {"--matrix", "--noise", "--certificate-cap", "--tol"}),
-        ("arrowhead", {"--spectrum", "--seed", "--n", "--tol"}),
+        ("arrowhead", {"--spectrum", "--seed", "--n"}),
         ("exp", {"--config", "--threads", "--out-dir", "--format"}),
     ])
     def test_help_lists_only_the_flags_read(self, capsys, command, flags):

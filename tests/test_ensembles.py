@@ -29,17 +29,20 @@ class TestEntryDistribution:
         assert abs(x.mean()) < 0.02
         assert x.var() == pytest.approx(1.0, abs=0.02)
 
-    def test_bounded_tags_record_bound(self):
-        assert EntryDistribution("rademacher").bound == 1.0
-        assert EntryDistribution("uniform_pm1").bound == pytest.approx(math.sqrt(3.0))
-        assert math.isfinite(EntryDistribution("truncated_gaussian", 2.5).bound)
-        assert math.isnan(EntryDistribution("gaussian").bound)
-
     def test_bounds_hold(self):
-        for tag in ("rademacher", "uniform_pm1", "truncated_gaussian"):
-            dist = EntryDistribution(tag)
+        # almost-sure bounds at unit variance; N(0,1) conditioned on |x| <= c
+        # has variance 1 - 2c phi(c) / (2 Phi(c) - 1)
+        c = 3.0
+        phi = math.exp(-0.5 * c * c) / math.sqrt(2.0 * math.pi)
+        trunc_std = math.sqrt(1.0 - 2.0 * c * phi / math.erf(c / math.sqrt(2.0)))
+        cases = [
+            (EntryDistribution("rademacher"), 1.0),
+            (EntryDistribution("uniform_pm1"), math.sqrt(3.0)),
+            (EntryDistribution("truncated_gaussian"), c / trunc_std),
+        ]
+        for dist, bound in cases:
             x = dist.sample(rng_from_stream(7), 50_000)
-            assert np.abs(x).max() <= dist.bound * (1 + 1e-12)
+            assert np.abs(x).max() <= bound * (1 + 1e-12)
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError):

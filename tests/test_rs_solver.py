@@ -591,7 +591,7 @@ class TestAssembleEigvec:
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_identity_basis_matches_product(self, dtype):
         # (1, q) without the product has the bits of e1 + I[:, 1:] q, whose
-        # -0.0 entries read +0.0; n = 600 puts I[:, 1:] over _MATVEC_BAND entries
+        # -0.0 entries read +0.0
         rng = rng_from_stream(83)
         n = 600
         q = rng.standard_normal(n - 1).astype(dtype)
@@ -599,7 +599,7 @@ class TestAssembleEigvec:
             q += 1j * rng.standard_normal(n - 1)
         q[:3] = [-0.0, 0.0, 1e-300]
         eig = EigDecomposition(Spectrum(np.arange(n, 0, -1.0)), np.eye(n, dtype=dtype))
-        assert eig.is_identity and eig.tail_basis().size > rs_solver._MATVEC_BAND
+        assert eig.is_identity
         expected = (eig.leading_vector() + eig.tail_basis() @ q) / math.sqrt(
             1.0 + float(np.vdot(q, q).real)
         )
@@ -608,45 +608,34 @@ class TestAssembleEigvec:
 
 
 class TestMatvec:
-    @staticmethod
-    def _bands(monkeypatch, M, x):
-        bands, matmul = [], np.matmul
-
-        def counted(a, b, **kwargs):
-            bands.append(a.shape[0])
-            return matmul(a, b, **kwargs)
-
-        monkeypatch.setattr(np, "matmul", counted)
-        try:
-            return rs_solver._matvec(M, x), bands
-        finally:
-            monkeypatch.undo()
-
-    @pytest.mark.parametrize("extra", [0, 1, 3])
-    def test_bands_match_one_product(self, monkeypatch, extra):
-        # a real product over _MATVEC_BAND entries goes to BLAS in bands of a
-        # multiple of four rows, the last never a single row
+    def test_real_products_by_rows(self, monkeypatch):
+        # real products never reach np.matmul; each row is one dot product,
+        # so the sum order may differ from M @ x within rounding
         rng = rng_from_stream(73)
-        cols = 257
-        step = rs_solver._MATVEC_BAND // cols // 4 * 4
-        rows = 2 * step + extra
-        M, x = rng.standard_normal((rows, cols)), rng.standard_normal(cols)
-        got, bands = self._bands(monkeypatch, M, x)
-        assert sum(bands) == rows and len(bands) == (3 if extra > 1 else 2)
-        assert all(b % 4 == 0 for b in bands[:-1]) and bands[-1] >= 2
-        assert all(b * cols <= rs_solver._MATVEC_BAND + cols for b in bands)
-        np.testing.assert_allclose(got, M @ x, rtol=0, atol=1e-12)
+        E = rng.standard_normal((257, 257))
+        basis = np.linalg.qr(rng.standard_normal((300, 300)))[0]
 
-    def test_complex_and_small_products_whole(self, monkeypatch):
-        rng = rng_from_stream(79)
-        n = 1024
-        small = rng.standard_normal((64, 64))
-        big = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        for M in (small, big):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.matmul called")
+
+        monkeypatch.setattr(np, "matmul", refuse)  # the @ operator does not look it up
+        for M in (E, E[1:, 1:], rng.standard_normal((520, 1025)), basis[:, 1:], E[::2, :]):
             x = rng.standard_normal(M.shape[1])
-            got, bands = self._bands(monkeypatch, M, x)
-            assert bands == []
-            assert got.tobytes() == (M @ x).tobytes()
+            got = rs_solver._matvec(M, x)
+            assert got.dtype == np.float64 and got.shape == (M.shape[0],)
+            assert np.all(np.abs(got - M @ x) <= 1e-12 * (np.abs(M) @ np.abs(x)))
+
+    def test_complex_products_whole(self):
+        rng = rng_from_stream(79)
+        n = 512
+        Mc = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        Mr = rng.standard_normal((n, n))
+        x = rng.standard_normal(n)
+        xc = x + 1j * rng.standard_normal(n)
+        for M, v in ((Mc, x), (Mc, xc), (Mr, xc), (Mc[1:, 1:], xc[1:])):
+            got = rs_solver._matvec(M, v)
+            want = M @ v
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestEigenvalueFromQ:
@@ -1329,3 +1318,11 @@ class TestShiftedDomination:
             verify_shifted_domination(np.zeros((2, 2)), np.array([1.0, -1.0]))
         with pytest.raises(ValueError):
             verify_shifted_domination(np.zeros((2, 2)), np.ones(2), tau=2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["X", "mu", "g"])
+    def test_non_finite_input_rejected(self, name, bad):
+        args = {"X": np.zeros((3, 3)), "mu": np.ones(3), "g": np.ones(3)}
+        args[name][1 if name != "X" else (1, 2)] = bad
+        with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
+            verify_shifted_domination(args["X"], args["mu"], 0.5, args["g"])
