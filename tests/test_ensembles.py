@@ -21,6 +21,19 @@ from perturb.errors import InvalidSpectrumError
 from perturb.matcore import hermitian_eig, is_hermitian, operator_norm_exact
 
 
+def _unit_bound(tag, trunc):
+    """Almost-sure bound of |x| for EntryDistribution(tag, trunc); nan if unbounded."""
+    if tag == "rademacher":
+        return 1.0
+    if tag == "uniform_pm1":
+        return math.sqrt(3.0)
+    if tag == "truncated_gaussian":
+        # N(0,1) conditioned on |x| <= c has variance 1 - 2c phi(c) / (2 Phi(c) - 1)
+        phi = math.exp(-0.5 * trunc * trunc) / math.sqrt(2.0 * math.pi)
+        return trunc / math.sqrt(1.0 - 2.0 * trunc * phi / math.erf(trunc / math.sqrt(2.0)))
+    return math.nan
+
+
 class TestEntryDistribution:
     @pytest.mark.parametrize("tag", ["gaussian", "rademacher", "uniform_pm1", "truncated_gaussian"])
     def test_unit_moments(self, tag):
@@ -29,20 +42,22 @@ class TestEntryDistribution:
         assert abs(x.mean()) < 0.02
         assert x.var() == pytest.approx(1.0, abs=0.02)
 
+    def test_bounded_tags_record_bound(self):
+        # each bounded law's almost-sure bound is its sup |x|: 50 000 samples
+        # come within 2 % of it, and gaussian samples pass every such bound
+        for tag, trunc in [("rademacher", 3.0), ("uniform_pm1", 3.0), ("truncated_gaussian", 2.5)]:
+            bound = _unit_bound(tag, trunc)
+            x = EntryDistribution(tag, trunc).sample(rng_from_stream(11), 50_000)
+            assert 0.98 * bound <= np.abs(x).max() <= bound * (1 + 1e-12)
+        assert math.isnan(_unit_bound("gaussian", 3.0))
+        x = EntryDistribution("gaussian").sample(rng_from_stream(11), 50_000)
+        bounded = ("rademacher", "uniform_pm1", "truncated_gaussian")
+        assert np.abs(x).max() > max(_unit_bound(t, 3.0) for t in bounded)
+
     def test_bounds_hold(self):
-        # almost-sure bounds at unit variance; N(0,1) conditioned on |x| <= c
-        # has variance 1 - 2c phi(c) / (2 Phi(c) - 1)
-        c = 3.0
-        phi = math.exp(-0.5 * c * c) / math.sqrt(2.0 * math.pi)
-        trunc_std = math.sqrt(1.0 - 2.0 * c * phi / math.erf(c / math.sqrt(2.0)))
-        cases = [
-            (EntryDistribution("rademacher"), 1.0),
-            (EntryDistribution("uniform_pm1"), math.sqrt(3.0)),
-            (EntryDistribution("truncated_gaussian"), c / trunc_std),
-        ]
-        for dist, bound in cases:
-            x = dist.sample(rng_from_stream(7), 50_000)
-            assert np.abs(x).max() <= bound * (1 + 1e-12)
+        for tag in ("rademacher", "uniform_pm1", "truncated_gaussian"):
+            x = EntryDistribution(tag).sample(rng_from_stream(7), 50_000)
+            assert np.abs(x).max() <= _unit_bound(tag, 3.0) * (1 + 1e-12)
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
