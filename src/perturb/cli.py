@@ -105,7 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--dist", default=None, help="subgaussian entry law (default: gaussian)",
                        choices=["gaussian", "rademacher", "uniform_pm1", "truncated_gaussian"])
     p_gen.add_argument("--trunc", type=float, default=None,
-                       help="truncated_gaussian level (default: 3)")
+                       help="truncated_gaussian level c, finite and >= 0.1 (default: 3); "
+                       "sampling takes ~1/erf(c/sqrt 2) draws per entry, and below 0.1 "
+                       "the law is nearly uniform_pm1")
     p_gen.add_argument("--scalar", choices=["real", "complex"], default=None,
                        help="subgaussian scalar field (default: real)")
     p_gen.add_argument("--spectrum", default=None, help="spectrum spec JSON (inline or file)")

@@ -2,7 +2,9 @@
 
 Plain argument validation raises ValueError; the classes here mark numeric
 events a caller may want to catch and recover from (e.g. by falling back to
-the dense oracle).
+the dense oracle). Each carries its message, and NumericFailureError a
+residual. None carries the contraction gate: rs_solver.solve runs the gate
+itself and reports its bound and rung in the SolverReport on every path.
 """
 
 
@@ -31,21 +33,11 @@ class GapCollapseError(PerturbError):
 
 
 class ContractionFailureError(PerturbError):
-    """Iteration operator is not certified contracting; carries the norm bound and its rung."""
-
-    def __init__(self, message: str, certified_norm: float = float("nan"), rung: str = ""):
-        super().__init__(message)
-        self.certified_norm = certified_norm
-        self.rung = rung
+    """No rung of the contraction gate proved the fixed-point map contracting under the cap."""
 
 
 class NonConvergenceError(PerturbError):
-    """Fixed-point iteration diverged or hit its step cap; carries the norm bound and its rung."""
-
-    def __init__(self, message: str, certified_norm: float = float("nan"), rung: str = ""):
-        super().__init__(message)
-        self.certified_norm = certified_norm
-        self.rung = rung
+    """Fixed-point iteration closed a shifted gap, diverged, overflowed or hit its step cap."""
 
 
 class InconsistentEigenvalueError(PerturbError):

@@ -122,7 +122,7 @@ def lp_norm(v, p) -> float:
         raise ValueError(f"lp_norm requires p >= 1, got {p}")
     mags = np.abs(v).astype(np.float64, copy=False)
     top = float(mags.max())
-    if p == math.inf or top == 0.0:
+    if p == math.inf or not 0.0 < top < math.inf:  # 0, inf and nan are the norm
         return top
     if p == 1:
         return float(mags.sum())
@@ -257,6 +257,9 @@ def hermitian_eig(M: np.ndarray) -> EigDecomposition:
 
 # Inverse-iteration solves top_eigpair makes at most; one or two is the usual count.
 _INVERSE_SOLVES = 3
+# Shifts top_eigpair tries, sigma = lambda + 2^k eps ||M||_2 for k < _SHIFTS;
+# the next one only when the LU of M - sigma I meets an exactly zero pivot.
+_SHIFTS = 4
 # Seed of top_eigpair's fixed Gaussian start vector.
 _START_SEED = 0x7E1
 
@@ -265,11 +268,14 @@ def top_eigpair(M: np.ndarray) -> tuple[float, np.ndarray]:
     """Top eigenvalue and unit eigenvector of a self-adjoint M, without the other eigenvectors.
 
     M is first scaled by the power of two that brings its largest entry into
-    [1, 2), which is exact, so inputs from 1e-300 to 1e300 are solved as
-    their unit-scale copies are and no norm below can overflow. The
-    eigenvalue lambda is the largest of np.linalg.eigvalsh(M). The vector
-    comes from inverse iteration, solves of (M - sigma I) x = b with
-    sigma = lambda + eps ||M||_2, the next float or more above lambda. The
+    [1, 2) (a subnormal one by 2^1022 only), which is exact, so inputs from
+    1e-300 to 1e300 are solved as their unit-scale copies are and no norm
+    below can overflow. The eigenvalue lambda is the largest of
+    np.linalg.eigvalsh(M). The vector comes from inverse iteration, solves
+    of (M - sigma I) x = b with sigma = lambda + eps ||M||_2, the next float
+    or more above lambda. When the LU of M - sigma I meets an exactly zero
+    pivot, sigma moves up to lambda + 2^k eps ||M||_2 for k = 1, 2, 3 in
+    turn; the residual test below judges the vector whatever the shift. The
     first b is e_k, k the first index of the largest diagonal entry, plus a
     fixed Gaussian vector of norm about 1 on the rows that have a nonzero
     off-diagonal entry. So an exactly diagonal M gets b = e_k, a diagonal
@@ -282,7 +288,8 @@ def top_eigpair(M: np.ndarray) -> tuple[float, np.ndarray]:
     and output is deterministic. Raises ValueError unless M is exactly
     self-adjoint; InvalidSpectrumError unless the top eigenvalue is simple
     (or if M is 1 x 1); NumericFailureError when an entry is not finite,
-    when eigvalsh or a solve fails, or when ||M u - lambda u||_2 exceeds
+    when eigvalsh fails, when every shift meets a zero pivot, when lambda
+    overflows the float range, or when ||M u - lambda u||_2 exceeds
     1e-10 ||M||_F, hermitian_eig's reconstruction threshold applied to this
     one pair.
     """
@@ -295,7 +302,7 @@ def top_eigpair(M: np.ndarray) -> tuple[float, np.ndarray]:
     big = float(np.abs(M).max())
     if not math.isfinite(big):
         raise NumericFailureError("top_eigpair requires finite entries")
-    exponent = math.frexp(big)[1] - 1 if big > 0.0 else 0
+    exponent = max(math.frexp(big)[1] - 1, -1022) if big > 0.0 else 0
     M = M * math.ldexp(1.0, -exponent)
     try:
         w = np.linalg.eigvalsh(M)
@@ -313,11 +320,17 @@ def top_eigpair(M: np.ndarray) -> tuple[float, np.ndarray]:
     b[int(np.argmax(diag.real))] += 1.0
     shifted = M.copy()
     shifted.flat[:: n + 1] -= lam + eps * norm2
-    for _ in range(_INVERSE_SOLVES):
+    k = solves = 0
+    while solves < _INVERSE_SOLVES:
         try:
             x = np.linalg.solve(shifted, b)
         except np.linalg.LinAlgError as exc:
-            raise NumericFailureError(f"inverse iteration solve failed: {exc}") from exc
+            k += 1
+            if k == _SHIFTS:
+                raise NumericFailureError(f"inverse iteration solve failed: {exc}") from exc
+            shifted.flat[:: n + 1] = diag - (lam + math.ldexp(eps, k) * norm2)
+            continue
+        solves += 1
         b = x / np.linalg.norm(x)
         Mb = M @ b
         if np.linalg.norm(Mb - np.vdot(b, Mb).real * b) <= math.sqrt(n) * eps * norm2:
@@ -325,8 +338,12 @@ def top_eigpair(M: np.ndarray) -> tuple[float, np.ndarray]:
     resid = float(np.linalg.norm(Mb - lam * b))
     if not resid <= 1e-10 * float(np.linalg.norm(M)):
         raise NumericFailureError("inverse iteration residual too large", residual=resid)
+    try:
+        lam = math.ldexp(lam, exponent)
+    except OverflowError as exc:
+        raise NumericFailureError("top eigenvalue overflows the float range") from exc
     anchor = b[int(np.abs(b).argmax())]
-    return math.ldexp(lam, exponent), b * (abs(anchor) / anchor)
+    return lam, b * (abs(anchor) / anchor)
 
 
 # ---------------------------------------------------------------------------

@@ -27,15 +27,16 @@ or one Cholesky factorization (bounds.cholesky_below) shows that none lies
 above it. Only when these proofs are inconclusive does the dense
 computation decide.
 
-solve calls partition, solve_q, assemble_eigvec and verify_solution in turn,
-and EigDecomposition.is_identity decides once whether the basis is the
-identity. On that basis, the paper's own setting, A must be
-diag(eig.spectrum.lambdas), and solve reads each n x n operand as few times
-as the proofs allow: A's off-diagonal entries once, to prove them zero; E
-for finiteness, self-adjointness, the gate, one matvec per loop step, and in
-verification E u~, the |E| row sums and the interlacing bound. It forms no
-I* E I, no product with the identity, and no A + E unless the Cholesky proof
-or the oracle is reached. The randomized Weyl domination check is in bounds.
+solve calls partition, contraction_gate, solve_q, assemble_eigvec and
+verify_solution in turn, and EigDecomposition.is_identity decides once
+whether the basis is the identity. On that basis, the paper's own setting, A
+must be diag(eig.spectrum.lambdas), and solve reads each n x n operand as
+few times as the proofs allow: A's off-diagonal entries once, to prove them
+zero; E for finiteness, self-adjointness, the gate, one matvec per loop
+step, and in verification E u~, the |E| row sums and the interlacing bound.
+It forms no I* E I, no product with the identity, and no A + E unless the
+Cholesky proof or the oracle is reached. The randomized Weyl domination
+check is in bounds.
 """
 
 from __future__ import annotations
@@ -314,20 +315,15 @@ def _unit(spectrum: Spectrum) -> float:
     return min(1.0, max(abs(float(spectrum.lambdas[0])), abs(float(spectrum.lambdas[-1]))))
 
 
-def _check_options(tol: float, certificate_cap: float) -> None:
-    """ValueError unless tol is finite and positive and certificate_cap positive (inf allowed)."""
+def _check_tol(tol: float) -> None:
+    """ValueError unless tol is finite and positive."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    if not certificate_cap > 0.0:
-        raise ValueError(f"certificate_cap must be positive, got {certificate_cap}")
 
 
 def solve_q(
-    part: PartitionedPerturbation,
-    spectrum: Spectrum,
-    tol: float = DEFAULT_TOL,
-    certificate_cap: float = CERTIFICATE_CAP,
-) -> tuple[np.ndarray, int, ContractionGate]:
+    part: PartitionedPerturbation, spectrum: Spectrum, tol: float = DEFAULT_TOL
+) -> tuple[np.ndarray, int]:
     """Solve L q = E21 - q (E12 q) by the shifted map q <- (E22 q + E21) / (d + Re(E12 q)).
 
     The quadratic term moves into the denominator: the map's fixed points
@@ -338,27 +334,18 @@ def solve_q(
     keeps the step stable under strong E12 coupling, where
     q <- D^{-1}(E22 q + E21 - (E12 q) q) can diverge.
 
-    Returns q, the number of steps and the ContractionGate that admitted the
-    loop. Raises ContractionFailureError before iterating if no rung of
-    contraction_gate is at most ``certificate_cap``. Stops when
+    Runs the loop alone: the caller admits it (solve does so through
+    contraction_gate). Returns q and the number of steps. Stops when
     ||D (q_next - q)||_2 <= tol * unit and the quadratic residual is below
-    tol * (||E21||_2 + unit), unit = min(1, max(|lambda_1|, |lambda_n|));
-    raises NonConvergenceError when a shifted gap
-    d_j + Re(E12 q) is not positive, after three consecutive non-contracting
-    steps, or at the step cap. Both errors carry the gate's bound and rung.
-    Raises ValueError unless tol is finite and positive and certificate_cap
-    is positive (inf admits every finite bound).
+    tol * (||E21||_2 + unit), unit = min(1, max(|lambda_1|, |lambda_n|)).
+    Raises GapCollapseError when a shifted gap d_j is not positive;
+    NonConvergenceError when some d_j + Re(E12 q) is not positive, when the
+    shift or the step ||D dq||_2 is not finite, after three consecutive
+    non-contracting steps, or at the step cap; ValueError unless tol is
+    finite and positive.
     """
-    _check_options(tol, certificate_cap)
+    _check_tol(tol)
     d = build_shifted_gaps(spectrum, part.e11)
-    gate = contraction_gate(d, part.e22, certificate_cap)
-    if not gate.bound <= certificate_cap:
-        raise ContractionFailureError(
-            f"iteration operator norm bound {gate.bound:.4g} ({gate.rung}) "
-            f"exceeds cap {certificate_cap}",
-            certified_norm=gate.bound,
-            rung=gate.rung,
-        )
     cap = max(200, int(math.ceil(-10.0 * math.log2(tol))))
     e21, e12, e22 = part.e21, part.e12, part.e22
     unit = _unit(spectrum)
@@ -370,36 +357,36 @@ def solve_q(
     e22q = np.zeros_like(e21)  # E22 q, carried so each step costs one matvec
     prev_change = math.inf
     bad_steps = 0
-    for step in range(1, cap + 1):
-        shift = float((e12 @ q).real)
-        if not d_min + shift > 0:
-            raise NonConvergenceError(
-                f"shifted gap d_j + Re(E12 q) = {d_min + shift:.4g} is not positive",
-                certified_norm=gate.bound,
-                rung=gate.rung,
-            )
-        q_next = (e22q + e21) / (d + shift)
-        change = lp_norm(d * (q_next - q), 2)
-        if change >= prev_change and change > step_tol:
-            bad_steps += 1
-            if bad_steps >= 3:
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test below stops the loop
+        for step in range(1, cap + 1):
+            shift = float((e12 @ q).real)
+            if not d_min + shift > 0:
                 raise NonConvergenceError(
-                    f"fixed-point iteration diverging: ||D dq||_2 = {change:.4g}",
-                    certified_norm=gate.bound,
-                    rung=gate.rung,
+                    f"shifted gap d_j + Re(E12 q) = {d_min + shift:.4g} is not positive"
                 )
-        else:
-            bad_steps = 0
-        prev_change = change
-        q = q_next
-        e22q = _matvec(e22, q)
-        if change <= step_tol:
-            resid = lp_norm(d * q - e22q - (e21 - (e12 @ q) * q), 2)
-            if resid <= target:
-                return q, step, gate
-    raise NonConvergenceError(
-        f"fixed-point iteration exceeded cap {cap}", certified_norm=gate.bound, rung=gate.rung
-    )
+            q_next = (e22q + e21) / (d + shift)
+            change = lp_norm(d * (q_next - q), 2)
+            if not (math.isfinite(shift) and math.isfinite(change)):
+                raise NonConvergenceError(
+                    f"fixed-point iteration overflowed: Re(E12 q) = {shift:.4g}, "
+                    f"||D dq||_2 = {change:.4g}"
+                )
+            if change >= prev_change and change > step_tol:
+                bad_steps += 1
+                if bad_steps >= 3:
+                    raise NonConvergenceError(
+                        f"fixed-point iteration diverging: ||D dq||_2 = {change:.4g}"
+                    )
+            else:
+                bad_steps = 0
+            prev_change = change
+            q = q_next
+            e22q = _matvec(e22, q)
+            if change <= step_tol:
+                resid = lp_norm(d * q - e22q - (e21 - (e12 @ q) * q), 2)
+                if resid <= target:
+                    return q, step
+    raise NonConvergenceError(f"fixed-point iteration exceeded cap {cap}")
 
 
 def assemble_eigvec(eig: EigDecomposition, q: np.ndarray) -> np.ndarray:
@@ -596,8 +583,6 @@ def verify_solution(
         w = _matvec(M, u)
     report.residual2 = lp_norm(w - lam * u, 2)
     report.orth_residual = lp_norm(w - u * np.vdot(u, w), 2)
-    report.coord_ratios = coordinate_bounds(report.q, spectrum)
-    report.q_norm2 = float(np.linalg.norm(report.q))
     half = (spectrum.lambdas[0] + spectrum.lambdas[1]) / 2.0
     tau = 1e-9 * (_unit(spectrum) + abs(lam))
     if not lam > half:
@@ -614,16 +599,19 @@ def verify_solution(
 def _check_operands(A: np.ndarray, E: np.ndarray, eig: EigDecomposition | None) -> None:
     """Raise ValueError unless A and E are valid operands and an identity-basis ``eig`` describes A.
 
-    A and E must be finite, square and alike in shape, and A exactly
-    self-adjoint. On the identity basis A must be diag(eig.spectrum.lambdas)
-    exactly. One
-    read of A's off-diagonal entries proves it diagonal (_is_diagonal), after
-    which its finiteness and self-adjointness are O(n) checks on its
-    diagonal. A non-identity ``eig`` is trusted, not checked.
+    A and E must be nonempty, square and alike in shape, of a dtype that
+    casts safely to complex128 (the dtypes numpy.linalg takes) and finite,
+    and A exactly self-adjoint. On the identity basis A must be
+    diag(eig.spectrum.lambdas) exactly. One read of A's off-diagonal entries
+    proves it diagonal (_is_diagonal), after which its finiteness and
+    self-adjointness are O(n) checks on its diagonal. A non-identity ``eig``
+    is trusted, not checked.
     """
     for name, M in (("A", A), ("E", E)):
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValueError(f"{name} must be a square matrix, got shape {M.shape}")
+        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+            raise ValueError(f"{name} must be a square matrix of order >= 1, got shape {M.shape}")
+        if not np.can_cast(M.dtype, np.complex128):
+            raise ValueError(f"{name} has dtype {M.dtype}, not safely castable to complex128")
     identity = eig is not None and eig.is_identity and A.shape == (eig.n, eig.n)
     diagonal = identity and _is_diagonal(A)
     for name, M in (("A", A.diagonal() if diagonal else A), ("E", E)):
@@ -647,65 +635,70 @@ def solve(
 ) -> SolverReport:
     """End-to-end solve with oracle fallback.
 
-    A and E must be finite, square, of one shape and exactly self-adjoint;
-    anything else raises ValueError. An ``eig`` with the identity basis must
-    describe A, which must then be exactly diag(eig.spectrum.lambdas), else
-    ValueError; any other ``eig`` is trusted. Runs the partition / fixed-point /
-    assembly chain; on any PerturbError there (gap collapse, contraction
-    failure, divergence, a complex eigenvalue) it falls back to the dense
-    oracle's leading eigenpair, top_eigpair(A + E), tags the report method
-    "oracle-fallback" and records the caught error as "<ErrorType>: <message>"
-    in ``fallback_reason`` (empty on "rs"), so pipelines never silently lose a
-    trial. The contraction gate runs once either way and its bound and rung
-    are reported; the bound is inf when the shifted gaps collapse or the
-    spectral rung's eigensolver fails (a NumericFailureError, which falls
-    back like the others). ``tol`` must be finite and positive and
-    ``certificate_cap`` positive (inf allowed), else ValueError before any
-    work on A or E. A top
-    eigenvalue that is not simple, of A or of A + E where the oracle
-    decides, raises InvalidSpectrumError.
+    A and E must be numeric, finite, square, nonempty, of one shape and
+    exactly self-adjoint; anything else raises ValueError. An ``eig`` with
+    the identity basis must describe A, which must then be exactly
+    diag(eig.spectrum.lambdas), else ValueError; any other ``eig`` is
+    trusted. Runs partition, the contraction gate, the loop (solve_q) and
+    assembly in turn. The gate is contraction_gate on the shifted gaps; when
+    its bound exceeds ``certificate_cap`` it raises ContractionFailureError
+    and the loop does not run. On any PerturbError in that chain (gap
+    collapse, contraction failure, divergence, a complex eigenvalue) solve
+    falls back to the dense oracle's leading eigenpair, top_eigpair(A + E),
+    tags the report method "oracle-fallback" and records the caught error as
+    "<ErrorType>: <message>" in ``fallback_reason`` (empty on "rs"), so
+    pipelines never silently lose a trial. Either way the report carries the
+    gate's bound and rung; the bound is inf and the rung empty when the
+    shifted gaps collapse or the spectral rung's eigensolver fails (a
+    NumericFailureError, which falls back like the others). ``tol`` must be
+    finite and positive and ``certificate_cap`` positive (inf allowed), else
+    ValueError before any work on A or E. A top eigenvalue that is not
+    simple, of A or of A + E where the oracle decides, raises
+    InvalidSpectrumError.
     """
-    _check_options(tol, certificate_cap)
+    _check_tol(tol)
+    if not certificate_cap > 0.0:
+        raise ValueError(f"certificate_cap must be positive, got {certificate_cap}")
     A, E = np.asarray(A), np.asarray(E)
     _check_operands(A, E, eig)
     if eig is None:
         eig = hermitian_eig(A)
     part = partition(eig, E)
     spectrum = eig.spectrum
-    lambda_max = None
     gate = ContractionGate(math.inf, "")
+    lambda_max = None
     try:
-        q, iterations, gate = solve_q(part, spectrum, tol=tol, certificate_cap=certificate_cap)
-        report = SolverReport(
-            q=q,
-            u_tilde=assemble_eigvec(eig, q),
-            lambda_tilde=eigenvalue_from_q(spectrum, part.e11, part.e12, q),
-            iterations=iterations,
-            contraction_upper=gate.bound,
-            contraction_rung=gate.rung,
-            method="rs",
-        )
+        gate = contraction_gate(build_shifted_gaps(spectrum, part.e11), part.e22, certificate_cap)
+        if not gate.bound <= certificate_cap:
+            raise ContractionFailureError(
+                f"iteration operator norm bound {gate.bound:.4g} ({gate.rung}) "
+                f"exceeds cap {certificate_cap}"
+            )
+        q, iterations = solve_q(part, spectrum, tol=tol)
+        u = assemble_eigvec(eig, q)
+        lam = eigenvalue_from_q(spectrum, part.e11, part.e12, q)
+        method, reason = "rs", ""
     except PerturbError as err:
-        lambda_max, u_top = top_eigpair(A + E)
-        head = complex(np.vdot(eig.leading_vector(), u_top))
+        lambda_max, u = top_eigpair(A + E)
+        head = complex(np.vdot(eig.leading_vector(), u))
         if abs(head) > 0:
-            u_top = u_top * (abs(head) / head)  # overlap with u1 real nonnegative
+            u = u * (abs(head) / head)  # overlap with u1 real nonnegative
             head = abs(head)
-        overlaps = eig.tail_basis().conj().T @ u_top
-        q = overlaps / max(float(abs(head)), np.finfo(np.float64).eps)
-        report = SolverReport(
-            q=q,
-            u_tilde=u_top,
-            lambda_tilde=lambda_max,
-            iterations=0,
-            contraction_upper=getattr(err, "certified_norm", gate.bound),
-            contraction_rung=getattr(err, "rung", gate.rung),
-            method="oracle-fallback",
-            fallback_reason=f"{type(err).__name__}: {err}",
-        )
+        q = (eig.tail_basis().conj().T @ u) / max(float(abs(head)), np.finfo(np.float64).eps)
+        lam, iterations = lambda_max, 0
+        method, reason = "oracle-fallback", f"{type(err).__name__}: {err}"
+    report = SolverReport(
+        q=q,
+        u_tilde=u,
+        lambda_tilde=lam,
+        iterations=iterations,
+        contraction_upper=gate.bound,
+        contraction_rung=gate.rung,
+        coord_ratios=coordinate_bounds(q, spectrum),
+        q_norm2=float(np.linalg.norm(q)),
+        method=method,
+        fallback_reason=reason,
+    )
     if verify:
         verify_solution(A, E, report, spectrum, eig=eig, lambda_max=lambda_max)
-    else:
-        report.coord_ratios = coordinate_bounds(report.q, spectrum)
-        report.q_norm2 = float(np.linalg.norm(report.q))
     return report

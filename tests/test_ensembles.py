@@ -63,6 +63,14 @@ class TestEntryDistribution:
         with pytest.raises(ValueError):
             EntryDistribution("cauchy")
 
+    @pytest.mark.parametrize("trunc", [0.0999, 1e-9, math.inf])
+    def test_truncation_floor(self, trunc):
+        # at c = 1e-9 rejection sampling would take ~1.25e9 draws per entry
+        with pytest.raises(ValueError, match="finite and at least 0.1"):
+            EntryDistribution("truncated_gaussian", trunc)
+        x = EntryDistribution("truncated_gaussian", 0.1).sample(rng_from_stream(3), 1000)
+        assert np.abs(x).max() <= _unit_bound("truncated_gaussian", 0.1) * (1 + 1e-12)
+
 
 class TestSubgaussianSampler:
     def test_rademacher_support_and_symmetry(self):

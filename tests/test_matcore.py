@@ -48,6 +48,10 @@ class TestLpNorm:
     def test_complex(self):
         assert lp_norm([3 + 4j], 2) == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_infinite_entry(self, p):
+        assert lp_norm([math.inf, 1.0], p) == math.inf
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20),
            st.sampled_from([1.0, 1.5, 2.0, 3.0, 7.0, math.inf]),
            st.sampled_from([1.0, 1.5, 2.0, 3.0, 7.0, math.inf]))
@@ -179,6 +183,17 @@ def _oracle_input(kind: str, n: int) -> np.ndarray:
     return np.diag(spectrum.lambdas) + sample_goe(n, 47)
 
 
+def _assert_top_pair_is_eighs(M):
+    """top_eigpair(M) agrees with eigh's top pair, phased by the same rule."""
+    lam, u = top_eigpair(M)
+    w, V = np.linalg.eigh(M)
+    v = V[:, -1]
+    anchor = v[np.abs(v).argmax()]
+    v = v * (abs(anchor) / anchor)
+    assert abs(lam - w[-1]) <= 1e-14 * np.abs(w).max()
+    assert np.linalg.norm(u - v) <= 1e-12
+
+
 class TestTopEigpair:
     @pytest.mark.parametrize("n", [2, 3, 64, 256])
     @pytest.mark.parametrize("kind", ["goe", "gue", "diag_noise"])
@@ -257,6 +272,34 @@ class TestTopEigpair:
     def test_non_finite_is_numeric_failure(self):
         with pytest.raises(NumericFailureError):
             top_eigpair(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    def test_overflowing_eigenvalue_is_numeric_failure(self):
+        # lambda_max = 3e308 is beyond the float range, though every entry is finite
+        with pytest.raises(NumericFailureError, match="overflows"):
+            top_eigpair(np.full((3, 3), 1e308))
+
+    def test_subnormal_largest_entry(self):
+        # 2^1074 would overflow: a subnormal M is scaled by 2^1022 only
+        lam, u = top_eigpair(np.diag([5e-324, 0.0]))
+        assert lam == 5e-324 and np.array_equal(u, [1.0, 0.0])
+
+    @pytest.mark.parametrize("M", [
+        [[0.0, 5.0], [5.0, 6.0]],
+        [[0.0, -6.0], [-6.0, 2.0]],
+        np.ones((3, 3)),
+        np.diag([3.0, 2.0, 1.0]) + 1.0,
+    ])
+    def test_exactly_singular_first_shift(self, M):
+        # the LU of M - (lambda + eps ||M||_2) I meets an exactly zero pivot
+        _assert_top_pair_is_eighs(np.array(M))
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_symmetric_gaussian_sweep(self, n):
+        # about 2 % of these at n = 3 meet a zero pivot at the first shift
+        rng = rng_from_stream(1)
+        for _ in range(2000):
+            M = rng.standard_normal((n, n))
+            _assert_top_pair_is_eighs(M + M.T)
 
 
 class TestSpectrum:

@@ -22,11 +22,11 @@ from perturb.ensembles import (
 )
 from perturb import bounds, matcore, rs_solver
 from perturb.errors import (
-    ContractionFailureError,
     GapCollapseError,
     InconsistentEigenvalueError,
     InvalidSpectrumError,
     NonConvergenceError,
+    NumericFailureError,
     PerturbError,
 )
 from perturb.matcore import (
@@ -211,7 +211,7 @@ class TestJacobiInner:
         # E12 = 0: q = 0 is the fixed point, reached and checked in one step
         s = spectrum(3, 2, 1)
         part = partition(diag_eig(s), np.diag([0.3, 0.1, -0.2]))
-        q, iterations, _ = solve_q(part, s)
+        q, iterations = solve_q(part, s)
         assert np.all(q == 0)
         assert iterations == 1
 
@@ -222,7 +222,7 @@ class TestJacobiInner:
         for t in range(10):
             E = scaled_noise(s, rng, 0.4)
             part = partition(diag_eig(s), E)
-            q, _, _ = solve_q(part, s)
+            q, _ = solve_q(part, s)
             top = hermitian_eig(np.diag(s.lambdas) + E).basis[:, 0]
             direct = top[1:] / top[0]
             assert np.linalg.norm(q - direct) <= 1e-10 * np.linalg.norm(direct)
@@ -240,11 +240,10 @@ class TestJacobiInner:
         while done < 100:
             E = force_hermitian(rng.standard_normal((9, 9))) * 0.4
             part = partition(diag_eig(s), E)
-            try:
-                q, _, _ = solve_q(part, s, certificate_cap=0.5)
-            except ContractionFailureError:
-                continue
             d = build_shifted_gaps(s, part.e11)
+            if not contraction_gate(d, part.e22, 0.5).bound <= 0.5:
+                continue
+            q, _ = solve_q(part, s)
             rhs = part.e21 - (part.e12 @ q) * q
             root = np.sqrt(d)
             assert lp_norm(root * q, 2) <= 2.0 * lp_norm(rhs / root, 2) + 1e-9
@@ -266,32 +265,36 @@ class TestJacobiInner:
                         E = scaled_noise(s, rng, cert)
                         E[0, 1:] *= coupling
                         E[1:, 0] *= coupling
-                        q, _, _ = solve_q(partition(diag_eig(s), E), s)
+                        q, _ = solve_q(partition(diag_eig(s), E), s)
                         top = np.linalg.eigh(np.diag(s.lambdas) + E)[1][:, -1]
                         direct = top[1:] / top[0]
                         assert np.linalg.norm(q - direct) <= 1e-10 * max(1.0, np.linalg.norm(direct))
 
     def test_closed_shifted_gap_raises(self):
-        # with the gate lifted, E22 = -100 I drives Re(E12 q) to -1.2 on the
-        # second step, closing d_1 + Re(E12 q); the loop stops with the gate's
-        # bound, ||S||_F = 100 sqrt(1 + 1/4) on the first rung, while the
-        # paper's ||E22 D^{-1}||_2 is 100
+        # the loop runs ungated: E22 = -100 I drives Re(E12 q) to -1.2 on the
+        # second step, closing d_1 + Re(E12 q). The gate's bound at cap inf is
+        # ||S||_F = 100 sqrt(1 + 1/4) on the first rung, while the paper's
+        # ||E22 D^{-1}||_2 is 100
         s = spectrum(3, 2, 1)
         part = PartitionedPerturbation(0.0, np.array([0.1, 0.1]), -100.0 * np.eye(2))
-        with pytest.raises(NonConvergenceError, match="not positive") as err:
-            solve_q(part, s, certificate_cap=math.inf)
-        assert err.value.rung == "weighted-frobenius"
-        assert 100.0 * math.sqrt(1.25) <= err.value.certified_norm
-        assert err.value.certified_norm == pytest.approx(100.0 * math.sqrt(1.25), rel=1e-12)
+        with pytest.raises(NonConvergenceError, match="not positive"):
+            solve_q(part, s)
         d = build_shifted_gaps(s, part.e11)
+        gate = contraction_gate(d, part.e22, math.inf)
+        assert gate.rung == "weighted-frobenius"
+        assert 100.0 * math.sqrt(1.25) <= gate.bound
+        assert gate.bound == pytest.approx(100.0 * math.sqrt(1.25), rel=1e-12)
         assert paper_norm(d, part.e22, 2.0) == pytest.approx(100.0, rel=1e-9)
 
     def test_certificate_rejection(self):
         s = spectrum(3, 2, 1)
-        part = partition(diag_eig(s), np.diag([0.0, 2.0, 0.0]))  # E22 D^{-1} has norm 2 > cap
-        with pytest.raises(ContractionFailureError) as err:
-            solve_q(part, s)
-        assert err.value.certified_norm > 0.9
+        E = np.diag([0.0, 2.0, 0.0])  # E22 D^{-1} has norm 2 > cap
+        part = partition(diag_eig(s), E)
+        gate = contraction_gate(build_shifted_gaps(s, part.e11), part.e22, CERTIFICATE_CAP)
+        assert gate.bound > 0.9
+        rep = solve(np.diag(s.lambdas), E, eig=diag_eig(s))
+        assert rep.fallback_reason.startswith("ContractionFailureError")
+        assert rep.contraction_upper == gate.bound
 
     def test_iteration_budget(self):
         # iterations <= 10 log2(1/tol) when the certificate is <= 1/2 and
@@ -306,8 +309,8 @@ class TestJacobiInner:
             part = partition(diag_eig(s), scaled_noise(s, rng, 0.5, coupling=1 / 8))
             d = build_shifted_gaps(s, part.e11)
             assert paper_norm(d, part.e22, 2.0) <= 0.5 + 1e-12
-            _, iterations, gate = solve_q(part, s, tol=1e-12)
-            assert gate.bound <= CERTIFICATE_CAP
+            assert contraction_gate(d, part.e22, CERTIFICATE_CAP).bound <= CERTIFICATE_CAP
+            _, iterations = solve_q(part, s, tol=1e-12)
             assert iterations <= budget
 
 
@@ -426,16 +429,14 @@ class TestContractionGate:
         # E22 = 0.5 I on unit gaps: ||S||_F = 1 exceeds the cap and the
         # spectral rung's ||S||_2 = 0.5 admits the loop
         s = spectrum(2, 1, 1, 1, 1)
-        part = PartitionedPerturbation(0.0, np.full(4, 0.01), 0.5 * np.eye(4))
-        _, _, gate = solve_q(part, s)
+        d = build_shifted_gaps(s, 0.0)
+        gate = contraction_gate(d, 0.5 * np.eye(4), CERTIFICATE_CAP)
         assert gate.rung == "spectral"
         assert gate.bound == pytest.approx(0.5, rel=1e-9)
-        # both rungs above the cap: the smaller bound is reported, with its rung
-        part = PartitionedPerturbation(0.0, np.full(4, 0.01), 0.95 * np.eye(4))
-        with pytest.raises(ContractionFailureError, match="spectral") as err:
-            solve_q(part, s)
-        assert err.value.rung == "spectral"
-        assert err.value.certified_norm == pytest.approx(0.95, rel=1e-9)
+        # both rungs above the cap: the smaller bound is returned, with its rung
+        gate = contraction_gate(d, 0.95 * np.eye(4), CERTIFICATE_CAP)
+        assert gate.rung == "spectral"
+        assert gate.bound == pytest.approx(0.95, rel=1e-9)
         # gaps (1, 100) and E22 = [[0, 8], [8, 0]]: ||S||_F = 0.8 sqrt(2) is
         # above the cap and ||S||_2 = 0.8 is not, so the loop runs, although
         # the paper's ||E22 D^{-1}||_2 = 8 would have refused it
@@ -509,7 +510,7 @@ class TestSolveQ:
     def test_zero_noise(self):
         s = spectrum(3, 2, 1)
         part = partition(diag_eig(s), np.zeros((3, 3)))
-        q, _, _ = solve_q(part, s)
+        q, _ = solve_q(part, s)
         assert np.all(q == 0)
         u = assemble_eigvec(diag_eig(s), q)
         np.testing.assert_allclose(u, [1.0, 0.0, 0.0])
@@ -521,7 +522,7 @@ class TestSolveQ:
         for t in range(20):
             E = force_hermitian(rng.standard_normal((2, 2))) * 0.4
             part = partition(diag_eig(s), E)
-            q, _, _ = solve_q(part, s)
+            q, _ = solve_q(part, s)
             b = s.delta + part.e11 - part.e22[0, 0]
             e12, e21 = part.e12[0], part.e21[0]
             disc = math.sqrt(b * b + 4 * e12 * e21)
@@ -537,7 +538,7 @@ class TestSolveQ:
         for t in range(10):
             E = sample_goe(n, derive_stream(59, t))
             part = partition(diag_eig(s), E)
-            q, _, _ = solve_q(part, s)
+            q, _ = solve_q(part, s)
             assert np.linalg.norm(q) <= 0.25
 
     def test_fixed_point_residual(self):
@@ -547,7 +548,7 @@ class TestSolveQ:
         for t in range(10):
             E = sample_goe(n, derive_stream(61, t))
             part = partition(diag_eig(s), E)
-            q, iterations, _ = solve_q(part, s, tol=tol)
+            q, iterations = solve_q(part, s, tol=tol)
             d = build_shifted_gaps(s, part.e11)
             resid = np.linalg.norm(d * q - part.e22 @ q - (part.e21 - (part.e12 @ q) * q))
             assert resid <= tol * (np.linalg.norm(part.e21) + 1.0)
@@ -558,7 +559,7 @@ class TestSolveQ:
         s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
         E = sample_subgaussian_hermitian(n, EntryDistribution("gaussian"), "complex", 5)
         part = partition(diag_eig(s), E)
-        q, _, _ = solve_q(part, s)
+        q, _ = solve_q(part, s)
         lam = eigenvalue_from_q(s, part.e11, part.e12, q)
         u = assemble_eigvec(diag_eig(s), q)
         A_tilde = np.diag(s.lambdas) + E
@@ -655,7 +656,7 @@ class TestEigenvalueFromQ:
         s = spectrum(3.0, 1.0)
         E = force_hermitian(rng_from_stream(71).standard_normal((2, 2))) * 0.3
         part = partition(diag_eig(s), E)
-        q, _, _ = solve_q(part, s)
+        q, _ = solve_q(part, s)
         lam = eigenvalue_from_q(s, part.e11, part.e12, q)
         top = hermitian_eig(np.diag(s.lambdas) + E).spectrum.lambdas[0]
         assert lam == pytest.approx(top, abs=1e-11)
@@ -665,7 +666,7 @@ class TestEigenvalueFromQ:
         s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
         E = sample_goe(n, 73)
         part = partition(diag_eig(s), E)
-        q, _, _ = solve_q(part, s)
+        q, _ = solve_q(part, s)
         lam = eigenvalue_from_q(s, part.e11, part.e12, q)
         u = assemble_eigvec(diag_eig(s), q)
         direct = float(u @ (np.diag(s.lambdas) + E) @ u)
@@ -708,7 +709,8 @@ class TestVerifySolution:
         E = (s.delta + 0.1) * np.outer([0, 1, 0], [0, 1, 0])
         eig = diag_eig(s)
         part = partition(eig, E)
-        q, iterations, gate = solve_q(part, s, certificate_cap=math.inf)
+        q, iterations = solve_q(part, s)
+        gate = contraction_gate(build_shifted_gaps(s, part.e11), part.e22, math.inf)
         rep = SolverReport(
             q=q,
             u_tilde=assemble_eigvec(eig, q),
@@ -1025,6 +1027,76 @@ class TestSolveDriver:
         assert 0.0 < rep.residual2 < math.inf
         assert 0.0 < rep.orth_residual < math.inf
 
+    @pytest.mark.parametrize("case,upper,rung,reason", [
+        ("gap-collapse", math.inf, "", "GapCollapseError: shifted gap collapsed"),
+        ("frobenius", 1.1, "weighted-frobenius",
+         "ContractionFailureError: iteration operator norm bound 1.1 (weighted-frobenius)"),
+        ("spectral", 0.95, "spectral",
+         "ContractionFailureError: iteration operator norm bound 0.95 (spectral)"),
+        ("diverging", 100.0 * math.sqrt(1.25), "weighted-frobenius",
+         "NonConvergenceError: shifted gap d_j + Re(E12 q)"),
+        ("spectral-rung-failure", math.inf, "", "NumericFailureError: "),
+    ])
+    def test_gate_fields_on_every_fallback(self, monkeypatch, case, upper, rung, reason):
+        # the report carries the gate's bound and rung whichever error made solve fall back
+        s, E, cap = spectrum(3, 2, 1), np.zeros((3, 3)), CERTIFICATE_CAP
+        if case == "gap-collapse":
+            E[0, 0] = -2.0  # closes the shifted gaps 1 and 2
+        elif case == "frobenius":
+            E[1, 1] = 1.1  # rank one: ||S||_F = ||S||_2, and the first rung's pad is smaller
+        elif case == "diverging":
+            E[0, 1:] = E[1:, 0] = 0.1  # the loop closes d_1 + Re(E12 q); see TestJacobiInner
+            E[1:, 1:] = -100.0 * np.eye(2)
+            cap = math.inf
+        else:
+            # unit gaps and E22 = 0.95 I: ||S||_F = 1.9 and ||S||_2 = 0.95, both above the cap
+            s, E = spectrum(2, 1, 1, 1, 1), np.zeros((5, 5))
+            E[0, 1:] = E[1:, 0] = 0.01
+            E[1:, 1:] = 0.95 * np.eye(4)
+            if case == "spectral-rung-failure":
+                def fail(*args):
+                    raise NumericFailureError("eigenvalue solver did not converge")
+
+                monkeypatch.setattr(rs_solver, "_spectral_upper", fail)
+        rep = solve(np.diag(s.lambdas), E, certificate_cap=cap, eig=diag_eig(s))
+        assert rep.method == "oracle-fallback"
+        assert rep.contraction_rung == rung
+        assert rep.contraction_upper == pytest.approx(upper, rel=1e-9)
+        assert rep.fallback_reason.startswith(reason)
+
+    def test_fallback_oracle_past_singular_shift(self):
+        # A + E = [[0, 5], [5, 6]]: the oracle's first shift meets an exactly zero pivot
+        rep = solve(np.diag([6.0, 0.0]), np.array([[-6.0, 5.0], [5.0, 6.0]]))
+        assert rep.method == "oracle-fallback" and rep.leading_certified
+        assert rep.lambda_tilde == pytest.approx(3.0 + math.sqrt(34.0), rel=1e-14)
+
+    @pytest.mark.parametrize("pass_eig", [False, True])
+    def test_overflowing_top_eigenvalue_is_typed(self, pass_eig):
+        # every entry of E is 1e308: the gate refuses, and lambda_max(A + E) is
+        # beyond the float range, a NumericFailureError from the oracle
+        s = spectrum(3, 2, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericFailureError, match="overflows"):
+                solve(np.diag(s.lambdas), np.full((3, 3), 1e308),
+                      eig=diag_eig(s) if pass_eig else None)
+
+    @pytest.mark.parametrize("pass_eig", [False, True])
+    def test_overflowing_loop_falls_back(self, pass_eig):
+        # E12 = (1e308, 0) and E22 = 0: the gate admits the loop, and Re(E12 q)
+        # overflows on its second step
+        s = spectrum(3, 2, 1)
+        E = np.zeros((3, 3))
+        E[0, 1] = E[1, 0] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve(np.diag(s.lambdas), E, eig=diag_eig(s) if pass_eig else None)
+        assert rep.method == "oracle-fallback" and rep.leading_certified
+        assert rep.fallback_reason.startswith("NonConvergenceError: fixed-point iteration overflowed")
+        for name, value in vars(rep).items():
+            if not isinstance(value, str):
+                assert np.all(np.isfinite(value)), name
+
     def test_inconsistent_eigenvalue_falls_back(self, monkeypatch):
         def complex_eigenvalue(*args, **kwargs):
             raise InconsistentEigenvalueError("E12 q has imaginary part 1")
@@ -1035,7 +1107,7 @@ class TestSolveDriver:
         assert rep.method == "oracle-fallback"
         assert rep.fallback_reason == "InconsistentEigenvalueError: E12 q has imaginary part 1"
         assert rep.leading_certified
-        assert 0.0 < rep.contraction_upper <= 0.9  # the gate solve_q passed
+        assert 0.0 < rep.contraction_upper <= 0.9  # the gate that admitted the loop
         assert rep.contraction_rung == "weighted-frobenius"
 
     def test_strong_coupling_still_solved(self):
@@ -1084,6 +1156,9 @@ class TestSolveDriver:
         (np.diag([3.0, 2.0, 1.0]), np.triu(np.ones((3, 3))), "E is not exactly self-adjoint"),
         (np.ones((3, 2)), np.zeros((3, 2)), "A must be a square matrix"),
         (np.diag([3.0, 2.0, 1.0]), np.zeros((2, 2)), "A has shape"),
+        (np.zeros((0, 0)), np.zeros((0, 0)), "A must be a square matrix of order >= 1"),
+        (np.eye(2, dtype=object), np.zeros((2, 2)), "A has dtype object"),
+        (np.eye(2), np.zeros((2, 2), dtype=object), "E has dtype object"),
     ])
     def test_bad_operands_rejected(self, A, E, message):
         with pytest.raises(ValueError, match=message):
@@ -1115,10 +1190,11 @@ class TestSolveDriver:
         monkeypatch.setattr(rs_solver, "partition", fail)
         with pytest.raises(ValueError, match=message) as via_solve:
             solve(sample_goe(8, 3), sample_goe(8, 4), **kwargs)
-        part = rs_solver.PartitionedPerturbation(0.0, np.zeros(2), np.zeros((2, 2)))
-        with pytest.raises(ValueError) as via_solve_q:
-            rs_solver.solve_q(part, spectrum(3, 2, 1), **kwargs)
-        assert str(via_solve.value) == str(via_solve_q.value)
+        if "tol" in kwargs:  # solve_q checks tol alone, with solve's message
+            part = rs_solver.PartitionedPerturbation(0.0, np.zeros(2), np.zeros((2, 2)))
+            with pytest.raises(ValueError) as via_solve_q:
+                rs_solver.solve_q(part, spectrum(3, 2, 1), **kwargs)
+            assert str(via_solve.value) == str(via_solve_q.value)
 
     def test_subnormal_tol_reports(self):
         # the step cap grows with log2(1/tol), which stays finite for any positive tol
