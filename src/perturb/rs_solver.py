@@ -22,18 +22,22 @@ path; the experiments record it. The report carries the bound that gated the
 loop and names its rung, along with the step count, the residuals and a
 leading-eigenvalue certificate. That certificate is for the
 exact A + E and needs no eigendecomposition of it: the residual bound puts
-an eigenvalue near lambda~, and Cauchy interlacing (identity basis, O(n^2))
-or one Cholesky factorization (bounds.cholesky_below) shows that none lies
-above it. Only when these proofs are inconclusive does the dense
-computation decide.
+an eigenvalue near lambda~, and Cauchy interlacing (identity basis, O(n),
+from the gate's bound on ||S||_2) or one Cholesky factorization
+(bounds.cholesky_below) shows that none lies above it. Only when these
+proofs are inconclusive does the dense computation decide.
 
-solve calls partition, contraction_gate, solve_q, assemble_eigvec and
-verify_solution in turn, and EigDecomposition.is_identity decides once
-whether the basis is the identity. On that basis, the paper's own setting, A
+solve runs partition, contraction_gate, solve_q, assemble_eigvec and
+verify_solution in turn (on the identity basis, the first and the last
+without the checks it has already made), and EigDecomposition.is_identity
+decides once whether the basis is the identity. On that basis, the paper's
+own setting, A
 must be diag(eig.spectrum.lambdas), and solve reads each n x n operand as
 few times as the proofs allow: A's off-diagonal entries once, to prove them
-zero; E for finiteness, self-adjointness, the gate, one matvec per loop
-step, and in verification E u~, the |E| row sums and the interlacing bound.
+zero; E once before the loop, in one tiled pass that proves it finite and
+exactly self-adjoint, gives the gate's weighted Frobenius rung and bounds
+||E||_F for the rounding pads (in place of partition's own check and the
+gate's pass); then once per loop step, and once in verification, for E u~.
 It forms no I* E I, no product with the identity, and no A + E unless the
 Cholesky proof or the oracle is reached. The randomized Weyl domination
 check is in bounds.
@@ -94,9 +98,9 @@ DEFAULT_TOL = 1e-12
 # needs E12 not too large against the gaps. 0.9 accepts the slow band and flags
 # it in reports; inputs that still fail to converge fall back to the oracle.
 CERTIFICATE_CAP = 0.9
-# Entries per row band of the O(n^2) reductions (_weighted_frobenius_upper,
-# _abs_row_sums): it bounds the band's temporary, which stays in cache.
-_FROBENIUS_BAND = 1 << 16
+# Side of the square tiles in which _tile_sums reads a block: a tile, its
+# mirror and the squared tile stay in cache.
+_TILE = 128
 
 
 def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -175,6 +179,11 @@ def partition(eig: EigDecomposition, E: np.ndarray) -> PartitionedPerturbation:
         raise ValueError(f"noise shape {E.shape} does not match basis dimension {eig.n}")
     if not is_hermitian(E):
         raise ValueError("E is not exactly self-adjoint (M != M*)")
+    return _blocks(eig, E)
+
+
+def _blocks(eig: EigDecomposition, E: np.ndarray) -> PartitionedPerturbation:
+    """partition's blocks of a self-adjoint E, unchecked."""
     basis = eig.basis
     if eig.is_identity:
         tilde = E.astype(np.result_type(E, basis), copy=False)
@@ -195,57 +204,111 @@ def build_shifted_gaps(spectrum: Spectrum, e11: float) -> np.ndarray:
     return d
 
 
-def _weighted_frobenius_upper(M: np.ndarray, d: np.ndarray, hollow: bool = False) -> float:
-    """Upper bound on ||D^{-1/2} M D^{-1/2}||_F for D = diag(d) > 0, in O(m^2).
+def _tile_sums(M: np.ndarray, sigma: float, v: np.ndarray | None) -> tuple[float, float, bool]:
+    """sum_ij |M_ij / sigma|^2 v_i v_j, sum_ij |M_ij / sigma|^2 and whether M = M* exactly.
 
-    With ``hollow`` the diagonal of M is left out. The square of the norm is
-    sum_i v_i sum_j p_ij v_j with p_ij = |M_ij / sigma|^2 and v = sigma / d,
-    where sigma is the power of two with sigma <= max(d) < 2 sigma. Dividing
-    by sigma is exact, every v_j exceeds 1/2, and the value does not change
-    when M and d are scaled by the same power of two. Per row band of at most
-    _FROBENIUS_BAND entries, M / sigma is squared in place (a complex entry
-    as its real and imaginary parts) and each row is dotted with v by
-    np.vecdot, on the calling thread; a dot product with v sums the rows.
-
-    Rounding, with u = eps/2 and N = m (real M) or 2 m (complex M) squares
-    per row: d may carry one rounding, as fl(t - a) does, and fl(sigma / d_j)
-    adds one, so each term p_ij v_i v_j carries five relative errors of at
-    most u (the square and two per weight). The row dot products of N terms
-    and the outer one of m terms add gamma_N and gamma_m in any order of
-    summation, fused multiply-adds allowed (Higham, Accuracy and Stability
-    of Numerical Algorithms, sec. 3.1), so the pad holds whatever order the
-    BLAS dot sums in. All terms are nonnegative, so the sum errs by at most
-    gamma_{N + m + 5} relative; the square root halves that and adds u.
-    pad = (N + m + 7) u is twice the first-order bound, which absorbs the
-    second-order terms, and the padded norm is rounded up.
-    Assumes no underflow (max(d) normal); a sum that is not finite gives inf.
+    One read of the square M in tiles of side _TILE (one tile when M's order
+    is at most 2 _TILE, where fewer tiles save more calls than they cost in
+    cache), on the calling thread, with no temporary larger than a tile.
+    Each tile on or above the diagonal is compared with the conjugate
+    transpose of its mirror tile. When the two are equal, |M_ij| = |M_ji|
+    entry for entry, so the tile's terms count twice, by doubled weights
+    (exact), in place of reading the mirror's; otherwise the mirror tile is
+    summed as well, so the sums are M's for any M. Per tile, M / sigma is squared into a contiguous buffer (a complex
+    entry as its real and imaginary parts), and one np.vecdot dots each row
+    of squares with the weights v and with ones. A row's dot products over
+    its tiles are then summed, and the sums are y . v and the sum of the row
+    totals, so a term passes through at most the roundings of one row's dot
+    product of N terms (N = m real, 2 m complex) and one of m terms. Without
+    v the weights are ones. Overflow is not trapped: a sum that is not
+    finite is returned as computed.
     """
     m = M.shape[0]
+    width = 2 if np.iscomplexobj(M) else 1
+    scale = 1.0 / sigma
+    single = np.ones((2, width * m))  # the weights of (weighted, plain), per real square
+    if v is not None:
+        single[0] = v if width == 1 else np.repeat(v, 2)
+    double = 2.0 * single
+    side = m if m <= 2 * _TILE else _TILE
+    buffer = np.empty(side ** 2, dtype=np.result_type(M, np.float64))
+    dots = np.zeros((-(-m // side), m, 2))  # per tile column and row
+
+    def add(block, i, j, weights):
+        W = buffer[: block.size].reshape(block.shape)  # contiguous for every tile
+        np.multiply(block, scale, out=W)
+        R = W.view(np.float64)
+        R *= R
+        columns = weights[:, width * j : width * j + R.shape[1]]
+        np.vecdot(R[:, np.newaxis, :], columns, out=dots[j // side, i : i + R.shape[0]])
+
+    mirrored = True
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, m, side):
+            for j in range(i, m, side):
+                U, L = M[i : i + side, j : j + side], M[j : j + side, i : i + side]
+                same = np.array_equal(U, L.conj().T)
+                mirrored = mirrored and same
+                add(U, i, j, double if same and i != j else single)
+                if not same and i != j:
+                    add(L, j, i, single)
+        y, z = dots.sum(axis=0).T
+        weighted = float(y @ single[0, ::width])
+        plain = float(z.sum())
+    return weighted, plain, mirrored
+
+
+def _scale_and_weights(d: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """sigma, the power of two with sigma <= max(d) < 2 sigma, and v = sigma / d.
+
+    (1, None) unless max(d) is normal and finite, and v is None unless every
+    d_j is positive. Dividing by sigma is exact, and every v_j exceeds 1/2.
+    """
     top = float(d.max())
     if not np.finfo(np.float64).tiny <= top < math.inf:
-        return math.inf
-    exponent = math.frexp(top)[1] - 1
-    scale = math.ldexp(1.0, -exponent)
-    complex_case = np.iscomplexobj(M)
-    rows = max(1, _FROBENIUS_BAND // max(m, 1))
-    band = np.empty((min(rows, m), m), dtype=np.result_type(M, np.float64))
-    y = np.empty(m)
-    with np.errstate(over="ignore", invalid="ignore"):  # a sum that is not finite gives inf
-        v = math.ldexp(1.0, exponent) / d
-        vv = np.repeat(v, 2) if complex_case else v  # weights of the (real, imaginary) pairs
-        for i in range(0, m, rows):
-            W = band[: min(rows, m - i)]
-            np.multiply(M[i:i + rows], scale, out=W)
-            if hollow:
-                W.flat[i :: m + 1] = 0.0  # entries (r, i + r), the diagonal of M
-            R = W.view(np.float64)
-            R *= R
-            np.vecdot(R, vv, out=y[i:i + rows])
-        s = float(y @ v)
+        return 1.0, None
+    sigma = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    return sigma, (sigma / d if float(d.min()) > 0 else None)
+
+
+def _padded_root(s: float, pad: float) -> float:
+    """sqrt(s) (1 + pad), rounded up; inf unless s is finite."""
     if not math.isfinite(s):
         return math.inf
-    pad = ((3 if complex_case else 2) * m + 7) * (np.finfo(np.float64).eps / 2.0)
-    return float(np.nextafter(math.sqrt(s) * (1.0 + pad), math.inf))
+    return math.nextafter(math.sqrt(s) * (1.0 + pad), math.inf)
+
+
+def _frobenius_pad(m: int, complex_case: bool) -> float:
+    """(N + m + 7) u for the sums of _tile_sums over a block of order m, N squares per row.
+
+    d may carry one rounding, as fl(t - a) does, and fl(sigma / d_j) adds
+    one, so each weighted term p_ij v_i v_j carries five relative errors of
+    at most u = eps/2 (the square and two per weight). A row's N terms and
+    the m rows add gamma_N and gamma_m in any order of summation, fused
+    multiply-adds allowed (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 3.1), so the pad holds whatever order the BLAS dot and
+    the tiles sum in. All terms are nonnegative, so the sum errs by at most
+    gamma_{N + m + 5} relative; the square root halves that and adds u.
+    (N + m + 7) u is twice the first-order bound, which absorbs the
+    second-order terms. The plain sum carries fewer roundings.
+    """
+    return ((3 if complex_case else 2) * m + 7) * (np.finfo(np.float64).eps / 2.0)
+
+
+def _weighted_frobenius_upper(M: np.ndarray, d: np.ndarray) -> float:
+    """Upper bound on ||D^{-1/2} M D^{-1/2}||_F for D = diag(d) > 0, in O(m^2).
+
+    The square of the norm is sum_ij p_ij v_i v_j with p_ij = |M_ij / sigma|^2
+    and v = sigma / d (_scale_and_weights), from one read of M
+    (_tile_sums), padded for rounding (_frobenius_pad) and rounded up. The
+    value does not change when M and d are scaled by the same power of two.
+    Assumes no underflow (max(d) normal); a sum that is not finite gives inf.
+    """
+    sigma, v = _scale_and_weights(d)
+    if v is None:
+        return math.inf
+    weighted, _, _ = _tile_sums(M, sigma, v)
+    return _padded_root(weighted, _frobenius_pad(M.shape[0], np.iscomplexobj(M)))
 
 
 class ContractionGate(NamedTuple):
@@ -298,7 +361,12 @@ def contraction_gate(d: np.ndarray, e22: np.ndarray, cap: float) -> ContractionG
     bounds._spectral_norm_upper, within a relative 1e-9 of the exact norm).
     When neither is at most ``cap``, returns the smaller.
     """
-    frobenius = ContractionGate(_weighted_frobenius_upper(e22, d), "weighted-frobenius")
+    return _ladder(_weighted_frobenius_upper(e22, d), d, e22, cap)
+
+
+def _ladder(frobenius: float, d: np.ndarray, e22: np.ndarray, cap: float) -> ContractionGate:
+    """contraction_gate with its first rung, the weighted Frobenius bound, already computed."""
+    frobenius = ContractionGate(frobenius, "weighted-frobenius")
     if frobenius.bound <= cap:
         return frobenius
     spectral = ContractionGate(_spectral_upper(e22, d), "spectral")
@@ -446,68 +514,108 @@ def _is_diagonal(M: np.ndarray) -> bool:
     return n < 2 or not np.any(M.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n])
 
 
-def _abs_row_sums(M: np.ndarray) -> np.ndarray:
-    """sum_j |M_ij| for every row i, in row bands of at most _FROBENIUS_BAND entries."""
-    m = M.shape[1]
-    rows = max(1, _FROBENIUS_BAND // max(m, 1))
-    band = np.empty((min(rows, M.shape[0]), m))
-    out = np.empty(M.shape[0])
-    for i in range(0, M.shape[0], rows):
-        W = band[: min(rows, M.shape[0] - i)]
-        np.abs(M[i:i + rows], out=W)
-        W.sum(axis=1, out=out[i:i + rows])
-    return out
+class _NoiseRead(NamedTuple):
+    """What one read of E bounds on the identity basis, A = diag(a) (_read_noise)."""
+
+    d: np.ndarray  # the shifted gaps fl(fl(a_1 - a_{j+1}) + E11), as build_shifted_gaps forms them
+    beta: float  # an upper bound on ||D^{-1/2} E22 D^{-1/2}||_2, inf unless every d_j > 0
+    norm: float  # an upper bound on ||E||_F, inf when its sum is not finite
 
 
-def _interlacing_bound(E: np.ndarray, a: np.ndarray, t: float) -> float:
-    """Upper bound on ||G^{-1/2} F G^{-1/2}||_F for the trailing block of A~ = diag(a) + E.
+def _read_noise(E: np.ndarray, a: np.ndarray) -> tuple[_NoiseRead, bool, bool]:
+    """One read of E on the identity basis: its bounds, whether E is finite, and whether E = E*.
 
-    A~[1:, 1:] = diag(c) + F with c = a[1:] + Re diag(E)[1:] and F the
-    hollow E[1:, 1:], and g = t - c, all in exact arithmetic. inf unless
-    every g_j is positive. A value below 1 proves lambda_max(A~[1:, 1:]) < t;
-    see _top_eigenvalue_within. The computed fl(c_j) is within
-    u |fl(c_j)| / (1 - u) of c_j, u = eps/2, so g is taken at
-    t' = t - eps max_j |fl(c_j)|, rounded down: each t' - fl(c_j) is then at
-    most the exact g_j, and its one rounding is _weighted_frobenius_upper's.
+    _tile_sums reads E with the weights v of the shifted gaps d on rows and
+    columns 1..n-1 and 0 on row and column 0, so the weighted sum is E22's
+    alone, and beta, its padded root, is the gate's first rung; norm bounds
+    ||E||_F by the padded root of the plain sum. The finiteness answer costs
+    nothing when the plain sum is finite, since every entry of E is either
+    squared into it or equal to the conjugate of one that is. A sum that is
+    not finite, perhaps from finite entries whose squares overflow, leads to
+    one np.isfinite pass over E; an overflowing square in row 0, times its
+    weight 0, also makes beta inf.
     """
-    c = a[1:] + E.diagonal()[1:].real
-    t = float(np.nextafter(t - np.finfo(np.float64).eps * float(np.abs(c).max()), -math.inf))
-    g = t - c
-    if not np.all(g > 0):
+    d = (a[0] - a[1:]) + float(E[0, 0].real)
+    sigma, v = _scale_and_weights(d)
+    weighted, plain, mirrored = _tile_sums(E, sigma, None if v is None else np.append(0.0, v))
+    finite = math.isfinite(plain) or bool(np.all(np.isfinite(E)))
+    pad = _frobenius_pad(E.shape[0], np.iscomplexobj(E))
+    beta = math.inf if v is None else _padded_root(weighted, pad)
+    return _NoiseRead(d, beta, sigma * _padded_root(plain, pad)), finite, mirrored
+
+
+def _trailing_bound(a: np.ndarray, e11: float, d: np.ndarray, beta: float, t: float) -> float:
+    """Upper bound on ||K||_2 for the trailing block of A~ = diag(a) + E, in O(n); inf unless H > 0.
+
+    K = H^{-1/2} E22 H^{-1/2} with H = diag(h), h_j = t - a_{j+1}, in exact
+    arithmetic, so t I - A~[1:, 1:] = H^{1/2} (I - K) H^{1/2}, and a value
+    below 1 proves lambda_max(A~[1:, 1:]) < t. d is the computed shifted
+    gaps fl(fl(a_1 - a_{j+1}) + E11) and beta >= ||D^{-1/2} E22 D^{-1/2}||_2
+    for them (inf unless every d_j > 0). With delta = t - a_1 - E11, each
+    h_j is d_j + delta up to the two roundings of d_j, at most
+    u (|a_1 - a_{j+1}| + d_j), u = eps/2; the computed delta carries two
+    more, at most u (|t - a_1| + |delta|). So delta is lowered by eps times
+    the largest of each and rounded down, after which every h_j is at least
+    d_j + delta. Then K = G S G with S = D^{-1/2} E22 D^{-1/2} and
+    G = diag(sqrt(d_j / h_j)), so ||K||_2 <= beta max_j d_j / (d_j + delta).
+    The ratio and product carry four roundings; the factor 1 + 4 eps is
+    twice that, and the result is rounded up.
+    """
+    eps = np.finfo(np.float64).eps
+    top = t - float(a[0])
+    delta = top - e11
+    slack = eps * (abs(top) + abs(delta) + float(np.abs(a[0] - a[1:]).max()) + float(d.max()))
+    h = d + float(np.nextafter(delta - slack, -math.inf))
+    if not (beta < math.inf and np.all(h > 0)):
         return math.inf
-    return _weighted_frobenius_upper(E[1:, 1:], g, hollow=True)
+    return float(np.nextafter(beta * float((d / h).max()) * (1.0 + 4.0 * eps), math.inf))
+
+
+def _residual_radius(residual2: float, n: int, norm: float) -> float:
+    """r = residual2 + 2 (n + 2) u ||A~||, u = eps/2: the lower side of _top_eigenvalue_within."""
+    return residual2 + 2.0 * (n + 2) * (np.finfo(np.float64).eps / 2.0) * norm
 
 
 def _top_eigenvalue_within(
-    M: np.ndarray, a: np.ndarray | None, lam: float, residual2: float, tau: float
+    M: np.ndarray,
+    a: np.ndarray | None,
+    lam: float,
+    residual2: float,
+    tau: float,
+    read: _NoiseRead | None = None,
 ) -> bool:
     """True when |lambda_max(A~) - lam| <= tau is proved; False when the proof is inconclusive.
 
     On the identity basis A~ = diag(a) + M is the exact A + E, with a the
-    diagonal of A and M = E. On other bases a is None and M is the
-    floating-point sum fl(A + E). u~ is the report's vector. With u = eps/2
-    the unit roundoff, pad = 2 (n+2) u and ||A~||_inf taken as
-    max_i (sum_j |M_ij| + |a_i|), the proof needs no eigendecomposition:
+    diagonal of A and M = E; ``read`` is what _read_noise bounds of E (solve
+    passes its own read, with the gate's bound as beta), read here when
+    None. On other bases a is None and M is the floating-point sum fl(A + E).
+    u~ is the report's vector. With u = eps/2 the unit roundoff, pad = 2 (n+2) u
+    and ||A~|| taken as ||E||_F + max_i |a_i| (identity basis) or ||M||_F,
+    the proof needs no eigendecomposition:
 
     * lower side: the computed residual2 errs from the exact
-      ||A~ u~ - lam u~||_2 / ||u~||_2 by at most (n + 3) u ||A~||_inf to first
-      order (the products, the sum with a u~ or the rounding of fl(A + E),
-      lam u~ and the difference), so r = residual2 + pad ||A~||_inf bounds it
-      and some eigenvalue of A~ lies within r of lam (the residual bound;
-      Parlett, The Symmetric Eigenvalue Problem). r <= tau gives
-      lambda_max >= lam - tau.
+      ||A~ u~ - lam u~||_2 / ||u~||_2 by at most (n + 5) u ||A~|| to first
+      order. The product errs by gamma_n ||E||_F ||u~||_2 (gamma_{n+2}
+      complex): each row's dot product errs by gamma_n sum_j |E_ij| |u~_j|,
+      at most gamma_n ||E_i||_2 ||u~||_2 (Cauchy-Schwarz), and the rows'
+      errors add up in the 2-norm to ||E||_F. The sum with a u~ (or the
+      rounding of fl(A + E)), lam u~ and a u~ add u ||A~|| each (|lam| is
+      within the residual of an eigenvalue of A~, at most ||A~||_2 in size),
+      and the difference u times the residual. So r = residual2 + pad ||A~||
+      bounds it and some eigenvalue of A~ lies within r of lam (the
+      residual bound; Parlett, The Symmetric Eigenvalue Problem). r <= tau
+      gives lambda_max >= lam - tau.
     * upper side, on the identity basis: let t = lam - r, rounded down.
       Cauchy interlacing gives lambda_2(A~) <= lambda_max(A~[1:, 1:])
-      (Horn and Johnson, Matrix Analysis, sec. 4.3). Write
-      A~[1:, 1:] = diag(c) + F with F zero on the diagonal and G = diag(g),
-      g = t - c > 0. Then t I - A~[1:, 1:] = G^{1/2} (I - K) G^{1/2} with
-      K = G^{-1/2} F G^{-1/2}, positive definite when ||K||_F < 1
-      (_interlacing_bound, padded for rounding, including that of c). So
-      lambda_2 < lam - r, and the eigenvalue within r of lam is lambda_max.
-      O(n^2), and conclusive when u~ is close to e1, as on the identity basis.
+      (Horn and Johnson, Matrix Analysis, sec. 4.3), which is below t when
+      _trailing_bound, from the gate's bound on ||D^{-1/2} E22 D^{-1/2}||_2
+      and the gaps alone, is below 1. So lambda_2 < lam - r, and the
+      eigenvalue within r of lam is lambda_max. O(n), and conclusive when
+      lam - r clears lambda1 + E11 by a little, as at the loop's fixed point.
     * upper side otherwise: cholesky_below on H = fl(A + E), formed here on
       the identity basis, proves lambda_max(H) < t with t = lam + tau, rounded
-      down, less rho = eps ||A~||_inf, rounded down. H differs from A + E by
+      down, less rho = eps ||A~||, rounded down. H differs from A + E by
       at most u |A + E| entrywise (on the diagonal only, on the identity
       basis), so by at most rho in the 2-norm, and Weyl's inequality gives
       lambda_max(A + E) < t + rho <= lam + tau. Its diagonal shift s must stay
@@ -515,25 +623,28 @@ def _top_eigenvalue_within(
       factorization is expected to fail, so it is not tried.
 
     pad is twice the first-order bound of the lower side, which absorbs the
-    second-order terms and ||u~||_2 - 1. Assumes no underflow. r > tau or an
-    inconclusive upper side leaves the question to the caller.
+    second-order terms, ||u~||_2 - 1 and the rounding of ||A~||. Assumes no
+    underflow. r > tau or an inconclusive upper side leaves the question to
+    the caller.
     """
     n = M.shape[0]
-    unit_roundoff = np.finfo(np.float64).eps / 2.0
-    sums = _abs_row_sums(M)
-    if a is not None:
-        sums += np.abs(a)
-    norm = float(sums.max())
-    r = residual2 + 2.0 * (n + 2) * unit_roundoff * norm
+    if a is None:
+        norm = lp_norm(M, 2)
+    else:
+        if read is None:
+            read = _read_noise(M, a)[0]
+        norm = read.norm + float(np.abs(a).max())
+    r = _residual_radius(residual2, n, norm)
     if not r <= tau:
         return False
-    if a is not None and _interlacing_bound(M, a, float(np.nextafter(lam - r, -math.inf))) < 1.0:
-        return True
-    if a is None:
-        H = M.copy()
-    else:
+    if a is not None:
+        t = float(np.nextafter(lam - r, -math.inf))
+        if _trailing_bound(a, float(M[0, 0].real), read.d, read.beta, t) < 1.0:
+            return True
         H = M.astype(np.result_type(M, a))
         H[np.diag_indices(n)] += a
+    else:
+        H = M.copy()
     t = float(np.nextafter(lam + tau, -math.inf))
     t = float(np.nextafter(t - np.finfo(np.float64).eps * norm, -math.inf))
     return cholesky_below(H, t, max_shift=tau)
@@ -554,17 +665,19 @@ def verify_solution(
     unit = min(1, max(|lambda_1|, |lambda_n|)) from ``spectrum``. Without
     ``lambda_max`` the second condition is proved for the exact A + E by the
     residual bound (lower side) and, for the upper side, Cauchy interlacing
-    when ``eig`` has the identity basis, else one Cholesky factorization; see
-    _top_eigenvalue_within. When that proof is inconclusive, lambda_max is
-    read from the dense oracle, top_eigpair(A + E); a ``lambda_max`` passed
-    in (the oracle's top eigenvalue, already computed) is used as it is.
-    Neither is tried when the first condition fails. Failures are recorded,
-    never raised, except that the oracle raises InvalidSpectrumError when the
-    top eigenvalue of A + E is not simple.
+    with the weighted Frobenius bound on E22 when ``eig`` has the identity
+    basis, else one Cholesky factorization; see _top_eigenvalue_within. When
+    that proof is inconclusive, lambda_max is read from the dense oracle,
+    top_eigpair(A + E); a ``lambda_max`` passed in (the oracle's top
+    eigenvalue, already computed) is used as it is. Neither is tried when
+    the first condition fails. Failures are recorded, never raised, except
+    that the oracle raises InvalidSpectrumError when the top eigenvalue of
+    A + E is not simple.
 
     On the identity basis A must be diagonal (else ValueError), and A + E is
     never formed unless the Cholesky proof or the oracle is reached: A~ u~ is
-    E u~ + a u~ with a the diagonal of A. Elsewhere A + E is formed once.
+    E u~ + a u~ with a the diagonal of A, and the proof reads E once more
+    (_read_noise). Elsewhere A + E is formed once.
 
     orth_residual is ||U~_perp* A~ u~||_2 for any orthonormal basis U~_perp
     of u~'s complement, that is ||A~ u~ - u~ (u~* A~ u~)||_2 for unit u~.
@@ -572,10 +685,26 @@ def verify_solution(
     not overflow the sum of squares.
     """
     A, E = np.asarray(A), np.asarray(E)
+    if eig is not None and eig.is_identity and not _is_diagonal(A):
+        raise ValueError("eig has the identity basis but A is not diagonal")
+    return _verify(A, E, report, spectrum, eig, lambda_max)
+
+
+def _verify(
+    A: np.ndarray,
+    E: np.ndarray,
+    report: SolverReport,
+    spectrum: Spectrum,
+    eig: EigDecomposition | None,
+    lambda_max: float | None,
+    read: _NoiseRead | None = None,
+) -> SolverReport:
+    """verify_solution without its proof that A is diagonal, which solve has made.
+
+    ``read`` is solve's read of E, with the gate's bound as beta.
+    """
     u, lam = report.u_tilde, report.lambda_tilde
     if eig is not None and eig.is_identity:
-        if not _is_diagonal(A):
-            raise ValueError("eig has the identity basis but A is not diagonal")
         M, a = E, A.diagonal()
         w = _matvec(E, u) + a * u
     else:
@@ -587,7 +716,7 @@ def verify_solution(
     tau = 1e-9 * (_unit(spectrum) + abs(lam))
     if not lam > half:
         report.leading_certified = False
-    elif lambda_max is None and _top_eigenvalue_within(M, a, lam, report.residual2, tau):
+    elif lambda_max is None and _top_eigenvalue_within(M, a, lam, report.residual2, tau, read):
         report.leading_certified = True
     else:
         if lambda_max is None:
@@ -596,16 +725,23 @@ def verify_solution(
     return report
 
 
-def _check_operands(A: np.ndarray, E: np.ndarray, eig: EigDecomposition | None) -> None:
+def _check_operands(
+    A: np.ndarray, E: np.ndarray, eig: EigDecomposition | None
+) -> _NoiseRead | None:
     """Raise ValueError unless A and E are valid operands and an identity-basis ``eig`` describes A.
 
     A and E must be nonempty, square and alike in shape, of a dtype that
-    casts safely to complex128 (the dtypes numpy.linalg takes) and finite,
-    and A exactly self-adjoint. On the identity basis A must be
+    casts safely to complex128 (the dtypes numpy.linalg takes), finite and
+    exactly self-adjoint. On the identity basis A must be
     diag(eig.spectrum.lambdas) exactly. One read of A's off-diagonal entries
     proves it diagonal (_is_diagonal), after which its finiteness and
-    self-adjointness are O(n) checks on its diagonal. A non-identity ``eig``
-    is trusted, not checked.
+    self-adjointness are O(n) checks on its diagonal; E is then read once
+    (_read_noise), and what that read bounds is returned for solve's gate
+    and certificate. Otherwise E's finiteness is checked here, its
+    self-adjointness is left to partition, and None is returned. The
+    messages come in the same order either way: A's and E's finiteness, A's
+    self-adjointness, the shapes, the identity basis, E's self-adjointness.
+    A non-identity ``eig`` is trusted, not checked.
     """
     for name, M in (("A", A), ("E", E)):
         if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
@@ -614,15 +750,25 @@ def _check_operands(A: np.ndarray, E: np.ndarray, eig: EigDecomposition | None) 
             raise ValueError(f"{name} has dtype {M.dtype}, not safely castable to complex128")
     identity = eig is not None and eig.is_identity and A.shape == (eig.n, eig.n)
     diagonal = identity and _is_diagonal(A)
-    for name, M in (("A", A.diagonal() if diagonal else A), ("E", E)):
-        if not np.all(np.isfinite(M)):
-            raise ValueError(f"{name} has non-finite entries")
+    if not np.all(np.isfinite(A.diagonal() if diagonal else A)):
+        raise ValueError("A has non-finite entries")
+    read, self_adjoint = None, True  # off the identity basis partition checks E = E*
+    if diagonal and E.shape == A.shape:
+        tilde = E.astype(np.result_type(E, eig.basis), copy=False)
+        read, finite, self_adjoint = _read_noise(tilde, eig.spectrum.lambdas)
+    else:
+        finite = bool(np.all(np.isfinite(E)))
+    if not finite:
+        raise ValueError("E has non-finite entries")
     if not (np.all(A.diagonal().imag == 0) if diagonal else is_hermitian(A)):
         raise ValueError("A is not exactly self-adjoint (M != M*)")
     if A.shape != E.shape:
         raise ValueError(f"A has shape {A.shape} but E has shape {E.shape}")
     if identity and not (diagonal and np.array_equal(A.diagonal(), eig.spectrum.lambdas)):
         raise ValueError("eig has the identity basis, but A is not diag(eig.spectrum.lambdas)")
+    if not self_adjoint:
+        raise ValueError("E is not exactly self-adjoint (M != M*)")
+    return read
 
 
 def solve(
@@ -640,35 +786,46 @@ def solve(
     the identity basis must describe A, which must then be exactly
     diag(eig.spectrum.lambdas), else ValueError; any other ``eig`` is
     trusted. Runs partition, the contraction gate, the loop (solve_q) and
-    assembly in turn. The gate is contraction_gate on the shifted gaps; when
-    its bound exceeds ``certificate_cap`` it raises ContractionFailureError
-    and the loop does not run. On any PerturbError in that chain (gap
-    collapse, contraction failure, divergence, a complex eigenvalue) solve
-    falls back to the dense oracle's leading eigenpair, top_eigpair(A + E),
-    tags the report method "oracle-fallback" and records the caught error as
-    "<ErrorType>: <message>" in ``fallback_reason`` (empty on "rs"), so
-    pipelines never silently lose a trial. Either way the report carries the
-    gate's bound and rung; the bound is inf and the rung empty when the
-    shifted gaps collapse or the spectral rung's eigensolver fails (a
-    NumericFailureError, which falls back like the others). ``tol`` must be
-    finite and positive and ``certificate_cap`` positive (inf allowed), else
-    ValueError before any work on A or E. A top eigenvalue that is not
-    simple, of A or of A + E where the oracle decides, raises
-    InvalidSpectrumError.
+    assembly in turn. On the identity basis E is read once before the loop
+    (_read_noise, from _check_operands), on the calling thread and with no
+    n x n temporary: that read proves E finite and exactly self-adjoint,
+    gives the gate's weighted Frobenius rung and bounds ||E||_F, so
+    partition's own check is skipped and, after the loop, verification
+    reads E only for E u~. The gate is contraction_gate on the shifted gaps;
+    when its bound exceeds ``certificate_cap`` it raises
+    ContractionFailureError and the loop does not run. On any PerturbError
+    in that chain (gap collapse, contraction failure, divergence, a complex
+    eigenvalue) solve falls back to the dense oracle's leading eigenpair,
+    top_eigpair(A + E), tags the report method "oracle-fallback" and records
+    the caught error as "<ErrorType>: <message>" in ``fallback_reason``
+    (empty on "rs"), so pipelines never silently lose a trial. The fallback
+    expands that eigenvector as (u1 + U_perp q) / sqrt(1 + ||q||^2), which
+    needs its overlap with u1; when the overlap is at or below n eps, the
+    rounding level of a computed overlap of two unit vectors, no such q can
+    be told from a fabricated one and a PerturbError naming the overlap is
+    raised instead. Either way the report carries the gate's bound and rung;
+    the bound is inf and the rung empty when the shifted gaps collapse or
+    the spectral rung's eigensolver fails (a NumericFailureError, which
+    falls back like the others). ``tol`` must be finite and positive and
+    ``certificate_cap`` positive (inf allowed), else ValueError before any
+    work on A or E. A top eigenvalue that is not simple, of A or of A + E
+    where the oracle decides, raises InvalidSpectrumError.
     """
     _check_tol(tol)
     if not certificate_cap > 0.0:
         raise ValueError(f"certificate_cap must be positive, got {certificate_cap}")
     A, E = np.asarray(A), np.asarray(E)
-    _check_operands(A, E, eig)
+    read = _check_operands(A, E, eig)
     if eig is None:
         eig = hermitian_eig(A)
-    part = partition(eig, E)
+    part = partition(eig, E) if read is None else _blocks(eig, E)
     spectrum = eig.spectrum
     gate = ContractionGate(math.inf, "")
     lambda_max = None
     try:
-        gate = contraction_gate(build_shifted_gaps(spectrum, part.e11), part.e22, certificate_cap)
+        d = build_shifted_gaps(spectrum, part.e11)
+        frobenius = _weighted_frobenius_upper(part.e22, d) if read is None else read.beta
+        gate = _ladder(frobenius, d, part.e22, certificate_cap)
         if not gate.bound <= certificate_cap:
             raise ContractionFailureError(
                 f"iteration operator norm bound {gate.bound:.4g} ({gate.rung}) "
@@ -681,10 +838,15 @@ def solve(
     except PerturbError as err:
         lambda_max, u = top_eigpair(A + E)
         head = complex(np.vdot(eig.leading_vector(), u))
-        if abs(head) > 0:
-            u = u * (abs(head) / head)  # overlap with u1 real nonnegative
-            head = abs(head)
-        q = (eig.tail_basis().conj().T @ u) / max(float(abs(head)), np.finfo(np.float64).eps)
+        level = eig.n * np.finfo(np.float64).eps
+        if not abs(head) > level:
+            raise PerturbError(
+                f"the top eigenvector of A + E has overlap |<u1, u>| = {abs(head):.3g} with u1, "
+                f"at or below its rounding level {level:.3g}, so no q expands it; "
+                f"fallback after {type(err).__name__}: {err}"
+            ) from err
+        u = u * (abs(head) / head)  # overlap with u1 real positive
+        q = (eig.tail_basis().conj().T @ u) / abs(head)
         lam, iterations = lambda_max, 0
         method, reason = "oracle-fallback", f"{type(err).__name__}: {err}"
     report = SolverReport(
@@ -700,5 +862,7 @@ def solve(
         fallback_reason=reason,
     )
     if verify:
-        verify_solution(A, E, report, spectrum, eig=eig, lambda_max=lambda_max)
+        if read is not None:
+            read = read._replace(beta=gate.bound)
+        _verify(A, E, report, spectrum, eig, lambda_max, read)
     return report

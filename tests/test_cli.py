@@ -134,7 +134,10 @@ class TestSolve:
 
     def test_fallback_reason_exported(self, capsys, tmp_path):
         (tmp_path / "A.json").write_text(matrix_to_json(np.diag([3.0, 2.0, 1.0])))
-        (tmp_path / "E.json").write_text(matrix_to_json(np.diag([-2.0, 0.0, 0.0])))
+        # E12 = 0.01 couples u1 to the fallback's eigenvector, which E11 = -2 makes e2
+        E = np.diag([-2.0, 0.0, 0.0])
+        E[0, 1] = E[1, 0] = 0.01
+        (tmp_path / "E.json").write_text(matrix_to_json(E))
         code, out, _ = run_cli(
             capsys, "solve", "--matrix", str(tmp_path / "A.json"), "--noise", str(tmp_path / "E.json")
         )

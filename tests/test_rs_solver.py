@@ -64,6 +64,12 @@ def diag_eig(s: Spectrum) -> EigDecomposition:
     return EigDecomposition(spectrum=s, basis=np.eye(s.n))
 
 
+# Couples u1 and u2 in the 3 x 3 fallback examples: the top eigenvector of a
+# diagonal A + E is a coordinate vector, orthogonal to u1 unless it is u1,
+# and then no q expands it.
+COUPLING = np.array([[0.0, 0.01, 0.0], [0.01, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+
 class TestPartition:
     def test_zero_noise(self):
         eig = hermitian_eig(np.diag([3.0, 2.0, 1.0]))
@@ -289,6 +295,7 @@ class TestJacobiInner:
     def test_certificate_rejection(self):
         s = spectrum(3, 2, 1)
         E = np.diag([0.0, 2.0, 0.0])  # E22 D^{-1} has norm 2 > cap
+        E[0, 1] = E[1, 0] = 0.01  # so the fallback's eigenvector overlaps u1
         part = partition(diag_eig(s), E)
         gate = contraction_gate(build_shifted_gaps(s, part.e11), part.e22, CERTIFICATE_CAP)
         assert gate.bound > 0.9
@@ -320,8 +327,8 @@ def abs2(z) -> Fraction:
     return Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
 
 
-def exact_weighted_square(M: np.ndarray, d: np.ndarray, hollow: bool = False) -> Fraction:
-    """sum_ij |M_ij|^2 / (d_i d_j) in exact arithmetic; with ``hollow`` the diagonal is left out.
+def exact_weighted_square(M: np.ndarray, d: np.ndarray) -> Fraction:
+    """sum_ij |M_ij|^2 / (d_i d_j) in exact arithmetic.
 
     Integer arithmetic: every real or imaginary part is X 2^low with an
     integer X and one exponent low for all of them, and with d_j = p_j / q_j
@@ -334,13 +341,72 @@ def exact_weighted_square(M: np.ndarray, d: np.ndarray, hollow: bool = False) ->
     for f, e in parts:
         X = np.ldexp(f, 53).astype(np.int64).astype(object) << (e - 53 - low).astype(object)
         squares += X * X
-    if hollow:
-        np.fill_diagonal(squares, 0)
     ratios = [float(x).as_integer_ratio() for x in d]
     L = math.lcm(*(p for p, _ in ratios))
     w = np.array([q * (L // p) for p, q in ratios], dtype=object)
     total = w @ (squares @ w)
     return Fraction(total, L * L) * Fraction(4) ** low
+
+
+class ExactComplex:
+    """A complex number with Fraction parts, for exact sums of products of floats."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def lift(x) -> "ExactComplex":
+        return x if isinstance(x, ExactComplex) else ExactComplex(x)
+
+    def __add__(self, other):
+        other = self.lift(other)
+        return ExactComplex(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ExactComplex(-self.re, -self.im)
+
+    def __mul__(self, other):
+        other = self.lift(other)
+        return ExactComplex(
+            self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re
+        )
+
+    __rmul__ = __mul__
+
+    def abs2(self) -> Fraction:
+        return self.re * self.re + self.im * self.im
+
+
+def exact_entry(z) -> ExactComplex:
+    z = complex(z)
+    return ExactComplex(z.real, z.imag)
+
+
+def exact_positive_definite(H: list) -> bool:
+    """Whether the Hermitian H, rows of ExactComplex, is positive definite.
+
+    Gaussian elimination on its real embedding [[Re H, -Im H], [Im H, Re H]],
+    which is positive definite exactly when H is, meets only positive pivots.
+    """
+    m = len(H)
+    R = [[Fraction(0)] * (2 * m) for _ in range(2 * m)]
+    for i in range(m):
+        for j in range(m):
+            R[i][j] = R[m + i][m + j] = H[i][j].re
+            R[i][m + j], R[m + i][j] = -H[i][j].im, H[i][j].im
+    for k in range(2 * m):
+        if R[k][k] <= 0:
+            return False
+        for i in range(k + 1, 2 * m):
+            f = R[i][k] / R[k][k]
+            if f:
+                for j in range(k + 1, 2 * m):
+                    R[i][j] -= f * R[k][j]
+    return True
 
 
 def random_hermitian(rng, m: int, complex_case: bool) -> np.ndarray:
@@ -377,8 +443,8 @@ class TestContractionGate:
     @pytest.mark.parametrize("complex_case", [False, True])
     def test_frobenius_pad_covers_rounding(self, complex_case):
         # in exact rational arithmetic, bound^2 >= sum_ij |e_ij|^2 / (d_i d_j),
-        # the diagonal left out in the hollow form, with d spread over 2^-40..2^40;
-        # on the rank-one blocks ||S||_F is ||S||_2 itself
+        # with d spread over 2^-40..2^40; on the rank-one blocks ||S||_F is
+        # ||S||_2 itself
         rng = rng_from_stream(131)
         for t in range(40):
             m = int(rng.integers(3, 10))
@@ -388,24 +454,49 @@ class TestContractionGate:
             else:
                 e22 = random_hermitian(rng, m, complex_case)
             d = np.ldexp(rng.uniform(1.0, 2.0, m), rng.integers(-40, 41, m))
-            for hollow in (False, True):
-                bound = rs_solver._weighted_frobenius_upper(e22, d, hollow=hollow)
-                exact = exact_weighted_square(e22, d, hollow)
-                assert exact <= Fraction(bound) ** 2 <= exact * (1 + Fraction(1, 10**12))
+            bound = rs_solver._weighted_frobenius_upper(e22, d)
+            exact = exact_weighted_square(e22, d)
+            assert exact <= Fraction(bound) ** 2 <= exact * (1 + Fraction(1, 10**12))
 
     @pytest.mark.parametrize("complex_case", [False, True])
     def test_frobenius_pad_covers_rounding_over_bands(self, complex_case):
-        # m = 300 takes two row bands of _FROBENIUS_BAND entries; d's 7-bit
-        # mantissas keep the exact sum's common denominator small
+        # m = 300 takes three tile rows and columns, the last one partial, so
+        # mirrored tiles are doubled; d's 7-bit mantissas keep the exact sum's
+        # common denominator small
         rng = rng_from_stream(139)
         m = 300
-        assert rs_solver._FROBENIUS_BAND // m < m
+        assert 2 * rs_solver._TILE < m < 3 * rs_solver._TILE
         e22 = random_hermitian(rng, m, complex_case)
         d = np.ldexp(1.0 + rng.integers(0, 64, m) / 64.0, rng.integers(-40, 41, m))
-        for hollow in (False, True):
-            bound = rs_solver._weighted_frobenius_upper(e22, d, hollow=hollow)
-            exact = exact_weighted_square(e22, d, hollow)
-            assert exact <= Fraction(bound) ** 2 <= exact * (1 + Fraction(1, 10**12))
+        bound = rs_solver._weighted_frobenius_upper(e22, d)
+        exact = exact_weighted_square(e22, d)
+        assert exact <= Fraction(bound) ** 2 <= exact * (1 + Fraction(1, 10**12))
+
+    @pytest.mark.parametrize("complex_case", [False, True])
+    def test_tile_sums_any_matrix(self, monkeypatch, complex_case):
+        # a mirror tile that is not the conjugate transpose of its tile is
+        # summed on its own, so the sums are M's for any M; one flipped sign,
+        # which keeps |M_ij| = |M_ji|, is enough to clear the mirrored flag.
+        # Tiles of 16 put m = 40 over three tile rows, the last one partial
+        monkeypatch.setattr(rs_solver, "_TILE", 16)
+        rng = rng_from_stream(167)
+        m = 40
+        M = random_hermitian(rng, m, complex_case)
+        d = np.ldexp(1.0 + rng.integers(0, 64, m) / 64.0, rng.integers(-4, 5, m))
+        sigma, v = rs_solver._scale_and_weights(d)
+        close = Fraction(1, 10**12)
+        for defect in ("none", "sign", "general"):
+            X = M.copy()
+            if defect == "sign":
+                X[37, 3] = -X[37, 3]
+            elif defect == "general":
+                X = rng.standard_normal((m, m))
+            weighted, plain, mirrored = rs_solver._tile_sums(X, sigma, v)
+            assert mirrored == (defect == "none")
+            exact = exact_weighted_square(X, d)
+            assert abs(Fraction(weighted) - exact) <= close * exact
+            exact = sum((abs2(x) for x in X.ravel()), Fraction(0)) / Fraction(sigma) ** 2
+            assert abs(Fraction(plain) - exact) <= close * exact
 
     @pytest.mark.parametrize("complex_case", [False, True])
     @pytest.mark.parametrize("k", [500, 900, 1000, -500, -900, -1000])
@@ -420,10 +511,9 @@ class TestContractionGate:
         if complex_case:
             e22 = e22 + 1j * np.ldexp(part.e22.imag, k)
         assert np.array_equal(e22 * 2.0 ** -k, part.e22) and np.array_equal(np.ldexp(d_k, -k), d)
-        for hollow in (False, True):
-            bound = rs_solver._weighted_frobenius_upper(part.e22, d, hollow=hollow)
-            assert 0.0 < bound < math.inf
-            assert rs_solver._weighted_frobenius_upper(e22, d_k, hollow=hollow) == bound
+        bound = rs_solver._weighted_frobenius_upper(part.e22, d)
+        assert 0.0 < bound < math.inf
+        assert rs_solver._weighted_frobenius_upper(e22, d_k) == bound
 
     def test_ladder(self):
         # E22 = 0.5 I on unit gaps: ||S||_F = 1 exceeds the cap and the
@@ -762,7 +852,7 @@ class TestVerifySolution:
         if cause == "shift":
             A_tilde, lam, u = A + E, rep.lambda_tilde, rep.u_tilde
             pad, tau = 12 * np.finfo(float).eps / 2, 1e-9 * (1 + abs(rep.lambda_tilde))
-            r = np.linalg.norm(A_tilde @ u - lam * u) + pad * np.abs(A_tilde).sum(axis=1).max()
+            r = np.linalg.norm(A_tilde @ u - lam * u) + pad * (np.linalg.norm(E) + 1e6 + 1)
             assert r <= tau <= pad * np.trace(lam * np.eye(4) - A_tilde)
         oracle = verify_solution(
             A, E, SolverReport(**vars(rep)), s, eig=diag_eig(s), lambda_max=top_eigpair(A + E)[0]
@@ -779,7 +869,7 @@ class TestVerifySolution:
             return math.inf
 
         monkeypatch.setattr(rs_solver, "top_eigpair", counted)
-        monkeypatch.setattr(rs_solver, "_interlacing_bound", inconclusive)
+        monkeypatch.setattr(rs_solver, "_trailing_bound", inconclusive)
         monkeypatch.setattr(np.linalg, "cholesky", cholesky)
         verify_solution(A, E, rep, s, eig=diag_eig(s))
         assert len(interlacing) == 1
@@ -788,7 +878,8 @@ class TestVerifySolution:
 
     def test_interlacing_rejects_second_eigenpair(self):
         # the second eigenpair of A~ has a residual near zero, but by interlacing
-        # lambda_max(A~[1:, 1:]) is at least its eigenvalue: the bound is never below 1
+        # lambda_max(A~[1:, 1:]) is at least its eigenvalue: the O(n) bound is
+        # never below 1 there, with either rung's bound on ||S||_2
         n = 32
         s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
         E = sample_goe(n, 41)
@@ -797,36 +888,125 @@ class TestVerifySolution:
         lam, u = float(w[-2]), V[:, -2]
         residual2 = float(np.linalg.norm(A_tilde @ u - lam * u))
         assert residual2 <= 1e-12 * abs(lam)
-        assert rs_solver._interlacing_bound(E, s.lambdas, lam) >= 1.0
+        read, finite, self_adjoint = rs_solver._read_noise(E, s.lambdas)
+        assert finite and self_adjoint
+        spectral = rs_solver._spectral_upper(E[1:, 1:], read.d)
+        for beta in (read.beta, spectral):
+            assert rs_solver._trailing_bound(s.lambdas, E[0, 0], read.d, beta, lam) >= 1.0
         tau = 1e-9 * (1.0 + abs(lam))
         assert not rs_solver._top_eigenvalue_within(E, s.lambdas, lam, residual2, tau)
 
+    @pytest.mark.parametrize("noise", [sample_goe, sample_gue])
+    def test_second_eigenpair_never_certified(self, noise):
+        # at every size and noise scale the exact second eigenpair clears no
+        # proof: lambda_2 <= lambda_max(A~[1:, 1:]), so no valid bound on
+        # ||S||_2 can put the trailing block below t <= lambda_2
+        proved = 0
+        for n in (8, 32, 64):
+            s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
+            A = np.diag(s.lambdas)
+            for t in range(4):
+                for scale in (0.05, 0.5, 2.0):
+                    E = scale * noise(n, derive_stream(157, n, t))
+                    w, V = np.linalg.eigh(A + E)
+                    lam, u = float(w[-2]), V[:, -2] * (abs(V[0, -2]) / V[0, -2])
+                    read = rs_solver._read_noise(E, s.lambdas)[0]
+                    below = float(np.nextafter(lam - 1e-12 * (1.0 + abs(lam)), -math.inf))
+                    if np.all(read.d > 0):
+                        spectral = rs_solver._spectral_upper(E[1:, 1:], read.d)
+                        for beta in (read.beta, spectral):
+                            bound = rs_solver._trailing_bound(s.lambdas, E[0, 0].real, read.d, beta, below)
+                            assert bound >= 1.0
+                    rep = SolverReport(
+                        q=u[1:] / u[0], u_tilde=u, lambda_tilde=lam, iterations=0, contraction_upper=0.0
+                    )
+                    verify_solution(A, E, rep, s, eig=diag_eig(s))
+                    assert not rep.leading_certified
+                    proved += rep.residual2 <= 1e-12 * (1.0 + abs(lam))
+        assert proved == 36  # every pair has a residual at rounding level
+
     @pytest.mark.parametrize("complex_case", [False, True])
     def test_interlacing_pad_covers_rounding(self, complex_case):
-        # in exact rational arithmetic with c_j = a_j + e_jj and g_j = t - c_j,
-        # bound^2 >= sum_{i != j} |e_ij|^2 / (g_i g_j). Near 1e6 the rounding
-        # of fl(a_j + e_jj), up to 6e-11, is far above the kernel's pad
-        # relative to g_j ~ 1: t must be lowered to cover it
+        # in exact rational arithmetic with h_j = t - a_{j+1}: every h_j > 0
+        # and bound >= beta max_j d_j / h_j, and a bound below 1 leaves
+        # t I - A~[1:, 1:] positive definite. In odd trials a spans six
+        # decades and E11 nearly closes d_1, so the two roundings of d_j, up
+        # to 1e-10, are far above the bound's own pad relative to
+        # d_j + delta ~ 1: delta must be lowered to cover them
         rng = rng_from_stream(137)
+        finite = below_one = 0
         for trial in range(40):
             m = int(rng.integers(3, 10))
+            E = 0.1 * random_hermitian(rng, m, complex_case)
+            if trial % 2:
+                a = np.concatenate(([1e6 + rng.uniform()], np.sort(rng.uniform(-1e6, 9e5, m - 1))[::-1]))
+                E[0, 0] = -(a[0] - a[1]) + rng.uniform(0.5, 2.0)
+            else:
+                a = -4.0 * np.arange(m)
+            read, _, _ = rs_solver._read_noise(E, a)
+            assert np.all(read.d > 0)
+            e11 = float(E[0, 0].real)
+            t = float(a[0] + e11 + rng.uniform(-0.4, 0.6))
+            bound = rs_solver._trailing_bound(a, e11, read.d, read.beta, t)
+            if bound == math.inf:
+                continue
+            finite += 1
+            h = [Fraction(t) - Fraction(x) for x in a[1:]]
+            assert min(h) > 0
+            assert Fraction(bound) >= Fraction(read.beta) * max(Fraction(x) / y for x, y in zip(read.d, h))
+            if bound < 1.0:
+                below_one += 1
+                T = [[-exact_entry(E[1 + i, 1 + j]) for j in range(m - 1)] for i in range(m - 1)]
+                for j in range(m - 1):
+                    T[j][j] = T[j][j] + h[j]
+                assert exact_positive_definite(T)
+        assert finite >= 30 and below_one >= 20
+
+    @pytest.mark.parametrize("complex_case", [False, True])
+    def test_frobenius_read_covers_rounding(self, monkeypatch, complex_case):
+        # exactly: beta^2 >= sum_ij |E22_ij|^2 / (d_i d_j) and norm >= ||E||_F,
+        # with tiles of 16 and m = 40 over three tile rows, so mirrored tiles are
+        # doubled; and the radius r with ||E||_F + max |a| in its pad bounds the
+        # exact residual of a computed eigenpair, whose own residual2 sits at
+        # the rounding floor
+        monkeypatch.setattr(rs_solver, "_TILE", 16)
+        rng = rng_from_stream(163)
+        for m in (4, 9, 40):
             E = random_hermitian(rng, m, complex_case)
-            a = (1e6 if trial % 2 else 0.0) - 4.0 * np.arange(m)
-            c = a[1:] + E.diagonal().real[1:]
-            t = float(c.max() + rng.uniform(0.5, 3.0))
-            bound = rs_solver._interlacing_bound(E, a, t)
-            assert bound < math.inf
-            g = [Fraction(t) - Fraction(x) - Fraction(y) for x, y in zip(a[1:], E.diagonal().real[1:])]
-            exact = sum(
-                abs2(E[1 + i, 1 + j]) / (g[i] * g[j])
-                for i in range(m - 1) for j in range(m - 1) if i != j
+            a = np.concatenate(([2e3], np.sort(rng.uniform(-1e3, 1e3, m - 1))[::-1]))
+            read, finite, self_adjoint = rs_solver._read_noise(E, a)
+            assert finite and self_adjoint
+            exact = exact_weighted_square(E[1:, 1:], read.d)
+            assert exact <= Fraction(read.beta) ** 2 <= exact * (1 + Fraction(1, 10**12))
+            plain = sum((abs2(x) for x in E.ravel()), Fraction(0))
+            assert plain <= Fraction(read.norm) ** 2 <= plain * (1 + Fraction(1, 10**12))
+        for trial in range(40):
+            m = int(rng.integers(3, 10))
+            E = 50.0 * random_hermitian(rng, m, complex_case)
+            s = Spectrum(np.concatenate(([1e6], np.sort(rng.uniform(-1e6, 1e6, m - 1))[::-1])))
+            w, V = np.linalg.eigh(np.diag(s.lambdas) + E)
+            rep = SolverReport(
+                q=np.zeros(m - 1), u_tilde=V[:, -1], lambda_tilde=float(w[-1]),
+                iterations=0, contraction_upper=0.0,
             )
-            assert Fraction(bound) ** 2 >= exact
+            verify_solution(np.diag(s.lambdas), E, rep, s, eig=diag_eig(s))
+            read = rs_solver._read_noise(E, s.lambdas)[0]
+            r = rs_solver._residual_radius(rep.residual2, m, read.norm + float(np.abs(s.lambdas).max()))
+            u = [exact_entry(x) for x in rep.u_tilde]
+            lam = Fraction(rep.lambda_tilde)
+            residual = Fraction(0)
+            for i in range(m):
+                row = (Fraction(s.lambdas[i]) - lam) * u[i] + sum(
+                    (exact_entry(E[i, j]) * u[j] for j in range(m)), ExactComplex()
+                )
+                residual += row.abs2()
+            assert residual <= Fraction(r) ** 2 * sum((x.abs2() for x in u), Fraction(0))
 
     def test_interlacing_uses_padded_residual(self, monkeypatch):
         # u~ = e1 is an exact eigenvector (residual 0), but a_1 = 1 - 4 ulp lies
-        # within r = pad ||A~||_inf = 12 u of lam = 1: interlacing cannot
-        # separate lambda_2 from lam - r, and the Cholesky proof decides
+        # within r = pad ||A~|| = 12 u of lam = 1 (||E||_F + max |a| = 1): the
+        # shifted gap d_1 + delta is not positive, interlacing cannot separate
+        # lambda_2 from lam - r, and the Cholesky proof decides
         calls = []
         cholesky = np.linalg.cholesky
 
@@ -843,7 +1023,7 @@ class TestVerifySolution:
         # -I is an eigenbasis of diagonal A but not the identity: the interlacing
         # proof is skipped there and the Cholesky proof certifies instead
         interlacing, factorizations = [], []
-        bound, cholesky = rs_solver._interlacing_bound, np.linalg.cholesky
+        bound, cholesky = rs_solver._trailing_bound, np.linalg.cholesky
 
         def counted_bound(*args):
             interlacing.append(1)
@@ -853,7 +1033,7 @@ class TestVerifySolution:
             factorizations.append(1)
             return cholesky(M)
 
-        monkeypatch.setattr(rs_solver, "_interlacing_bound", counted_bound)
+        monkeypatch.setattr(rs_solver, "_trailing_bound", counted_bound)
         monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
         n = 32
         s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
@@ -919,11 +1099,12 @@ class TestSolveDriver:
     def test_fallback_tagging(self):
         s = spectrum(3, 2, 1)
         A = np.diag(s.lambdas)
-        E = (s.delta + 0.1) * np.outer([0, 1, 0], [0, 1, 0])
+        E = (s.delta + 0.1) * np.outer([0, 1, 0], [0, 1, 0]) + COUPLING
         rep = solve(A, E)
         assert rep.method == "oracle-fallback"
         assert rep.leading_certified  # the fallback pair is the true leading pair
-        assert rep.lambda_tilde == pytest.approx(3.1)
+        assert rep.lambda_tilde == pytest.approx(np.linalg.eigvalsh(A + E)[-1], rel=1e-12)
+        assert rep.lambda_tilde == pytest.approx(3.1, rel=1e-3)
 
     def test_report_json_fields(self):
         s = spectrum(3, 2, 1)
@@ -940,9 +1121,10 @@ class TestSolveDriver:
 
     @pytest.mark.parametrize("E,reason", [
         # E22 D^{-1} has norm 1.1, above the cap
-        (1.1 * np.outer([0, 1, 0], [0, 1, 0]), "ContractionFailureError: iteration operator norm bound 1.1"),
+        (1.1 * np.outer([0, 1, 0], [0, 1, 0]) + COUPLING,
+         "ContractionFailureError: iteration operator norm bound 1.1"),
         # E11 = -2 closes the shifted gaps 1 and 2
-        (np.diag([-2.0, 0.0, 0.0]), "GapCollapseError: shifted gap collapsed"),
+        (np.diag([-2.0, 0.0, 0.0]) + COUPLING, "GapCollapseError: shifted gap collapsed"),
     ])
     def test_fallback_reason(self, E, reason):
         s = spectrum(3, 2, 1)
@@ -1001,10 +1183,11 @@ class TestSolveDriver:
         # ||S||_F overflows for this finite E, but S is finite and exactly
         # Hermitian: the spectral rung finds ||S||_2 = 1e308 / sqrt(4 * 10)
         # (shifted gaps 4 and 10) from eigvalsh(S), far above the cap, and the
-        # oracle answers
+        # oracle answers; E13 couples its eigenvector to u1
         s = Spectrum(2.0 * np.arange(8, 0, -1.0))
         E = np.zeros((8, 8))
         E[2, 5] = E[5, 2] = 1e308
+        E[0, 2] = E[2, 0] = 1e307
         with np.errstate(over="ignore", invalid="ignore"):
             rep = solve(np.diag(s.lambdas), E, eig=diag_eig(s) if pass_eig else None)
         assert rep.method == "oracle-fallback"
@@ -1012,7 +1195,7 @@ class TestSolveDriver:
         assert rep.contraction_rung == "spectral"
         assert rep.contraction_upper == pytest.approx(1e308 / math.sqrt(40.0), rel=1e-12)
         assert rep.leading_certified
-        assert rep.lambda_tilde == 1e308
+        assert rep.lambda_tilde == pytest.approx(1e308 * math.sqrt(1.01), rel=1e-12)
         for name, value in vars(rep).items():
             if not isinstance(value, str):
                 assert np.all(np.isfinite(value)), name
@@ -1039,7 +1222,7 @@ class TestSolveDriver:
     ])
     def test_gate_fields_on_every_fallback(self, monkeypatch, case, upper, rung, reason):
         # the report carries the gate's bound and rung whichever error made solve fall back
-        s, E, cap = spectrum(3, 2, 1), np.zeros((3, 3)), CERTIFICATE_CAP
+        s, E, cap = spectrum(3, 2, 1), COUPLING.copy(), CERTIFICATE_CAP
         if case == "gap-collapse":
             E[0, 0] = -2.0  # closes the shifted gaps 1 and 2
         elif case == "frobenius":
@@ -1126,26 +1309,27 @@ class TestSolveDriver:
 
     @pytest.mark.parametrize("method", ["rs", "oracle-fallback"])
     def test_certificate_computed_once(self, monkeypatch, method):
-        # one gate per solve; its spectral rung runs only when the
+        # one gate per solve (solve runs contraction_gate's ladder on the
+        # first rung it has read); its spectral rung runs only when the
         # weighted-Frobenius rung exceeds the cap
         gates, spectral = [], []
-        spectral_upper = rs_solver._spectral_upper
+        spectral_upper, ladder = rs_solver._spectral_upper, rs_solver._ladder
 
         def counted_gate(*args, **kwargs):
             gates.append(1)
-            return contraction_gate(*args, **kwargs)
+            return ladder(*args, **kwargs)
 
         def counted_spectral(*args):
             spectral.append(1)
             return spectral_upper(*args)
 
-        monkeypatch.setattr(rs_solver, "contraction_gate", counted_gate)
+        monkeypatch.setattr(rs_solver, "_ladder", counted_gate)
         monkeypatch.setattr(rs_solver, "_spectral_upper", counted_spectral)
         s = spectrum(3, 2, 1)
         if method == "rs":
             E = 0.1 * sample_goe(3, 7)
         else:  # E22 D^{-1} has norm 1.1, above the cap
-            E = (s.delta + 0.1) * np.outer([0, 1, 0], [0, 1, 0])
+            E = (s.delta + 0.1) * np.outer([0, 1, 0], [0, 1, 0]) + COUPLING
         rep = solve(np.diag(s.lambdas), E)
         assert rep.method == method
         assert len(gates) == 1
@@ -1204,19 +1388,25 @@ class TestSolveDriver:
 
     @pytest.mark.parametrize("basis,checks", [("identity", 1), ("rotated", 3)])
     def test_self_adjointness_checked_once_per_matrix(self, monkeypatch, basis, checks):
-        # E in partition; on a general basis also A at entry and U* E U (on the
-        # identity basis A is proved diagonal, and its diagonal real)
+        # on the identity basis E in its one read (A is proved diagonal, and its
+        # diagonal real); on a general basis A at entry, E in partition and U* E U
         n = 16
         s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
         A, eig = np.diag(s.lambdas), diag_eig(s)
         if basis == "rotated":
             Q = np.linalg.qr(rng_from_stream(5).standard_normal((n, n)))[0]
             A, eig = force_hermitian((Q * s.lambdas) @ Q.T), EigDecomposition(s, Q)
-        calls = []
-        monkeypatch.setattr(rs_solver, "is_hermitian", lambda M: calls.append(1) or is_hermitian(M))
+        checks_by, read_noise = [], rs_solver._read_noise
+        monkeypatch.setattr(
+            rs_solver, "is_hermitian", lambda M: checks_by.append("is_hermitian") or is_hermitian(M)
+        )
+        monkeypatch.setattr(
+            rs_solver, "_read_noise", lambda *args: checks_by.append("read") or read_noise(*args)
+        )
         rep = solve(A, sample_goe(n, 19), eig=eig)
         assert rep.method == "rs" and rep.leading_certified
-        assert len(calls) == checks
+        assert len(checks_by) == checks
+        assert checks_by.count("read") == (basis == "identity")
 
     @pytest.mark.parametrize("defect", ["diagonal", "off-diagonal"])
     def test_identity_eig_must_describe_A(self, defect):
@@ -1248,6 +1438,86 @@ class TestSolveDriver:
         A[i, j] = value
         with pytest.raises(ValueError, match=message):
             solve(A, 0.1 * sample_goe(8, 7), eig=diag_eig(s), verify=False)
+
+    @pytest.mark.parametrize("gaps", ["intact", "collapsed"])
+    @pytest.mark.parametrize("defect,message", [
+        ("nan-pair", "E has non-finite entries"),
+        ("inf-row-0", "E has non-finite entries"),
+        ("inf-diagonal", "E has non-finite entries"),
+        ("inf-e11", "E has non-finite entries"),
+        ("not-self-adjoint", "E is not exactly self-adjoint"),
+        ("imaginary-diagonal", "E is not exactly self-adjoint"),
+        ("not-self-adjoint-and-nan", "E has non-finite entries"),
+        ("nan-and-A-not-diag", "E has non-finite entries"),
+        ("not-self-adjoint-and-A-not-diag", "eig has the identity basis, but A is not diag"),
+    ])
+    def test_identity_read_errors_in_order(self, gaps, defect, message):
+        # the one read of E on the identity basis gives the messages, and in the
+        # order, that the separate finiteness and self-adjointness checks gave:
+        # E's finiteness before A's other checks, its self-adjointness after them
+        s = spectrum(*range(8, 0, -1))
+        A, E = np.diag(s.lambdas), 0.1 * sample_goe(8, 7)
+        if gaps == "collapsed":
+            E[0, 0] = -1.5
+        if "complex" in defect or defect == "imaginary-diagonal":
+            E = E.astype(complex)
+        if defect.startswith("nan") or defect.endswith("nan"):
+            E[2, 5] = E[5, 2] = math.nan
+        if defect == "inf-row-0":
+            E[0, 3] = E[3, 0] = math.inf
+        if defect == "inf-diagonal":
+            E[4, 4] = math.inf
+        if defect == "inf-e11":
+            E[0, 0] = math.inf
+        if defect.startswith("not-self-adjoint"):
+            E[6, 1] += 1e-3
+        if defect == "imaginary-diagonal":
+            E[3, 3] += 0.5j
+        if defect.endswith("A-not-diag"):
+            A[1, 1] += 0.25
+        for verify in (False, True):
+            with pytest.raises(ValueError, match=message):
+                solve(A, E, eig=diag_eig(s), verify=verify)
+
+    @pytest.mark.parametrize("where", ["pair", "row-0", "diagonal"])
+    def test_identity_read_huge_finite_entry(self, where):
+        # a finite 1e200 overflows the read's sums of squares, which is no
+        # evidence of a non-finite entry: the read checks E itself, proves it
+        # finite and self-adjoint, and solve answers as the separate checks let it
+        s = spectrum(*range(8, 0, -1))
+        E = 0.1 * sample_goe(8, 7)
+        i, j = {"pair": (2, 5), "row-0": (0, 5), "diagonal": (3, 3)}[where]
+        E[i, j] = E[j, i] = 1e200
+        with np.errstate(over="ignore"):
+            read, finite, self_adjoint = rs_solver._read_noise(E, s.lambdas)
+        assert finite and self_adjoint
+        assert read.norm == math.inf
+        assert read.beta == math.inf  # a square overflows, in E22 or in row 0 (weight 0)
+        try:
+            rep = solve(np.diag(s.lambdas), E, eig=diag_eig(s))
+        except PerturbError as err:  # the top eigenvector is e3 + e6 or e4, orthogonal to u1
+            assert where != "row-0" and "overlap" in str(err)
+        else:
+            assert where == "row-0" and rep.method == "oracle-fallback" and rep.leading_certified
+
+    def test_fallback_vector_orthogonal_to_u1(self):
+        # A + E = diag(1, 2, 1): the oracle's eigenvector is e2, orthogonal to
+        # u1 = e1, so no (u1 + U_perp q) / norm equals it (a clamped division
+        # reported q = [4.5e15, 0]); solve names the overlap instead
+        A = np.diag([3.0, 2.0, 1.0])
+        with pytest.raises(PerturbError, match=r"overlap \|<u1, u>\| = 0 with u1") as err:
+            solve(A, np.diag([-2.0, 0.0, 0.0]))
+        assert "fallback after GapCollapseError" in str(err.value)
+        # E12 = 1e-8 tilts it toward u1 by about 1e-8, and a finite q expands it
+        E = np.diag([-2.0, 0.0, 0.0])
+        E[0, 1] = E[1, 0] = 1e-8
+        rep = solve(A, E)
+        assert rep.method == "oracle-fallback"
+        assert rep.fallback_reason.startswith("GapCollapseError")
+        assert np.all(np.isfinite(rep.q)) and abs(rep.q[0]) == pytest.approx(1e8, rel=1e-6)
+        u = np.concatenate(([1.0], rep.q)) / math.sqrt(1.0 + float(np.vdot(rep.q, rep.q).real))
+        assert np.allclose(u, rep.u_tilde, rtol=0.0, atol=1e-15)
+        assert np.all(np.isfinite(rep.coord_ratios)) and rep.q_norm2 == pytest.approx(1e8, rel=1e-6)
 
     def test_degenerate_top_eigenvalue_rejected(self):
         with pytest.raises(InvalidSpectrumError):
