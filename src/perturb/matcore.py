@@ -205,6 +205,47 @@ def operator_norm_exact(M, p) -> float:
     raise UnsupportedExponentError(f"exact operator norm only at p in {{1, 2, inf}}, got {p}")
 
 
+def _hermitian_product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X @ Y for square factors whose exact product is Hermitian, built exactly Hermitian from 3/4 of it.
+
+    With h = n // 2, the rows above h are X[:h] Y and the block below and
+    right of h is X[h:] Y[:, h:]. Every entry below the diagonal is then the
+    conjugate of its mirror above it, as it is in the exact product, and the
+    diagonal keeps its real part: so the result is exactly Hermitian with a
+    real diagonal, each entry a computed entry of X @ Y or its conjugate,
+    with no arithmetic beyond the products (no sum of mirrors to overflow).
+    """
+    n = X.shape[0]
+    h = n // 2
+    out = np.empty((n, n), dtype=np.result_type(X, Y))
+    np.matmul(X[:h], Y, out=out[:h])
+    np.matmul(X[h:], Y[:, h:], out=out[h:, h:])
+    out[h:, :h] = out[:h, h:].conj().T
+    for block in (slice(0, h), slice(h, n)):
+        B = out[block, block]  # masked: reads the strict upper triangle, writes the lower
+        np.copyto(B, B.conj().T, where=np.tri(B.shape[0], k=-1, dtype=bool))
+    if np.iscomplexobj(out):
+        np.fill_diagonal(out.imag, 0.0)
+    return out
+
+
+def _frobenius(M: np.ndarray) -> float:
+    """||M||_F from one dot product of M with itself, or from lp_norm(M, 2) when that sum lost range.
+
+    The sum of squares is kept when it is finite and at least N tiny, N the
+    number of entries: its squares that underflowed then changed it by at
+    most N 2^-1074 (half a subnormal spacing per real square, two per
+    complex entry), at most eps relative. Otherwise (an overflowing square,
+    entries below about 1e-154, or a NaN) the max-rescaled lp_norm decides.
+    Every term is nonnegative, so the one dot product errs by at most
+    gamma_{2N} relative in any order of summation (Higham, sec. 3.1).
+    """
+    s = float(np.vdot(M, M).real)
+    if math.isfinite(s) and s >= M.size * np.finfo(np.float64).tiny:
+        return math.sqrt(s)
+    return lp_norm(M, 2)
+
+
 def hermitian_eig(M: np.ndarray) -> EigDecomposition:
     """Dense eigendecomposition oracle with deterministic output.
 
@@ -222,11 +263,14 @@ def hermitian_eig(M: np.ndarray) -> EigDecomposition:
 
     Raises
     ------
+    ValueError
+        If M is not exactly self-adjoint.
     NumericFailureError
         If the reconstruction residual exceeds 1e-10 ||M||_F, which signals a
         failed factorization rather than roundoff at any scale of M. Both
-        norms are max-rescaled (lp_norm), so the check holds for entries near
-        overflow.
+        norms fall back to the max-rescaled lp_norm when a sum of squares
+        overflows or underflows (_frobenius), so the check holds for entries
+        near either end of the float range.
     InvalidSpectrumError
         If the top eigenvalue is not simple (or M is 1 x 1): the leading pair
         every caller reads is then undefined.
@@ -234,23 +278,38 @@ def hermitian_eig(M: np.ndarray) -> EigDecomposition:
     M = np.atleast_2d(np.asarray(M))
     if not is_hermitian(M):
         raise ValueError("hermitian_eig requires an exactly self-adjoint matrix")
+    return _decompose(M)
+
+
+def _decompose(M: np.ndarray) -> EigDecomposition:
+    """hermitian_eig of an M already proved exactly self-adjoint.
+
+    eigh returns its eigenvalues nondecreasing, so when they increase
+    strictly, reversing the columns is the order argsort(-w, kind="stable")
+    gives; only ties need that sort. The columns are ordered and phased in
+    one product. The reconstruction U diag(w) U* is Hermitian whatever U
+    eigh returns, and M is exactly Hermitian, so the residual's lower
+    triangle mirrors its upper one: 3/4 of the product
+    (_hermitian_product) decides the check as the whole would, and the
+    residual is formed from it in place.
+    """
     try:
         w, v = np.linalg.eigh(M)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"eigendecomposition did not converge: {exc}") from exc
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
+    order = slice(None, None, -1) if np.all(w[1:] > w[:-1]) else np.argsort(-w, kind="stable")
     # Fix the free global phase of each column: largest-magnitude entry real positive.
     anchors = np.abs(v).argmax(axis=0)
     lead = v[anchors, np.arange(v.shape[1])]
     scale = np.where(np.abs(lead) == 0, 1.0, np.abs(lead) / np.where(lead == 0, 1.0, lead))
-    v = v * scale
+    w, v = w[order], v[:, order] * scale[order]
     if np.isrealobj(M):
         v = v.real
 
-    resid = lp_norm((v * w) @ v.conj().T - M, 2)
-    if resid > 1e-10 * lp_norm(M, 2):
+    residual = _hermitian_product(v * w, v.conj().T)
+    residual -= M
+    resid = _frobenius(residual)
+    if resid > 1e-10 * _frobenius(M):
         raise NumericFailureError("eigendecomposition reconstruction failed", residual=resid)
     return EigDecomposition(spectrum=Spectrum(w), basis=v)
 

@@ -39,7 +39,11 @@ exactly self-adjoint, gives the gate's weighted Frobenius rung and bounds
 ||E||_F for the rounding pads (in place of partition's own check and the
 gate's pass); then once per loop step, and once in verification, for E u~.
 It forms no I* E I, no product with the identity, and no A + E unless the
-Cholesky proof or the oracle is reached. The randomized Weyl domination
+Cholesky proof or the oracle is reached. On any other basis each operand is
+proved self-adjoint once (A on entry, E in partition), U* E U is built
+exactly Hermitian from 3/4 of its second product, so the gate reads its
+tiles without comparing them with their mirrors, and verification factors
+the A + E it forms for its residuals. The randomized Weyl domination
 check is in bounds.
 """
 
@@ -63,8 +67,9 @@ from .errors import (
 from .matcore import (
     EigDecomposition,
     Spectrum,
-    force_hermitian,
-    hermitian_eig,
+    _decompose,
+    _frobenius,
+    _hermitian_product,
     is_hermitian,
     json_fields,
     lp_norm,
@@ -98,6 +103,14 @@ DEFAULT_TOL = 1e-12
 # needs E12 not too large against the gaps. 0.9 accepts the slow band and flags
 # it in reports; inputs that still fail to converge fall back to the oracle.
 CERTIFICATE_CAP = 0.9
+# kappa of solve_q's rounding-level step test ||D dq||_2 <= kappa eps ||E21||_2.
+# Once the iteration has converged, a step repeats the map's roundings, and
+# its ||D dq||_2 stayed at or below 0.65 eps ||E21||_2 on every input tried
+# (identity-basis GOE and GUE noise at n = 64, 256 and 512 on linear and
+# multiscale spectra, scaled by 2^40, gate bounds up to 0.88). 8 leaves a
+# margin over that and stays below tol = 1e-12 while ||E21||_2 < 560, where
+# the loop stops exactly as under tol * unit alone.
+_STEP_ROUNDING = 8.0
 # Side of the square tiles in which _tile_sums reads a block: a tile, its
 # mirror and the squared tile stay in cache.
 _TILE = 128
@@ -122,8 +135,8 @@ class PartitionedPerturbation:
     """Noise matrix expressed in the eigenbasis of A and split around u1.
 
     e21 is exactly conj(e12) and e22 is exactly Hermitian: the blocks of
-    U* E U, symmetrized at most once. They may be views of the caller's E
-    (see partition).
+    U* E U, built Hermitian (see partition). They may be views of the
+    caller's E.
     """
 
     e11: float
@@ -171,8 +184,8 @@ def partition(eig: EigDecomposition, E: np.ndarray) -> PartitionedPerturbation:
     (A diagonal) the two products are skipped, as I* E I equals E entry for
     entry in IEEE arithmetic, and the blocks are views of E (or of its
     complex copy for a complex basis). Otherwise they are views of the fresh
-    U* E U, symmetrized only when rounding broke its self-adjointness (the
-    sum in (M + M*)/2 can overflow).
+    U* E U, exactly Hermitian with a real diagonal by construction: F = E U
+    once, then 3/4 of U* F with the rest mirrored (_hermitian_product).
     """
     E = np.asarray(E)
     if E.shape != (eig.n, eig.n):
@@ -188,9 +201,7 @@ def _blocks(eig: EigDecomposition, E: np.ndarray) -> PartitionedPerturbation:
     if eig.is_identity:
         tilde = E.astype(np.result_type(E, basis), copy=False)
     else:
-        tilde = basis.conj().T @ E @ basis
-        if not is_hermitian(tilde):
-            tilde = force_hermitian(tilde)
+        tilde = _hermitian_product(basis.conj().T, E @ basis)
     return PartitionedPerturbation(float(tilde[0, 0].real), tilde[0, 1:], tilde[1:, 1:])
 
 
@@ -204,7 +215,9 @@ def build_shifted_gaps(spectrum: Spectrum, e11: float) -> np.ndarray:
     return d
 
 
-def _tile_sums(M: np.ndarray, sigma: float, v: np.ndarray | None) -> tuple[float, float, bool]:
+def _tile_sums(
+    M: np.ndarray, sigma: float, v: np.ndarray | None, hermitian: bool = False
+) -> tuple[float, float, bool]:
     """sum_ij |M_ij / sigma|^2 v_i v_j, sum_ij |M_ij / sigma|^2 and whether M = M* exactly.
 
     One read of the square M in tiles of side _TILE (one tile when M's order
@@ -214,7 +227,10 @@ def _tile_sums(M: np.ndarray, sigma: float, v: np.ndarray | None) -> tuple[float
     transpose of its mirror tile. When the two are equal, |M_ij| = |M_ji|
     entry for entry, so the tile's terms count twice, by doubled weights
     (exact), in place of reading the mirror's; otherwise the mirror tile is
-    summed as well, so the sums are M's for any M. Per tile, M / sigma is squared into a contiguous buffer (a complex
+    summed as well, so the sums are M's for any M. ``hermitian`` says that M
+    is exactly Hermitian by construction, as partition's blocks are: the
+    comparisons are then skipped and every mirror tile counts as equal.
+    Per tile, M / sigma is squared into a contiguous buffer (a complex
     entry as its real and imaginary parts), and one np.vecdot dots each row
     of squares with the weights v and with ones. A row's dot products over
     its tiles are then summed, and the sums are y . v and the sum of the row
@@ -247,7 +263,7 @@ def _tile_sums(M: np.ndarray, sigma: float, v: np.ndarray | None) -> tuple[float
         for i in range(0, m, side):
             for j in range(i, m, side):
                 U, L = M[i : i + side, j : j + side], M[j : j + side, i : i + side]
-                same = np.array_equal(U, L.conj().T)
+                same = hermitian or np.array_equal(U, L.conj().T)
                 mirrored = mirrored and same
                 add(U, i, j, double if same and i != j else single)
                 if not same and i != j:
@@ -295,7 +311,7 @@ def _frobenius_pad(m: int, complex_case: bool) -> float:
     return ((3 if complex_case else 2) * m + 7) * (np.finfo(np.float64).eps / 2.0)
 
 
-def _weighted_frobenius_upper(M: np.ndarray, d: np.ndarray) -> float:
+def _weighted_frobenius_upper(M: np.ndarray, d: np.ndarray, hermitian: bool = False) -> float:
     """Upper bound on ||D^{-1/2} M D^{-1/2}||_F for D = diag(d) > 0, in O(m^2).
 
     The square of the norm is sum_ij p_ij v_i v_j with p_ij = |M_ij / sigma|^2
@@ -303,11 +319,12 @@ def _weighted_frobenius_upper(M: np.ndarray, d: np.ndarray) -> float:
     (_tile_sums), padded for rounding (_frobenius_pad) and rounded up. The
     value does not change when M and d are scaled by the same power of two.
     Assumes no underflow (max(d) normal); a sum that is not finite gives inf.
+    ``hermitian`` is _tile_sums': M is exactly Hermitian by construction.
     """
     sigma, v = _scale_and_weights(d)
     if v is None:
         return math.inf
-    weighted, _, _ = _tile_sums(M, sigma, v)
+    weighted, _, _ = _tile_sums(M, sigma, v, hermitian)
     return _padded_root(weighted, _frobenius_pad(M.shape[0], np.iscomplexobj(M)))
 
 
@@ -404,8 +421,14 @@ def solve_q(
 
     Runs the loop alone: the caller admits it (solve does so through
     contraction_gate). Returns q and the number of steps. Stops when
-    ||D (q_next - q)||_2 <= tol * unit and the quadratic residual is below
-    tol * (||E21||_2 + unit), unit = min(1, max(|lambda_1|, |lambda_n|)).
+    ||D (q_next - q)||_2 <= step_tol and the quadratic residual is below
+    tol * (||E21||_2 + unit), unit = min(1, max(|lambda_1|, |lambda_n|)),
+    with step_tol the larger of tol * unit and the rounding level
+    _STEP_ROUNDING eps ||E21||_2 of a step. Above unit scale tol * unit is
+    an absolute 1e-12 that a step of a large E meets only by stagnating
+    exactly; the rounding level scales with E, so a step test and a
+    divergence rule (steps at or below step_tol never count as growing)
+    that hold at unit scale hold at every scale.
     Raises GapCollapseError when a shifted gap d_j is not positive;
     NonConvergenceError when some d_j + Re(E12 q) is not positive, when the
     shift or the step ||D dq||_2 is not finite, after three consecutive
@@ -417,8 +440,9 @@ def solve_q(
     cap = max(200, int(math.ceil(-10.0 * math.log2(tol))))
     e21, e12, e22 = part.e21, part.e12, part.e22
     unit = _unit(spectrum)
-    step_tol = tol * unit
-    target = tol * (lp_norm(e21, 2) + unit)
+    e21_norm = lp_norm(e21, 2)
+    step_tol = max(tol * unit, _STEP_ROUNDING * np.finfo(np.float64).eps * e21_norm)
+    target = tol * (e21_norm + unit)
     d_min = float(d.min())
 
     q = np.zeros_like(e21)
@@ -587,10 +611,11 @@ def _top_eigenvalue_within(
     """True when |lambda_max(A~) - lam| <= tau is proved; False when the proof is inconclusive.
 
     On the identity basis A~ = diag(a) + M is the exact A + E, with a the
-    diagonal of A and M = E; ``read`` is what _read_noise bounds of E (solve
-    passes its own read, with the gate's bound as beta), read here when
-    None. On other bases a is None and M is the floating-point sum fl(A + E).
-    u~ is the report's vector. With u = eps/2 the unit roundoff, pad = 2 (n+2) u
+    (real) diagonal of A and M = E; ``read`` is what _read_noise bounds of E
+    (solve passes its own read, with the gate's bound as beta), read here
+    when None. On other bases a is None and M is the floating-point sum
+    fl(A + E), which the Cholesky proof overwrites. u~ is the report's
+    vector. With u = eps/2 the unit roundoff, pad = 2 (n+2) u
     and ||A~|| taken as ||E||_F + max_i |a_i| (identity basis) or ||M||_F,
     the proof needs no eigendecomposition:
 
@@ -623,13 +648,16 @@ def _top_eigenvalue_within(
       factorization is expected to fail, so it is not tried.
 
     pad is twice the first-order bound of the lower side, which absorbs the
-    second-order terms, ||u~||_2 - 1 and the rounding of ||A~||. Assumes no
+    second-order terms, ||u~||_2 - 1 and the rounding of ||A~||: off the
+    identity basis ||M||_F comes from one dot product of its n^2 squares
+    (_frobenius), low by at most gamma_{2 n^2} relative, a fraction of the
+    factor 2 for any n up to 10^7. Assumes no
     underflow. r > tau or an inconclusive upper side leaves the question to
     the caller.
     """
     n = M.shape[0]
     if a is None:
-        norm = lp_norm(M, 2)
+        norm = _frobenius(M)
     else:
         if read is None:
             read = _read_noise(M, a)[0]
@@ -644,7 +672,7 @@ def _top_eigenvalue_within(
         H = M.astype(np.result_type(M, a))
         H[np.diag_indices(n)] += a
     else:
-        H = M.copy()
+        H = M
     t = float(np.nextafter(lam + tau, -math.inf))
     t = float(np.nextafter(t - np.finfo(np.float64).eps * norm, -math.inf))
     return cholesky_below(H, t, max_shift=tau)
@@ -674,10 +702,12 @@ def verify_solution(
     that the oracle raises InvalidSpectrumError when the top eigenvalue of
     A + E is not simple.
 
-    On the identity basis A must be diagonal (else ValueError), and A + E is
-    never formed unless the Cholesky proof or the oracle is reached: A~ u~ is
-    E u~ + a u~ with a the diagonal of A, and the proof reads E once more
-    (_read_noise). Elsewhere A + E is formed once.
+    On the identity basis A must be diagonal with a real diagonal (else
+    ValueError), and A + E is never formed unless the Cholesky proof or the
+    oracle is reached: A~ u~ is E u~ + a u~ with a the diagonal of A, and
+    the proof reads E once more (_read_noise). Elsewhere A + E is formed
+    once, and the Cholesky proof factors it in place; the oracle, when
+    reached, forms it again.
 
     orth_residual is ||U~_perp* A~ u~||_2 for any orthonormal basis U~_perp
     of u~'s complement, that is ||A~ u~ - u~ (u~* A~ u~)||_2 for unit u~.
@@ -685,8 +715,11 @@ def verify_solution(
     not overflow the sum of squares.
     """
     A, E = np.asarray(A), np.asarray(E)
-    if eig is not None and eig.is_identity and not _is_diagonal(A):
-        raise ValueError("eig has the identity basis but A is not diagonal")
+    if eig is not None and eig.is_identity:
+        if not _is_diagonal(A):
+            raise ValueError("eig has the identity basis but A is not diagonal")
+        if not np.all(A.diagonal().imag == 0):
+            raise ValueError("eig has the identity basis but A's diagonal is not real")
     return _verify(A, E, report, spectrum, eig, lambda_max)
 
 
@@ -699,13 +732,13 @@ def _verify(
     lambda_max: float | None,
     read: _NoiseRead | None = None,
 ) -> SolverReport:
-    """verify_solution without its proof that A is diagonal, which solve has made.
+    """verify_solution without its proof that A is diagonal with a real diagonal, which solve has made.
 
     ``read`` is solve's read of E, with the gate's bound as beta.
     """
     u, lam = report.u_tilde, report.lambda_tilde
     if eig is not None and eig.is_identity:
-        M, a = E, A.diagonal()
+        M, a = E, A.diagonal().real
         w = _matvec(E, u) + a * u
     else:
         M, a = A + E, None
@@ -720,7 +753,7 @@ def _verify(
         report.leading_certified = True
     else:
         if lambda_max is None:
-            lambda_max = top_eigpair(M if a is None else A + E)[0]
+            lambda_max = top_eigpair(A + E)[0]
         report.leading_certified = bool(abs(lam - lambda_max) <= tau)
     return report
 
@@ -791,7 +824,9 @@ def solve(
     n x n temporary: that read proves E finite and exactly self-adjoint,
     gives the gate's weighted Frobenius rung and bounds ||E||_F, so
     partition's own check is skipped and, after the loop, verification
-    reads E only for E u~. The gate is contraction_gate on the shifted gaps;
+    reads E only for E u~. Without ``eig``, the eigenbasis of A comes from
+    hermitian_eig's core, which does not check A a second time. The gate is
+    contraction_gate on the shifted gaps;
     when its bound exceeds ``certificate_cap`` it raises
     ContractionFailureError and the loop does not run. On any PerturbError
     in that chain (gap collapse, contraction failure, divergence, a complex
@@ -817,14 +852,16 @@ def solve(
     A, E = np.asarray(A), np.asarray(E)
     read = _check_operands(A, E, eig)
     if eig is None:
-        eig = hermitian_eig(A)
+        eig = _decompose(A)  # hermitian_eig without a second check of A
     part = partition(eig, E) if read is None else _blocks(eig, E)
     spectrum = eig.spectrum
     gate = ContractionGate(math.inf, "")
     lambda_max = None
     try:
         d = build_shifted_gaps(spectrum, part.e11)
-        frobenius = _weighted_frobenius_upper(part.e22, d) if read is None else read.beta
+        frobenius = (
+            _weighted_frobenius_upper(part.e22, d, hermitian=True) if read is None else read.beta
+        )
         gate = _ladder(frobenius, d, part.e22, certificate_cap)
         if not gate.bound <= certificate_cap:
             raise ContractionFailureError(

@@ -177,7 +177,7 @@ class TestRunExperiment:
             raise AssertionError("full eigendecomposition in a campaign trial")
 
         monkeypatch.setattr(matcore, "hermitian_eig", fail)
-        monkeypatch.setattr(rs_solver, "hermitian_eig", fail)
+        monkeypatch.setattr(rs_solver, "_decompose", fail)  # hermitian_eig's core, as solve calls it
         lowrank = SpectrumSpec("lowrank", 0, {"r": 1, "lambda1": 3.0, "delta": 3.0})
         for kind, spectrum in (
             ("upper_bound", MULTISCALE), ("dk_compare", MULTISCALE), ("phase_transition", lowrank),

@@ -107,6 +107,13 @@ class TestOperatorNormExact:
             assert lp_norm(M @ v, p) <= operator_norm_exact(M, p) * lp_norm(v, p) * (1 + 1e-12)
 
 
+def _ordered_phased(v: np.ndarray) -> np.ndarray:
+    """Columns of v, already ordered, each scaled so its largest-magnitude entry is real positive."""
+    lead = v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])]
+    scale = np.where(np.abs(lead) == 0, 1.0, np.abs(lead) / np.where(lead == 0, 1.0, lead))
+    return v * scale
+
+
 class TestHermitianEig:
     def test_diagonal(self):
         eig = hermitian_eig(np.diag([3.0, 1.0]))
@@ -156,6 +163,34 @@ class TestHermitianEig:
         # the leading eigenvector of diag(2, 2, 1) is not defined
         with pytest.raises(InvalidSpectrumError):
             hermitian_eig(np.diag([2.0, 2.0, 1.0]))
+
+    def test_tied_eigenvalues_keep_lapack_order(self):
+        # a lowrank spectrum's repeated zeros are exact ties on a diagonal M:
+        # the stable sort keeps eigh's order among them, which a plain column
+        # reversal (the order when no two eigenvalues tie) would turn round
+        s = realize_spectrum(SpectrumSpec("lowrank", 9, {"r": 3, "lambda1": 5.0, "delta": 1.0}))
+        M = np.diag(s.lambdas[[3, 0, 4, 1, 5, 6, 2, 7, 8]])
+        w, v = np.linalg.eigh(M)
+        assert np.count_nonzero(w == 0.0) == 6
+        eig = hermitian_eig(M)
+        order = np.argsort(-w, kind="stable")
+        assert np.array_equal(eig.spectrum.lambdas, w[order])
+        assert np.array_equal(eig.basis, _ordered_phased(v[:, order]))
+
+    @pytest.mark.parametrize("complex_case", [False, True])
+    def test_reversal_matches_sorted_order(self, complex_case):
+        # without ties the one-pass reversal and phase give the bits of a
+        # stable sort followed by a separate phase pass
+        rng = rng_from_stream(43)
+        M = rng.standard_normal((40, 40))
+        if complex_case:
+            M = M + 1j * rng.standard_normal((40, 40))
+        M = force_hermitian(M)
+        w, v = np.linalg.eigh(M)
+        order = np.argsort(-w, kind="stable")
+        eig = hermitian_eig(M)
+        assert np.array_equal(eig.spectrum.lambdas, w[order])
+        assert np.array_equal(eig.basis, _ordered_phased(v[:, order]))
 
     @pytest.mark.parametrize("scale", [1.0, 1e150, 1e160, 1e300, 1e-20, 1e-300])
     def test_rejects_mispaired_factorization(self, monkeypatch, scale):

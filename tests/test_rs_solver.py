@@ -109,6 +109,29 @@ class TestPartition:
         with pytest.raises(ValueError):
             partition(diag_eig(spectrum(3, 2, 1)), np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("n", [2, 3, 17, 300])
+    @pytest.mark.parametrize("complex_case", [False, True])
+    def test_conjugated_noise_hermitian_by_construction(self, n, complex_case):
+        # off the identity basis U* E U comes from 3/4 of its second product
+        # with its upper triangle mirrored: exactly Hermitian with a real
+        # diagonal, U* E U to rounding, and partition's blocks are its blocks
+        rng = rng_from_stream(37)
+        A, E = rng.standard_normal((2, n, n))
+        if complex_case:
+            A, E = A + 1j * rng.standard_normal((n, n)), E + 1j * rng.standard_normal((n, n))
+        A, E = force_hermitian(A), force_hermitian(E)
+        eig = hermitian_eig(A)
+        U = eig.basis
+        tilde = matcore._hermitian_product(U.conj().T, E @ U)
+        assert tilde.dtype == np.result_type(U, E)
+        assert is_hermitian(tilde) and np.all(tilde.diagonal().imag == 0)
+        reference = U.conj().T @ (E @ U)
+        eps = np.finfo(np.float64).eps
+        assert np.linalg.norm(tilde - reference) <= 8 * n * eps * np.linalg.norm(E)
+        part = partition(eig, E)
+        assert part.e11 == tilde[0, 0].real
+        assert np.array_equal(part.e12, tilde[0, 1:]) and np.array_equal(part.e22, tilde[1:, 1:])
+
     @pytest.mark.parametrize("case", ["real", "complex", "non-hermitian", "complex-basis"])
     def test_identity_basis_matches_general_path(self, case):
         # the identity basis skips I* E I; -I is not detected as the identity and
@@ -1370,7 +1393,7 @@ class TestSolveDriver:
         def fail(*args):
             raise AssertionError("solve worked on A and E before checking its options")
 
-        monkeypatch.setattr(rs_solver, "hermitian_eig", fail)
+        monkeypatch.setattr(rs_solver, "_decompose", fail)  # hermitian_eig's core
         monkeypatch.setattr(rs_solver, "partition", fail)
         with pytest.raises(ValueError, match=message) as via_solve:
             solve(sample_goe(8, 3), sample_goe(8, 4), **kwargs)
@@ -1386,20 +1409,26 @@ class TestSolveDriver:
         rep = solve(np.diag(s.lambdas), 0.1 * sample_goe(3, 7), tol=5e-324)
         assert rep.method in ("rs", "oracle-fallback") and rep.leading_certified
 
-    @pytest.mark.parametrize("basis,checks", [("identity", 1), ("rotated", 3)])
+    @pytest.mark.parametrize("basis,checks", [("identity", 1), ("rotated", 2), ("none", 2)])
     def test_self_adjointness_checked_once_per_matrix(self, monkeypatch, basis, checks):
         # on the identity basis E in its one read (A is proved diagonal, and its
-        # diagonal real); on a general basis A at entry, E in partition and U* E U
+        # diagonal real); on a general basis A at entry and E in partition, as
+        # U* E U is Hermitian by construction; without eig, hermitian_eig's core
+        # does not check A again
         n = 16
         s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
         A, eig = np.diag(s.lambdas), diag_eig(s)
-        if basis == "rotated":
+        if basis != "identity":
             Q = np.linalg.qr(rng_from_stream(5).standard_normal((n, n)))[0]
             A, eig = force_hermitian((Q * s.lambdas) @ Q.T), EigDecomposition(s, Q)
+        if basis == "none":
+            eig = None
         checks_by, read_noise = [], rs_solver._read_noise
-        monkeypatch.setattr(
-            rs_solver, "is_hermitian", lambda M: checks_by.append("is_hermitian") or is_hermitian(M)
-        )
+        for module in (rs_solver, matcore):
+            monkeypatch.setattr(
+                module, "is_hermitian",
+                lambda M: checks_by.append("is_hermitian") or is_hermitian(M),
+            )
         monkeypatch.setattr(
             rs_solver, "_read_noise", lambda *args: checks_by.append("read") or read_noise(*args)
         )
@@ -1545,6 +1574,36 @@ class TestSolveDriver:
             rep = solve(scale * np.diag(s.lambdas), scale * E, eig=eig)
         assert rep.method == "rs" and rep.leading_certified
         assert rep.lambda_tilde == pytest.approx(scale * top, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_scaled_input_step_test_reachable(self, seed):
+        # the loop's step test is relative to the rounding level of a step,
+        # eps ||E21||_2, as well as absolute: above unit scale an absolute
+        # 1e-12 is met only by exact stagnation, and the divergence rule then
+        # trips on rounding noise (seeds 3 and 10 fell back at 2^20)
+        n = 64
+        s = realize_spectrum(SpectrumSpec("linear", n, {"scale": 10}))
+        E = sample_goe(n, seed)
+        steps = []
+        for scale in (2.0 ** 20, 2.0 ** 40):
+            eig = diag_eig(Spectrum(scale * s.lambdas))
+            rep = solve(scale * np.diag(s.lambdas), scale * E, eig=eig)
+            assert rep.method == "rs" and rep.leading_certified
+            steps.append(rep.iterations)
+        assert abs(steps[0] - steps[1]) <= 1
+
+    def test_complex_diagonal_A_on_identity_basis(self):
+        # a complex dtype diagonal A with a real diagonal: verification takes
+        # the diagonal's real part, with no ComplexWarning from a cast
+        s = spectrum(*(30.0 * np.arange(48, 0, -1)))
+        A, E = np.diag(s.lambdas).astype(complex), sample_goe(48, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve(A, E, eig=diag_eig(s))
+        assert rep.method == "rs" and rep.leading_certified
+        A[5, 5] += 1e-3j
+        with pytest.raises(ValueError, match="eig has the identity basis but A's diagonal is not real"):
+            verify_solution(A, E, rep, s, eig=diag_eig(s))
 
     def test_unit_norm_and_positive_overlap(self):
         n = 16
