@@ -72,10 +72,9 @@ from .rs_solver import (
     build_shifted_gaps,
     coordinate_bounds,
     eigenvalue_from_q,
-    partition,
+    is_leading,
     solve,
     solve_q,
-    verify_solution,
 )
 
 __version__ = "0.1.0"

@@ -140,7 +140,9 @@ def dual_exponent(p) -> float:
     return p / (p - 1.0)
 
 
-_HERMITIAN_TILE = 128
+# Side of the square tiles in which is_hermitian, force_hermitian and
+# rs_solver._tile_sums read a matrix: a tile and its mirror stay in cache.
+_TILE = 128
 
 
 def is_hermitian(M: np.ndarray) -> bool:
@@ -153,7 +155,7 @@ def is_hermitian(M: np.ndarray) -> bool:
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         return False
-    n, t = M.shape[0], _HERMITIAN_TILE
+    n, t = M.shape[0], _TILE
     for i in range(0, n, t):
         for j in range(i, n, t):
             if not np.array_equal(M[i:i + t, j:j + t], M[j:j + t, i:i + t].conj().T):
@@ -168,7 +170,7 @@ def force_hermitian(M: np.ndarray) -> np.ndarray:
     entry comes from the same expression either way.
     """
     M = np.asarray(M)
-    t = _HERMITIAN_TILE
+    t = _TILE
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] <= t:
         return (M + M.conj().T) / 2.0
     n = M.shape[0]

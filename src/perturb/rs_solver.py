@@ -14,37 +14,35 @@ matvec per step. In y = D^{1/2} q the same loop reads
 
 so its linear part contracts at ||S||_2, the spectral radius of E22 D^{-1}
 (S is Hermitian and similar to it). The loop runs only when a proved upper
-bound on ||S||_2 is at or below a cap. contraction_gate tries two rungs: the
-weighted Frobenius norm ||S||_F, padded for rounding, in O(n^2); then ||S||_2
-itself (a Lanczos estimate proved by one Cholesky factorization). The paper's
-||E22 D^{-1}||_p is at least ||S||_2 for every p, so it is not on the solve
-path; the experiments record it. The report carries the bound that gated the
-loop and names its rung, along with the step count, the residuals and a
-leading-eigenvalue certificate. That certificate is for the
+bound on ||S||_2 is at or below a cap. The gate (_ladder) tries two rungs:
+the weighted Frobenius norm ||S||_F, padded for rounding, in O(n^2); then
+||S||_2 itself (a Lanczos estimate proved by one Cholesky factorization).
+The paper's ||E22 D^{-1}||_p is at least ||S||_2 for every p, so it is not
+on the solve path; the experiments record it. The report carries the bound
+that gated the loop and names its rung, along with the step count, the
+residuals and a leading-eigenvalue certificate. That certificate is for the
 exact A + E and needs no eigendecomposition of it: the residual bound puts
 an eigenvalue near lambda~, and Cauchy interlacing (identity basis, O(n),
 from the gate's bound on ||S||_2) or one Cholesky factorization
 (bounds.cholesky_below) shows that none lies above it. Only when these
-proofs are inconclusive does the dense computation decide.
+proofs are inconclusive does the dense computation decide (is_leading).
 
-solve runs partition, contraction_gate, solve_q, assemble_eigvec and
-verify_solution in turn (on the identity basis, the first and the last
-without the checks it has already made), and EigDecomposition.is_identity
-decides once whether the basis is the identity. On that basis, the paper's
-own setting, A
-must be diag(eig.spectrum.lambdas), and solve reads each n x n operand as
-few times as the proofs allow: A's off-diagonal entries once, to prove them
-zero; E once before the loop, in one tiled pass that proves it finite and
-exactly self-adjoint, gives the gate's weighted Frobenius rung and bounds
-||E||_F for the rounding pads (in place of partition's own check and the
-gate's pass); then once per loop step, and once in verification, for E u~.
-It forms no I* E I, no product with the identity, and no A + E unless the
-Cholesky proof or the oracle is reached. On any other basis each operand is
-proved self-adjoint once (A on entry, E in partition), U* E U is built
-exactly Hermitian from 3/4 of its second product, so the gate reads its
-tiles without comparing them with their mirrors, and verification factors
-the A + E it forms for its residuals. The randomized Weyl domination
-check is in bounds.
+solve is the one way through the pipeline: it proves its operands valid
+once, at its boundary, then runs each stage once (the blocks of U* E U, the
+gate, the loop solve_q, assembly, verification). On the identity basis, the
+paper's own setting, A must be diag(eig.spectrum.lambdas), and each n x n
+operand is read as few times as the proofs allow: A's off-diagonal entries
+once, to prove them zero; E once before the loop, in one tiled pass that
+proves it finite and exactly self-adjoint, gives the gate's weighted
+Frobenius rung and bounds ||E||_F; then once per loop step, and once in
+verification, for E u~. No I* E I, no product with the identity and no
+A + E is formed unless the Cholesky proof or the oracle is reached.
+Verification takes this path only when E was read so: a basis that
+eigendecomposition finds to be I, for an A that need not be exactly
+diagonal, is verified on the formed A + E. On any other basis each operand
+is proved self-adjoint once on entry, U* E U is built exactly Hermitian from
+3/4 of its second product, and verification factors the A + E it forms.
+The randomized Weyl domination check is in bounds.
 """
 
 from __future__ import annotations
@@ -57,6 +55,7 @@ import numpy as np
 
 from .bounds import cholesky_below, opnorm_pp_upper
 from .bounds import verify_shifted_domination  # noqa: F401  re-exported; its home is bounds
+from . import matcore
 from .errors import (
     ContractionFailureError,
     GapCollapseError,
@@ -80,14 +79,12 @@ __all__ = [
     "PartitionedPerturbation",
     "SolverReport",
     "ContractionGate",
-    "partition",
     "build_shifted_gaps",
-    "contraction_gate",
     "solve_q",
     "assemble_eigvec",
     "eigenvalue_from_q",
     "coordinate_bounds",
-    "verify_solution",
+    "is_leading",
     "solve",
 ]
 
@@ -97,7 +94,7 @@ DEFAULT_TOL = 1e-12
 # nonnegative at the leading fixed point (lambda~ >= lambda1 + E11, the
 # Rayleigh quotient of u1). So ||D (D + c)^{-1}||_2 <= 1, and the linear part
 # contracts in the 2-norm of y at rate ||S||_2 = rho(E22 D^{-1}), which is at
-# most the paper's ||E22 D^{-1}||_p for every p. Every rung of contraction_gate
+# most the paper's ||E22 D^{-1}||_p for every p. Every rung of the gate (_ladder)
 # is a proved upper bound on ||S||_2. The rest of the Jacobian comes from c's
 # dependence on q, is of order ||E21||_2 ||E12 D^{-1}||_2 / min(d), and so also
 # needs E12 not too large against the gaps. 0.9 accepts the slow band and flags
@@ -111,9 +108,6 @@ CERTIFICATE_CAP = 0.9
 # margin over that and stays below tol = 1e-12 while ||E21||_2 < 560, where
 # the loop stops exactly as under tol * unit alone.
 _STEP_ROUNDING = 8.0
-# Side of the square tiles in which _tile_sums reads a block: a tile, its
-# mirror and the squared tile stay in cache.
-_TILE = 128
 
 
 def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -135,7 +129,7 @@ class PartitionedPerturbation:
     """Noise matrix expressed in the eigenbasis of A and split around u1.
 
     e21 is exactly conj(e12) and e22 is exactly Hermitian: the blocks of
-    U* E U, built Hermitian (see partition). They may be views of the
+    U* E U, built Hermitian (see _blocks). They may be views of the
     caller's E.
     """
 
@@ -153,7 +147,7 @@ class SolverReport:
     """Everything a solve produced, including its certificates.
 
     ``contraction_upper`` is the bound that gated the loop and
-    ``contraction_rung`` the rung that proved it (see contraction_gate):
+    ``contraction_rung`` the rung that proved it (see _ladder):
     the first at or under the cap, else the smallest computed. The rung is
     empty when the gate did not finish (collapsed shifted gaps, or a
     NumericFailureError from the spectral rung; the bound is then inf).
@@ -177,26 +171,17 @@ class SolverReport:
         return json_fields(self)
 
 
-def partition(eig: EigDecomposition, E: np.ndarray) -> PartitionedPerturbation:
-    """Conjugate E into the eigenbasis of A and split blocks around u1.
-
-    E must be exactly self-adjoint, else ValueError. On the identity basis
-    (A diagonal) the two products are skipped, as I* E I equals E entry for
-    entry in IEEE arithmetic, and the blocks are views of E (or of its
-    complex copy for a complex basis). Otherwise they are views of the fresh
-    U* E U, exactly Hermitian with a real diagonal by construction: F = E U
-    once, then 3/4 of U* F with the rest mirrored (_hermitian_product).
-    """
-    E = np.asarray(E)
-    if E.shape != (eig.n, eig.n):
-        raise ValueError(f"noise shape {E.shape} does not match basis dimension {eig.n}")
-    if not is_hermitian(E):
-        raise ValueError("E is not exactly self-adjoint (M != M*)")
-    return _blocks(eig, E)
-
-
 def _blocks(eig: EigDecomposition, E: np.ndarray) -> PartitionedPerturbation:
-    """partition's blocks of a self-adjoint E, unchecked."""
+    """Conjugate the self-adjoint E into the eigenbasis of A and split blocks around u1.
+
+    E is not checked here: solve has proved it exactly self-adjoint and of
+    the basis's order. On the identity basis (A diagonal) the two products
+    are skipped, as I* E I equals E entry for entry in IEEE arithmetic, and
+    the blocks are views of E (or of its complex copy for a complex basis).
+    Otherwise they are views of the fresh U* E U, exactly Hermitian with a
+    real diagonal by construction: F = E U once, then 3/4 of U* F with the
+    rest mirrored (_hermitian_product).
+    """
     basis = eig.basis
     if eig.is_identity:
         tilde = E.astype(np.result_type(E, basis), copy=False)
@@ -220,15 +205,16 @@ def _tile_sums(
 ) -> tuple[float, float, bool]:
     """sum_ij |M_ij / sigma|^2 v_i v_j, sum_ij |M_ij / sigma|^2 and whether M = M* exactly.
 
-    One read of the square M in tiles of side _TILE (one tile when M's order
-    is at most 2 _TILE, where fewer tiles save more calls than they cost in
-    cache), on the calling thread, with no temporary larger than a tile.
+    One read of the square M in tiles of side matcore._TILE (one tile when
+    M's order is at most twice that, where fewer tiles save more calls than
+    they cost in cache), on the calling thread, with no temporary larger
+    than a tile.
     Each tile on or above the diagonal is compared with the conjugate
     transpose of its mirror tile. When the two are equal, |M_ij| = |M_ji|
     entry for entry, so the tile's terms count twice, by doubled weights
     (exact), in place of reading the mirror's; otherwise the mirror tile is
     summed as well, so the sums are M's for any M. ``hermitian`` says that M
-    is exactly Hermitian by construction, as partition's blocks are: the
+    is exactly Hermitian by construction, as _blocks' E22 is: the
     comparisons are then skipped and every mirror tile counts as equal.
     Per tile, M / sigma is squared into a contiguous buffer (a complex
     entry as its real and imaginary parts), and one np.vecdot dots each row
@@ -246,7 +232,7 @@ def _tile_sums(
     if v is not None:
         single[0] = v if width == 1 else np.repeat(v, 2)
     double = 2.0 * single
-    side = m if m <= 2 * _TILE else _TILE
+    side = m if m <= 2 * matcore._TILE else matcore._TILE
     buffer = np.empty(side ** 2, dtype=np.result_type(M, np.float64))
     dots = np.zeros((-(-m // side), m, 2))  # per tile column and row
 
@@ -311,20 +297,22 @@ def _frobenius_pad(m: int, complex_case: bool) -> float:
     return ((3 if complex_case else 2) * m + 7) * (np.finfo(np.float64).eps / 2.0)
 
 
-def _weighted_frobenius_upper(M: np.ndarray, d: np.ndarray, hermitian: bool = False) -> float:
-    """Upper bound on ||D^{-1/2} M D^{-1/2}||_F for D = diag(d) > 0, in O(m^2).
+def _weighted_frobenius_upper(M: np.ndarray, d: np.ndarray) -> float:
+    """Upper bound on ||D^{-1/2} M D^{-1/2}||_F for D = diag(d) > 0 and Hermitian M, in O(m^2).
 
     The square of the norm is sum_ij p_ij v_i v_j with p_ij = |M_ij / sigma|^2
     and v = sigma / d (_scale_and_weights), from one read of M
     (_tile_sums), padded for rounding (_frobenius_pad) and rounded up. The
     value does not change when M and d are scaled by the same power of two.
     Assumes no underflow (max(d) normal); a sum that is not finite gives inf.
-    ``hermitian`` is _tile_sums': M is exactly Hermitian by construction.
+    Only the tiles on and above M's diagonal are read, each one above it
+    counted for its mirror too (_tile_sums' ``hermitian``), so M must be
+    exactly Hermitian, as _blocks' E22 is.
     """
     sigma, v = _scale_and_weights(d)
     if v is None:
         return math.inf
-    weighted, _, _ = _tile_sums(M, sigma, v, hermitian)
+    weighted, _, _ = _tile_sums(M, sigma, v, hermitian=True)
     return _padded_root(weighted, _frobenius_pad(M.shape[0], np.iscomplexobj(M)))
 
 
@@ -368,21 +356,18 @@ def _spectral_upper(e22: np.ndarray, d: np.ndarray) -> float:
         return float(np.nextafter(opnorm_pp_upper(S, 2) * (1.0 + pad), math.inf))
 
 
-def contraction_gate(d: np.ndarray, e22: np.ndarray, cap: float) -> ContractionGate:
+def _ladder(frobenius: float, d: np.ndarray, e22: np.ndarray, cap: float) -> ContractionGate:
     """The first proved upper bound on ||S||_2, S = D^{-1/2} E22 D^{-1/2}, that is at most ``cap``.
 
-    Rungs, cheapest first: "weighted-frobenius", the padded ||S||_F, in
-    O(n^2) (||S||_2 <= ||S||_F); then "spectral", ||S||_2 itself, padded
+    Rungs, cheapest first: "weighted-frobenius", the padded ||S||_F in
+    O(n^2) (||S||_2 <= ||S||_F), which the caller has computed and passes
+    as ``frobenius`` (_weighted_frobenius_upper, or solve's read of E on the
+    identity basis); then "spectral", ||S||_2 itself, padded
     (_spectral_upper: a Lanczos estimate proved by one Cholesky
     factorization of the Gram matrix S* S, an n^3 product formed in
     bounds._spectral_norm_upper, within a relative 1e-9 of the exact norm).
     When neither is at most ``cap``, returns the smaller.
     """
-    return _ladder(_weighted_frobenius_upper(e22, d), d, e22, cap)
-
-
-def _ladder(frobenius: float, d: np.ndarray, e22: np.ndarray, cap: float) -> ContractionGate:
-    """contraction_gate with its first rung, the weighted Frobenius bound, already computed."""
     frobenius = ContractionGate(frobenius, "weighted-frobenius")
     if frobenius.bound <= cap:
         return frobenius
@@ -419,8 +404,8 @@ def solve_q(
     keeps the step stable under strong E12 coupling, where
     q <- D^{-1}(E22 q + E21 - (E12 q) q) can diverge.
 
-    Runs the loop alone: the caller admits it (solve does so through
-    contraction_gate). Returns q and the number of steps. Stops when
+    Runs the loop alone: the caller admits it (solve does so through its
+    gate, _ladder). Returns q and the number of steps. Stops when
     ||D (q_next - q)||_2 <= step_tol and the quadratic residual is below
     tol * (||E21||_2 + unit), unit = min(1, max(|lambda_1|, |lambda_n|)),
     with step_tol the larger of tol * unit and the rounding level
@@ -606,18 +591,17 @@ def _top_eigenvalue_within(
     lam: float,
     residual2: float,
     tau: float,
-    read: _NoiseRead | None = None,
+    read: _NoiseRead | None,
 ) -> bool:
     """True when |lambda_max(A~) - lam| <= tau is proved; False when the proof is inconclusive.
 
     On the identity basis A~ = diag(a) + M is the exact A + E, with a the
-    (real) diagonal of A and M = E; ``read`` is what _read_noise bounds of E
-    (solve passes its own read, with the gate's bound as beta), read here
-    when None. On other bases a is None and M is the floating-point sum
-    fl(A + E), which the Cholesky proof overwrites. u~ is the report's
-    vector. With u = eps/2 the unit roundoff, pad = 2 (n+2) u
-    and ||A~|| taken as ||E||_F + max_i |a_i| (identity basis) or ||M||_F,
-    the proof needs no eigendecomposition:
+    (real) diagonal of A, M = E and ``read`` solve's one read of E
+    (_read_noise), with the gate's bound as beta. On other bases a and
+    ``read`` are None and M is the floating-point sum fl(A + E), which the
+    Cholesky proof overwrites. u~ is the report's vector. With u = eps/2 the
+    unit roundoff, pad = 2 (n+2) u and ||A~|| taken as ||E||_F + max_i |a_i|
+    (identity basis) or ||M||_F, the proof needs no eigendecomposition:
 
     * lower side: the computed residual2 errs from the exact
       ||A~ u~ - lam u~||_2 / ||u~||_2 by at most (n + 5) u ||A~|| to first
@@ -656,12 +640,7 @@ def _top_eigenvalue_within(
     the caller.
     """
     n = M.shape[0]
-    if a is None:
-        norm = _frobenius(M)
-    else:
-        if read is None:
-            read = _read_noise(M, a)[0]
-        norm = read.norm + float(np.abs(a).max())
+    norm = _frobenius(M) if a is None else read.norm + float(np.abs(a).max())
     r = _residual_radius(residual2, n, norm)
     if not r <= tau:
         return False
@@ -678,49 +657,27 @@ def _top_eigenvalue_within(
     return cholesky_below(H, t, max_shift=tau)
 
 
-def verify_solution(
-    A: np.ndarray,
-    E: np.ndarray,
-    report: SolverReport,
-    spectrum: Spectrum,
-    eig: EigDecomposition | None = None,
-    lambda_max: float | None = None,
-) -> SolverReport:
-    """Fill residuals and the leading-eigenpair certificate on a report.
+def _leading_tolerance(spectrum: Spectrum, lam: float) -> float:
+    """tau = 1e-9 (unit + |lambda~|), unit = min(1, max(|lambda_1|, |lambda_n|)), for is_leading."""
+    return 1e-9 * (_unit(spectrum) + abs(lam))
 
-    Certification needs both lambda~ > (lambda1 + lambda2)/2 and
-    |lambda_max(A + E) - lambda~| <= tau with tau = 1e-9 (unit + |lambda~|),
-    unit = min(1, max(|lambda_1|, |lambda_n|)) from ``spectrum``. Without
-    ``lambda_max`` the second condition is proved for the exact A + E by the
-    residual bound (lower side) and, for the upper side, Cauchy interlacing
-    with the weighted Frobenius bound on E22 when ``eig`` has the identity
-    basis, else one Cholesky factorization; see _top_eigenvalue_within. When
-    that proof is inconclusive, lambda_max is read from the dense oracle,
-    top_eigpair(A + E); a ``lambda_max`` passed in (the oracle's top
-    eigenvalue, already computed) is used as it is. Neither is tried when
-    the first condition fails. Failures are recorded, never raised, except
-    that the oracle raises InvalidSpectrumError when the top eigenvalue of
-    A + E is not simple.
 
-    On the identity basis A must be diagonal with a real diagonal (else
-    ValueError), and A + E is never formed unless the Cholesky proof or the
-    oracle is reached: A~ u~ is E u~ + a u~ with a the diagonal of A, and
-    the proof reads E once more (_read_noise). Elsewhere A + E is formed
-    once, and the Cholesky proof factors it in place; the oracle, when
-    reached, forms it again.
+def _above_midpoint(spectrum: Spectrum, lam: float) -> bool:
+    """lambda~ > (lambda1 + lambda2)/2: lambda~ continues A's top eigenvalue, not its second."""
+    return bool(lam > (spectrum.lambdas[0] + spectrum.lambdas[1]) / 2.0)
 
-    orth_residual is ||U~_perp* A~ u~||_2 for any orthonormal basis U~_perp
-    of u~'s complement, that is ||A~ u~ - u~ (u~* A~ u~)||_2 for unit u~.
-    Both residuals take the max-rescaled lp_norm, so entries near 1e300 do
-    not overflow the sum of squares.
+
+def is_leading(spectrum: Spectrum, lam: float, lambda_max: float) -> bool:
+    """Whether lambda~ is certified as the top eigenvalue of A + E, given lambda_max(A + E).
+
+    Both lambda~ > (lambda1 + lambda2)/2 and |lambda_max - lambda~| <= tau
+    (_leading_tolerance), with ``spectrum`` the spectrum of A and
+    ``lambda_max`` the dense oracle's, top_eigpair(A + E)[0]. solve's
+    verification decides by this rule when its proofs are inconclusive.
     """
-    A, E = np.asarray(A), np.asarray(E)
-    if eig is not None and eig.is_identity:
-        if not _is_diagonal(A):
-            raise ValueError("eig has the identity basis but A is not diagonal")
-        if not np.all(A.diagonal().imag == 0):
-            raise ValueError("eig has the identity basis but A's diagonal is not real")
-    return _verify(A, E, report, spectrum, eig, lambda_max)
+    return _above_midpoint(spectrum, lam) and bool(
+        abs(lam - lambda_max) <= _leading_tolerance(spectrum, lam)
+    )
 
 
 def _verify(
@@ -728,16 +685,34 @@ def _verify(
     E: np.ndarray,
     report: SolverReport,
     spectrum: Spectrum,
-    eig: EigDecomposition | None,
-    lambda_max: float | None,
-    read: _NoiseRead | None = None,
+    read: _NoiseRead | None,
 ) -> SolverReport:
-    """verify_solution without its proof that A is diagonal with a real diagonal, which solve has made.
+    """Fill residuals and the leading-eigenpair certificate on solve's report.
 
-    ``read`` is solve's read of E, with the gate's bound as beta.
+    Certification is is_leading's rule. A pair from the oracle's fallback is
+    the oracle's own, so only lambda~ > (lambda1 + lambda2)/2 is checked for
+    it. For any other pair that clears it, |lambda_max(A + E) - lambda~| <= tau
+    is proved for the exact A + E by the residual bound and, for the upper
+    side, Cauchy interlacing when ``read`` is given, else one Cholesky
+    factorization (_top_eigenvalue_within); only when that proof is
+    inconclusive does the dense oracle, top_eigpair(A + E), decide. Failures
+    are recorded, never raised, except that the oracle raises
+    InvalidSpectrumError when the top eigenvalue of A + E is not simple.
+
+    ``read`` is solve's one read of E on the identity basis (_read_noise,
+    with the gate's bound as beta), made only when solve has proved A
+    diagonal with a real diagonal. A~ u~ is then E u~ + a u~, a the diagonal
+    of A, and A + E is formed only for the Cholesky proof or the oracle.
+    Without it A + E is formed once, and the Cholesky proof factors it in
+    place; the oracle, when reached, forms it again.
+
+    orth_residual is ||U~_perp* A~ u~||_2 for any orthonormal basis U~_perp
+    of u~'s complement, that is ||A~ u~ - u~ (u~* A~ u~)||_2 for unit u~.
+    Both residuals take the max-rescaled lp_norm, so entries near 1e300 do
+    not overflow the sum of squares.
     """
     u, lam = report.u_tilde, report.lambda_tilde
-    if eig is not None and eig.is_identity:
+    if read is not None:
         M, a = E, A.diagonal().real
         w = _matvec(E, u) + a * u
     else:
@@ -745,36 +720,37 @@ def _verify(
         w = _matvec(M, u)
     report.residual2 = lp_norm(w - lam * u, 2)
     report.orth_residual = lp_norm(w - u * np.vdot(u, w), 2)
-    half = (spectrum.lambdas[0] + spectrum.lambdas[1]) / 2.0
-    tau = 1e-9 * (_unit(spectrum) + abs(lam))
-    if not lam > half:
+    tau = _leading_tolerance(spectrum, lam)
+    if not _above_midpoint(spectrum, lam):
         report.leading_certified = False
-    elif lambda_max is None and _top_eigenvalue_within(M, a, lam, report.residual2, tau, read):
+    elif report.method == "oracle-fallback":
+        report.leading_certified = True
+    elif _top_eigenvalue_within(M, a, lam, report.residual2, tau, read):
         report.leading_certified = True
     else:
-        if lambda_max is None:
-            lambda_max = top_eigpair(A + E)[0]
-        report.leading_certified = bool(abs(lam - lambda_max) <= tau)
+        report.leading_certified = is_leading(spectrum, lam, top_eigpair(A + E)[0])
     return report
 
 
 def _check_operands(
     A: np.ndarray, E: np.ndarray, eig: EigDecomposition | None
 ) -> _NoiseRead | None:
-    """Raise ValueError unless A and E are valid operands and an identity-basis ``eig`` describes A.
+    """Raise ValueError unless A and E are valid operands and ``eig`` fits them.
 
     A and E must be nonempty, square and alike in shape, of a dtype that
     casts safely to complex128 (the dtypes numpy.linalg takes), finite and
-    exactly self-adjoint. On the identity basis A must be
-    diag(eig.spectrum.lambdas) exactly. One read of A's off-diagonal entries
-    proves it diagonal (_is_diagonal), after which its finiteness and
-    self-adjointness are O(n) checks on its diagonal; E is then read once
-    (_read_noise), and what that read bounds is returned for solve's gate
-    and certificate. Otherwise E's finiteness is checked here, its
-    self-adjointness is left to partition, and None is returned. The
-    messages come in the same order either way: A's and E's finiteness, A's
-    self-adjointness, the shapes, the identity basis, E's self-adjointness.
-    A non-identity ``eig`` is trusted, not checked.
+    exactly self-adjoint, and of the order of ``eig``'s basis. On the
+    identity basis A must be diag(eig.spectrum.lambdas) exactly. One read of
+    A's off-diagonal entries proves it diagonal (_is_diagonal), after which
+    its finiteness and self-adjointness are O(n) checks on its diagonal; E
+    is then read once (_read_noise), which proves it finite and
+    self-adjoint, and what that read bounds is returned for solve's gate and
+    certificate. Otherwise E's finiteness and self-adjointness are checked
+    by whole-matrix passes and None is returned. The messages come in the
+    same order either way: A's and E's finiteness, A's self-adjointness, the
+    shapes, the identity basis, E's order against the basis, E's
+    self-adjointness. All of them come before any eigendecomposition. A
+    non-identity ``eig`` is trusted, not checked.
     """
     for name, M in (("A", A), ("E", E)):
         if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
@@ -785,7 +761,7 @@ def _check_operands(
     diagonal = identity and _is_diagonal(A)
     if not np.all(np.isfinite(A.diagonal() if diagonal else A)):
         raise ValueError("A has non-finite entries")
-    read, self_adjoint = None, True  # off the identity basis partition checks E = E*
+    read = None
     if diagonal and E.shape == A.shape:
         tilde = E.astype(np.result_type(E, eig.basis), copy=False)
         read, finite, self_adjoint = _read_noise(tilde, eig.spectrum.lambdas)
@@ -799,7 +775,9 @@ def _check_operands(
         raise ValueError(f"A has shape {A.shape} but E has shape {E.shape}")
     if identity and not (diagonal and np.array_equal(A.diagonal(), eig.spectrum.lambdas)):
         raise ValueError("eig has the identity basis, but A is not diag(eig.spectrum.lambdas)")
-    if not self_adjoint:
+    if eig is not None and E.shape != (eig.n, eig.n):
+        raise ValueError(f"noise shape {E.shape} does not match basis dimension {eig.n}")
+    if not (self_adjoint if read is not None else is_hermitian(E)):
         raise ValueError("E is not exactly self-adjoint (M != M*)")
     return read
 
@@ -818,16 +796,18 @@ def solve(
     exactly self-adjoint; anything else raises ValueError. An ``eig`` with
     the identity basis must describe A, which must then be exactly
     diag(eig.spectrum.lambdas), else ValueError; any other ``eig`` is
-    trusted. Runs partition, the contraction gate, the loop (solve_q) and
-    assembly in turn. On the identity basis E is read once before the loop
-    (_read_noise, from _check_operands), on the calling thread and with no
-    n x n temporary: that read proves E finite and exactly self-adjoint,
-    gives the gate's weighted Frobenius rung and bounds ||E||_F, so
-    partition's own check is skipped and, after the loop, verification
-    reads E only for E u~. Without ``eig``, the eigenbasis of A comes from
-    hermitian_eig's core, which does not check A a second time. The gate is
-    contraction_gate on the shifted gaps;
-    when its bound exceeds ``certificate_cap`` it raises
+    trusted, but E must have its order. All these checks come before any
+    eigendecomposition. Then each stage runs once: the blocks of U* E U, the
+    gate on the shifted gaps, the loop (solve_q), assembly and, with
+    ``verify``, the residuals and the leading-eigenpair certificate. On the
+    identity basis E is read once before the loop (_read_noise), on the
+    calling thread and with no n x n temporary, which proves E finite and
+    exactly self-adjoint, gives the gate's weighted Frobenius rung and
+    bounds ||E||_F; verification then reads E only for E u~ and proves the
+    pair leading by interlacing in O(n). Without ``eig`` the eigenbasis of A
+    comes from hermitian_eig's core, which does not check A again, and
+    verification forms A + E even when that basis is the identity. When the
+    gate's bound exceeds ``certificate_cap`` it raises
     ContractionFailureError and the loop does not run. On any PerturbError
     in that chain (gap collapse, contraction failure, divergence, a complex
     eigenvalue) solve falls back to the dense oracle's leading eigenpair,
@@ -853,15 +833,12 @@ def solve(
     read = _check_operands(A, E, eig)
     if eig is None:
         eig = _decompose(A)  # hermitian_eig without a second check of A
-    part = partition(eig, E) if read is None else _blocks(eig, E)
+    part = _blocks(eig, E)
     spectrum = eig.spectrum
     gate = ContractionGate(math.inf, "")
-    lambda_max = None
     try:
         d = build_shifted_gaps(spectrum, part.e11)
-        frobenius = (
-            _weighted_frobenius_upper(part.e22, d, hermitian=True) if read is None else read.beta
-        )
+        frobenius = _weighted_frobenius_upper(part.e22, d) if read is None else read.beta
         gate = _ladder(frobenius, d, part.e22, certificate_cap)
         if not gate.bound <= certificate_cap:
             raise ContractionFailureError(
@@ -873,7 +850,7 @@ def solve(
         lam = eigenvalue_from_q(spectrum, part.e11, part.e12, q)
         method, reason = "rs", ""
     except PerturbError as err:
-        lambda_max, u = top_eigpair(A + E)
+        lam, u = top_eigpair(A + E)
         head = complex(np.vdot(eig.leading_vector(), u))
         level = eig.n * np.finfo(np.float64).eps
         if not abs(head) > level:
@@ -884,7 +861,7 @@ def solve(
             ) from err
         u = u * (abs(head) / head)  # overlap with u1 real positive
         q = (eig.tail_basis().conj().T @ u) / abs(head)
-        lam, iterations = lambda_max, 0
+        iterations = 0
         method, reason = "oracle-fallback", f"{type(err).__name__}: {err}"
     report = SolverReport(
         q=q,
@@ -901,5 +878,5 @@ def solve(
     if verify:
         if read is not None:
             read = read._replace(beta=gate.bound)
-        _verify(A, E, report, spectrum, eig, lambda_max, read)
+        _verify(A, E, report, spectrum, read)
     return report

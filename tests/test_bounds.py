@@ -38,7 +38,7 @@ from perturb.matcore import (
     lp_norm,
     operator_norm_exact,
 )
-from perturb.rs_solver import build_shifted_gaps, partition
+from perturb.rs_solver import _blocks, build_shifted_gaps
 
 
 def spectrum(*vals):
@@ -222,7 +222,7 @@ def dense_certificate_input(n: int, scale: float, seed: int) -> np.ndarray:
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
     eig = hermitian_eig(force_hermitian((Q * s.lambdas) @ Q.conj().T))
-    part = partition(eig, scale * sample_gue(n, seed))
+    part = _blocks(eig, scale * sample_gue(n, seed))
     return part.e22 / build_shifted_gaps(eig.spectrum, part.e11)
 
 

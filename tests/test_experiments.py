@@ -119,7 +119,7 @@ class TestPaperNorm:
         for up, ev in zip(upper, events):
             assert up.stream == ev.stream
             E = sample_goe(n, up.stream)
-            part = rs_solver.partition(eig, E)
+            part = rs_solver._blocks(eig, E)
             d = rs_solver.build_shifted_gaps(s, part.e11)
             paper = bounds.opnorm_pp_upper(part.e22 / d[np.newaxis, :], p)
             assert up.statistics["contraction_upper"] == paper

@@ -45,14 +45,12 @@ from perturb.rs_solver import (
     build_shifted_gaps,
     CERTIFICATE_CAP,
     DEFAULT_TOL,
-    contraction_gate,
     coordinate_bounds,
     eigenvalue_from_q,
-    partition,
+    is_leading,
     solve,
     solve_q,
     verify_shifted_domination,
-    verify_solution,
 )
 
 
@@ -73,7 +71,7 @@ COUPLING = np.array([[0.0, 0.01, 0.0], [0.01, 0.0, 0.0], [0.0, 0.0, 0.0]])
 class TestPartition:
     def test_zero_noise(self):
         eig = hermitian_eig(np.diag([3.0, 2.0, 1.0]))
-        part = partition(eig, np.zeros((3, 3)))
+        part = rs_solver._blocks(eig, np.zeros((3, 3)))
         assert part.e11 == 0.0
         assert np.all(part.e12 == 0) and np.all(part.e22 == 0)
 
@@ -81,7 +79,7 @@ class TestPartition:
         # diagonal A: identity eigenbasis, so the blocks are E's own blocks
         s = spectrum(3, 2, 1)
         E = sample_goe(3, 11)
-        part = partition(diag_eig(s), E)
+        part = rs_solver._blocks(diag_eig(s), E)
         assert part.e11 == pytest.approx(E[0, 0])
         np.testing.assert_allclose(part.e12, E[0, 1:])
         np.testing.assert_allclose(part.e22, E[1:, 1:])
@@ -96,7 +94,7 @@ class TestPartition:
             E = E + 1j * rng.standard_normal((8, 8))
         A, E = force_hermitian(A), force_hermitian(E)
         eig = hermitian_eig(A)
-        part = partition(eig, E)
+        part = rs_solver._blocks(eig, E)
         tilde = eig.basis.conj().T @ E @ eig.basis
         scale = np.linalg.norm(E, "fro")
         assert abs(part.e11 - tilde[0, 0]) <= 1e-12 * scale
@@ -106,15 +104,22 @@ class TestPartition:
         assert is_hermitian(part.e22)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            partition(diag_eig(spectrum(3, 2, 1)), np.zeros((4, 4)))
+        # solve proves E of the basis's order at its boundary, before any
+        # stage runs, for an identity basis as for any other
+        s = spectrum(3, 2, 1)
+        rotated = np.linalg.qr(rng_from_stream(3).standard_normal((3, 3)))[0]
+        A, E = np.diag([4.0, 3.0, 2.0, 1.0]), 0.1 * sample_goe(4, 7)
+        for eig in (diag_eig(s), EigDecomposition(s, rotated)):
+            for verify in (False, True):
+                with pytest.raises(ValueError, match=r"noise shape \(4, 4\) does not match basis dimension 3"):
+                    solve(A, E, eig=eig, verify=verify)
 
     @pytest.mark.parametrize("n", [2, 3, 17, 300])
     @pytest.mark.parametrize("complex_case", [False, True])
     def test_conjugated_noise_hermitian_by_construction(self, n, complex_case):
         # off the identity basis U* E U comes from 3/4 of its second product
         # with its upper triangle mirrored: exactly Hermitian with a real
-        # diagonal, U* E U to rounding, and partition's blocks are its blocks
+        # diagonal, U* E U to rounding, and _blocks' blocks are its blocks
         rng = rng_from_stream(37)
         A, E = rng.standard_normal((2, n, n))
         if complex_case:
@@ -128,7 +133,7 @@ class TestPartition:
         reference = U.conj().T @ (E @ U)
         eps = np.finfo(np.float64).eps
         assert np.linalg.norm(tilde - reference) <= 8 * n * eps * np.linalg.norm(E)
-        part = partition(eig, E)
+        part = rs_solver._blocks(eig, E)
         assert part.e11 == tilde[0, 0].real
         assert np.array_equal(part.e12, tilde[0, 1:]) and np.array_equal(part.e22, tilde[1:, 1:])
 
@@ -147,12 +152,12 @@ class TestPartition:
         if case == "non-hermitian":
             for basis in (eye, -eye):
                 with pytest.raises(ValueError, match="E is not exactly self-adjoint"):
-                    partition(EigDecomposition(s, basis), E)
+                    solve(np.diag(s.lambdas), E, eig=EigDecomposition(s, basis))
             return
         E = force_hermitian(E)
         expected = force_hermitian(eye.T @ E @ eye)
         for basis in (eye, -eye):
-            part = partition(EigDecomposition(s, basis), E)
+            part = rs_solver._blocks(EigDecomposition(s, basis), E)
             assert part.e11 == expected[0, 0].real
             assert np.array_equal(part.e12, expected[0, 1:])
             assert np.array_equal(part.e22, expected[1:, 1:])
@@ -165,13 +170,13 @@ class TestPartition:
         s = spectrum(8, 6, 4, 2)
         E = np.zeros((4, 4))
         E[1, 3] = E[3, 1] = 1e308
-        part = partition(diag_eig(s), E)
+        part = rs_solver._blocks(diag_eig(s), E)
         assert part.e11 == E[0, 0] and np.array_equal(part.e12, E[0, 1:])
         assert np.array_equal(part.e22, E[1:, 1:])
 
     def test_identity_blocks_are_views(self):
         E = sample_goe(6, 13)
-        part = partition(diag_eig(spectrum(6, 5, 4, 3, 2, 1)), E)
+        part = rs_solver._blocks(diag_eig(spectrum(6, 5, 4, 3, 2, 1)), E)
         assert np.shares_memory(part.e12, E) and np.shares_memory(part.e22, E)
 
     def test_identity_decided_once_per_decomposition(self, monkeypatch):
@@ -191,7 +196,7 @@ class TestPartition:
         s = spectrum(3, 2, 1)
         basis = np.eye(3) + np.triu(np.ones((3, 3)), 1)
         E = sample_goe(3, 11)
-        part = partition(EigDecomposition(s, basis), E)
+        part = rs_solver._blocks(EigDecomposition(s, basis), E)
         expected = force_hermitian(basis.T @ E @ basis)
         assert part.e11 == expected[0, 0]
         assert np.array_equal(part.e12, expected[0, 1:])
@@ -210,6 +215,11 @@ class TestShiftedGaps:
     def test_positive_shift(self):
         d = build_shifted_gaps(spectrum(3, 2, 1), 0.5)
         np.testing.assert_allclose(d, [1.5, 2.5])
+
+
+def run_gate(d: np.ndarray, e22: np.ndarray, cap: float) -> rs_solver.ContractionGate:
+    """solve's gate on the blocks given: the weighted-Frobenius rung, then the spectral one."""
+    return rs_solver._ladder(rs_solver._weighted_frobenius_upper(e22, d), d, e22, cap)
 
 
 def paper_norm(d: np.ndarray, e22: np.ndarray, p: float) -> float:
@@ -239,7 +249,7 @@ class TestJacobiInner:
     def test_zero_block_single_iteration(self):
         # E12 = 0: q = 0 is the fixed point, reached and checked in one step
         s = spectrum(3, 2, 1)
-        part = partition(diag_eig(s), np.diag([0.3, 0.1, -0.2]))
+        part = rs_solver._blocks(diag_eig(s), np.diag([0.3, 0.1, -0.2]))
         q, iterations = solve_q(part, s)
         assert np.all(q == 0)
         assert iterations == 1
@@ -250,7 +260,7 @@ class TestJacobiInner:
         s = Spectrum(np.arange(7, 0, -1.0) * 3.0)
         for t in range(10):
             E = scaled_noise(s, rng, 0.4)
-            part = partition(diag_eig(s), E)
+            part = rs_solver._blocks(diag_eig(s), E)
             q, _ = solve_q(part, s)
             top = hermitian_eig(np.diag(s.lambdas) + E).basis[:, 0]
             direct = top[1:] / top[0]
@@ -268,9 +278,9 @@ class TestJacobiInner:
         done = paper_done = 0
         while done < 100:
             E = force_hermitian(rng.standard_normal((9, 9))) * 0.4
-            part = partition(diag_eig(s), E)
+            part = rs_solver._blocks(diag_eig(s), E)
             d = build_shifted_gaps(s, part.e11)
-            if not contraction_gate(d, part.e22, 0.5).bound <= 0.5:
+            if not run_gate(d, part.e22, 0.5).bound <= 0.5:
                 continue
             q, _ = solve_q(part, s)
             rhs = part.e21 - (part.e12 @ q) * q
@@ -294,7 +304,7 @@ class TestJacobiInner:
                         E = scaled_noise(s, rng, cert)
                         E[0, 1:] *= coupling
                         E[1:, 0] *= coupling
-                        q, _ = solve_q(partition(diag_eig(s), E), s)
+                        q, _ = solve_q(rs_solver._blocks(diag_eig(s), E), s)
                         top = np.linalg.eigh(np.diag(s.lambdas) + E)[1][:, -1]
                         direct = top[1:] / top[0]
                         assert np.linalg.norm(q - direct) <= 1e-10 * max(1.0, np.linalg.norm(direct))
@@ -309,7 +319,7 @@ class TestJacobiInner:
         with pytest.raises(NonConvergenceError, match="not positive"):
             solve_q(part, s)
         d = build_shifted_gaps(s, part.e11)
-        gate = contraction_gate(d, part.e22, math.inf)
+        gate = run_gate(d, part.e22, math.inf)
         assert gate.rung == "weighted-frobenius"
         assert 100.0 * math.sqrt(1.25) <= gate.bound
         assert gate.bound == pytest.approx(100.0 * math.sqrt(1.25), rel=1e-12)
@@ -319,8 +329,8 @@ class TestJacobiInner:
         s = spectrum(3, 2, 1)
         E = np.diag([0.0, 2.0, 0.0])  # E22 D^{-1} has norm 2 > cap
         E[0, 1] = E[1, 0] = 0.01  # so the fallback's eigenvector overlaps u1
-        part = partition(diag_eig(s), E)
-        gate = contraction_gate(build_shifted_gaps(s, part.e11), part.e22, CERTIFICATE_CAP)
+        part = rs_solver._blocks(diag_eig(s), E)
+        gate = run_gate(build_shifted_gaps(s, part.e11), part.e22, CERTIFICATE_CAP)
         assert gate.bound > 0.9
         rep = solve(np.diag(s.lambdas), E, eig=diag_eig(s))
         assert rep.fallback_reason.startswith("ContractionFailureError")
@@ -336,10 +346,10 @@ class TestJacobiInner:
         s = Spectrum(np.arange(9, 0, -1.0) * 2.0)
         budget = 10 * math.log2(1e12)
         for t in range(20):
-            part = partition(diag_eig(s), scaled_noise(s, rng, 0.5, coupling=1 / 8))
+            part = rs_solver._blocks(diag_eig(s), scaled_noise(s, rng, 0.5, coupling=1 / 8))
             d = build_shifted_gaps(s, part.e11)
             assert paper_norm(d, part.e22, 2.0) <= 0.5 + 1e-12
-            assert contraction_gate(d, part.e22, CERTIFICATE_CAP).bound <= CERTIFICATE_CAP
+            assert run_gate(d, part.e22, CERTIFICATE_CAP).bound <= CERTIFICATE_CAP
             _, iterations = solve_q(part, s, tol=1e-12)
             assert iterations <= budget
 
@@ -455,10 +465,10 @@ class TestContractionGate:
                 E = sample_gue(n, derive_stream(127, t))
             else:
                 E = sample_arrowhead_noise(n, derive_stream(127, t))[1]
-            part = partition(EigDecomposition(s, Q), E)
+            part = rs_solver._blocks(EigDecomposition(s, Q), E)
             d = build_shifted_gaps(s, part.e11)
             S = part.e22 / np.sqrt(np.outer(d, d))
-            gate = contraction_gate(d, part.e22, math.inf)
+            gate = run_gate(d, part.e22, math.inf)
             assert gate.rung == "weighted-frobenius"
             assert np.abs(np.linalg.eigvalsh(S)).max() <= gate.bound
             assert gate.bound <= np.linalg.norm(S) * (1 + 1e-9)
@@ -488,7 +498,7 @@ class TestContractionGate:
         # common denominator small
         rng = rng_from_stream(139)
         m = 300
-        assert 2 * rs_solver._TILE < m < 3 * rs_solver._TILE
+        assert 2 * matcore._TILE < m < 3 * matcore._TILE
         e22 = random_hermitian(rng, m, complex_case)
         d = np.ldexp(1.0 + rng.integers(0, 64, m) / 64.0, rng.integers(-40, 41, m))
         bound = rs_solver._weighted_frobenius_upper(e22, d)
@@ -501,7 +511,7 @@ class TestContractionGate:
         # summed on its own, so the sums are M's for any M; one flipped sign,
         # which keeps |M_ij| = |M_ji|, is enough to clear the mirrored flag.
         # Tiles of 16 put m = 40 over three tile rows, the last one partial
-        monkeypatch.setattr(rs_solver, "_TILE", 16)
+        monkeypatch.setattr(matcore, "_TILE", 16)
         rng = rng_from_stream(167)
         m = 40
         M = random_hermitian(rng, m, complex_case)
@@ -528,7 +538,7 @@ class TestContractionGate:
         n = 128
         s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
         E = sample_gue(n, 149) if complex_case else sample_goe(n, 149)
-        part = partition(diag_eig(s), E)
+        part = rs_solver._blocks(diag_eig(s), E)
         d = build_shifted_gaps(s, part.e11)
         e22, d_k = np.ldexp(part.e22.real, k), np.ldexp(d, k)
         if complex_case:
@@ -543,11 +553,11 @@ class TestContractionGate:
         # spectral rung's ||S||_2 = 0.5 admits the loop
         s = spectrum(2, 1, 1, 1, 1)
         d = build_shifted_gaps(s, 0.0)
-        gate = contraction_gate(d, 0.5 * np.eye(4), CERTIFICATE_CAP)
+        gate = run_gate(d, 0.5 * np.eye(4), CERTIFICATE_CAP)
         assert gate.rung == "spectral"
         assert gate.bound == pytest.approx(0.5, rel=1e-9)
         # both rungs above the cap: the smaller bound is returned, with its rung
-        gate = contraction_gate(d, 0.95 * np.eye(4), CERTIFICATE_CAP)
+        gate = run_gate(d, 0.95 * np.eye(4), CERTIFICATE_CAP)
         assert gate.rung == "spectral"
         assert gate.bound == pytest.approx(0.95, rel=1e-9)
         # gaps (1, 100) and E22 = [[0, 8], [8, 0]]: ||S||_F = 0.8 sqrt(2) is
@@ -581,7 +591,7 @@ class TestContractionGate:
         d = 10.0 ** rng_from_stream(seed).uniform(-6.0, 6.0, m)
         w = 1.0 / np.sqrt(d)
         exact = np.abs(np.linalg.eigvalsh(e22 * np.outer(w, w))).max()
-        gate = contraction_gate(d, e22, 0.0)
+        gate = run_gate(d, e22, 0.0)
         assert exact <= gate.bound
         for p in (1.0, 2.0, 3.0, math.inf):
             assert gate.bound <= paper_norm(d, e22, p) * (1 + 1e-8)
@@ -622,7 +632,7 @@ class TestContractionGate:
 class TestSolveQ:
     def test_zero_noise(self):
         s = spectrum(3, 2, 1)
-        part = partition(diag_eig(s), np.zeros((3, 3)))
+        part = rs_solver._blocks(diag_eig(s), np.zeros((3, 3)))
         q, _ = solve_q(part, s)
         assert np.all(q == 0)
         u = assemble_eigvec(diag_eig(s), q)
@@ -634,7 +644,7 @@ class TestSolveQ:
         rng = rng_from_stream(53)
         for t in range(20):
             E = force_hermitian(rng.standard_normal((2, 2))) * 0.4
-            part = partition(diag_eig(s), E)
+            part = rs_solver._blocks(diag_eig(s), E)
             q, _ = solve_q(part, s)
             b = s.delta + part.e11 - part.e22[0, 0]
             e12, e21 = part.e12[0], part.e21[0]
@@ -650,7 +660,7 @@ class TestSolveQ:
         assert k_star <= 0.1
         for t in range(10):
             E = sample_goe(n, derive_stream(59, t))
-            part = partition(diag_eig(s), E)
+            part = rs_solver._blocks(diag_eig(s), E)
             q, _ = solve_q(part, s)
             assert np.linalg.norm(q) <= 0.25
 
@@ -660,7 +670,7 @@ class TestSolveQ:
         tol = 1e-12
         for t in range(10):
             E = sample_goe(n, derive_stream(61, t))
-            part = partition(diag_eig(s), E)
+            part = rs_solver._blocks(diag_eig(s), E)
             q, iterations = solve_q(part, s, tol=tol)
             d = build_shifted_gaps(s, part.e11)
             resid = np.linalg.norm(d * q - part.e22 @ q - (part.e21 - (part.e12 @ q) * q))
@@ -671,7 +681,7 @@ class TestSolveQ:
         n = 16
         s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
         E = sample_subgaussian_hermitian(n, EntryDistribution("gaussian"), "complex", 5)
-        part = partition(diag_eig(s), E)
+        part = rs_solver._blocks(diag_eig(s), E)
         q, _ = solve_q(part, s)
         lam = eigenvalue_from_q(s, part.e11, part.e12, q)
         u = assemble_eigvec(diag_eig(s), q)
@@ -768,7 +778,7 @@ class TestEigenvalueFromQ:
     def test_2x2_quadratic_formula(self):
         s = spectrum(3.0, 1.0)
         E = force_hermitian(rng_from_stream(71).standard_normal((2, 2))) * 0.3
-        part = partition(diag_eig(s), E)
+        part = rs_solver._blocks(diag_eig(s), E)
         q, _ = solve_q(part, s)
         lam = eigenvalue_from_q(s, part.e11, part.e12, q)
         top = hermitian_eig(np.diag(s.lambdas) + E).spectrum.lambdas[0]
@@ -778,7 +788,7 @@ class TestEigenvalueFromQ:
         n = 8
         s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
         E = sample_goe(n, 73)
-        part = partition(diag_eig(s), E)
+        part = rs_solver._blocks(diag_eig(s), E)
         q, _ = solve_q(part, s)
         lam = eigenvalue_from_q(s, part.e11, part.e12, q)
         u = assemble_eigvec(diag_eig(s), q)
@@ -821,9 +831,9 @@ class TestVerifySolution:
         A = np.diag(s.lambdas)
         E = (s.delta + 0.1) * np.outer([0, 1, 0], [0, 1, 0])
         eig = diag_eig(s)
-        part = partition(eig, E)
+        part = rs_solver._blocks(eig, E)
         q, iterations = solve_q(part, s)
-        gate = contraction_gate(build_shifted_gaps(s, part.e11), part.e22, math.inf)
+        gate = run_gate(build_shifted_gaps(s, part.e11), part.e22, math.inf)
         rep = SolverReport(
             q=q,
             u_tilde=assemble_eigvec(eig, q),
@@ -832,7 +842,7 @@ class TestVerifySolution:
             contraction_upper=gate.bound,
             contraction_rung=gate.rung,
         )
-        verify_solution(A, E, rep, s, eig=eig)
+        rs_solver._verify(A, E, rep, s, rs_solver._read_noise(E, s.lambdas)[0])
         assert np.allclose(rep.q, 0)
         assert rep.lambda_tilde == pytest.approx(3.0)
         assert not rep.leading_certified
@@ -849,7 +859,7 @@ class TestVerifySolution:
         rep = SolverReport(
             q=u[1:] / u[0], u_tilde=u, lambda_tilde=lam, iterations=0, contraction_upper=0.0
         )
-        verify_solution(A, E, rep, s, eig=diag_eig(s))
+        rs_solver._verify(A, E, rep, s, rs_solver._read_noise(E, s.lambdas)[0])
         assert rep.residual2 <= 1e-14
         assert not rep.leading_certified
 
@@ -877,9 +887,7 @@ class TestVerifySolution:
             pad, tau = 12 * np.finfo(float).eps / 2, 1e-9 * (1 + abs(rep.lambda_tilde))
             r = np.linalg.norm(A_tilde @ u - lam * u) + pad * (np.linalg.norm(E) + 1e6 + 1)
             assert r <= tau <= pad * np.trace(lam * np.eye(4) - A_tilde)
-        oracle = verify_solution(
-            A, E, SolverReport(**vars(rep)), s, eig=diag_eig(s), lambda_max=top_eigpair(A + E)[0]
-        )
+        oracle = is_leading(s, rep.lambda_tilde, top_eigpair(A + E)[0])
         calls, interlacing = [], []
 
         def counted(M):
@@ -894,10 +902,10 @@ class TestVerifySolution:
         monkeypatch.setattr(rs_solver, "top_eigpair", counted)
         monkeypatch.setattr(rs_solver, "_trailing_bound", inconclusive)
         monkeypatch.setattr(np.linalg, "cholesky", cholesky)
-        verify_solution(A, E, rep, s, eig=diag_eig(s))
+        rs_solver._verify(A, E, rep, s, rs_solver._read_noise(E, s.lambdas)[0])
         assert len(interlacing) == 1
         assert len(calls) == 1
-        assert rep.leading_certified == oracle.leading_certified
+        assert rep.leading_certified == oracle
 
     def test_interlacing_rejects_second_eigenpair(self):
         # the second eigenpair of A~ has a residual near zero, but by interlacing
@@ -917,7 +925,7 @@ class TestVerifySolution:
         for beta in (read.beta, spectral):
             assert rs_solver._trailing_bound(s.lambdas, E[0, 0], read.d, beta, lam) >= 1.0
         tau = 1e-9 * (1.0 + abs(lam))
-        assert not rs_solver._top_eigenvalue_within(E, s.lambdas, lam, residual2, tau)
+        assert not rs_solver._top_eigenvalue_within(E, s.lambdas, lam, residual2, tau, read)
 
     @pytest.mark.parametrize("noise", [sample_goe, sample_gue])
     def test_second_eigenpair_never_certified(self, noise):
@@ -943,7 +951,7 @@ class TestVerifySolution:
                     rep = SolverReport(
                         q=u[1:] / u[0], u_tilde=u, lambda_tilde=lam, iterations=0, contraction_upper=0.0
                     )
-                    verify_solution(A, E, rep, s, eig=diag_eig(s))
+                    rs_solver._verify(A, E, rep, s, read)
                     assert not rep.leading_certified
                     proved += rep.residual2 <= 1e-12 * (1.0 + abs(lam))
         assert proved == 36  # every pair has a residual at rounding level
@@ -992,7 +1000,7 @@ class TestVerifySolution:
         # doubled; and the radius r with ||E||_F + max |a| in its pad bounds the
         # exact residual of a computed eigenpair, whose own residual2 sits at
         # the rounding floor
-        monkeypatch.setattr(rs_solver, "_TILE", 16)
+        monkeypatch.setattr(matcore, "_TILE", 16)
         rng = rng_from_stream(163)
         for m in (4, 9, 40):
             E = random_hermitian(rng, m, complex_case)
@@ -1012,8 +1020,8 @@ class TestVerifySolution:
                 q=np.zeros(m - 1), u_tilde=V[:, -1], lambda_tilde=float(w[-1]),
                 iterations=0, contraction_upper=0.0,
             )
-            verify_solution(np.diag(s.lambdas), E, rep, s, eig=diag_eig(s))
             read = rs_solver._read_noise(E, s.lambdas)[0]
+            rs_solver._verify(np.diag(s.lambdas), E, rep, s, read)
             r = rs_solver._residual_radius(rep.residual2, m, read.norm + float(np.abs(s.lambdas).max()))
             u = [exact_entry(x) for x in rep.u_tilde]
             lam = Fraction(rep.lambda_tilde)
@@ -1039,7 +1047,8 @@ class TestVerifySolution:
 
         monkeypatch.setattr(np.linalg, "cholesky", counted)
         a = np.array([1.0, 1.0 - 4e-16, 0.5, 0.25])
-        assert rs_solver._top_eigenvalue_within(np.zeros((4, 4)), a, 1.0, 0.0, 2e-9)
+        E = np.zeros((4, 4))
+        assert rs_solver._top_eigenvalue_within(E, a, 1.0, 0.0, 2e-9, rs_solver._read_noise(E, a)[0])
         assert len(calls) == 1
 
     def test_interlacing_needs_identity_basis(self, monkeypatch):
@@ -1068,17 +1077,6 @@ class TestVerifySolution:
             assert rep.method == "rs" and rep.leading_certified
             assert (len(interlacing), len(factorizations)) == (used, 1 - used)
 
-    def test_identity_basis_needs_diagonal_A(self):
-        # on the identity basis verification reads only A's diagonal
-        n = 16
-        s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
-        E = sample_goe(n, 19)
-        rep = solve(np.diag(s.lambdas), E, eig=diag_eig(s), verify=False)
-        A = np.diag(s.lambdas)
-        A[2, 7] = A[7, 2] = 0.5
-        with pytest.raises(ValueError, match="eig has the identity basis but A is not diagonal"):
-            verify_solution(A, E, rep, s, eig=diag_eig(s))
-
     def test_identity_path_matches_dense_path(self):
         # E u~ + a u~ and the banded |E| row sums against the formed A + E
         n = 64
@@ -1087,8 +1085,9 @@ class TestVerifySolution:
         for t in range(5):
             E = sample_goe(n, derive_stream(151, t))
             rep = solve(A, E, eig=diag_eig(s), verify=False)
-            identity = verify_solution(A, E, SolverReport(**vars(rep)), s, eig=diag_eig(s))
-            dense = verify_solution(A, E, SolverReport(**vars(rep)), s)
+            read = rs_solver._read_noise(E, s.lambdas)[0]
+            identity = rs_solver._verify(A, E, SolverReport(**vars(rep)), s, read)
+            dense = rs_solver._verify(A, E, SolverReport(**vars(rep)), s, None)
             assert identity.leading_certified and dense.leading_certified
             a_norm = np.abs(np.linalg.eigvalsh(A + E)).max()
             assert abs(identity.residual2 - dense.residual2) <= 1e-14 * a_norm
@@ -1332,9 +1331,9 @@ class TestSolveDriver:
 
     @pytest.mark.parametrize("method", ["rs", "oracle-fallback"])
     def test_certificate_computed_once(self, monkeypatch, method):
-        # one gate per solve (solve runs contraction_gate's ladder on the
-        # first rung it has read); its spectral rung runs only when the
-        # weighted-Frobenius rung exceeds the cap
+        # one gate per solve (solve runs _ladder on the first rung it has
+        # read); its spectral rung runs only when the weighted-Frobenius rung
+        # exceeds the cap
         gates, spectral = [], []
         spectral_upper, ladder = rs_solver._spectral_upper, rs_solver._ladder
 
@@ -1389,12 +1388,12 @@ class TestSolveDriver:
 
     @pytest.mark.parametrize("kwargs,message", BAD_OPTIONS)
     def test_bad_parameters_rejected_before_any_work(self, monkeypatch, kwargs, message):
-        # the eigenbasis of A and the partition of E are most of a dense solve
+        # the eigenbasis of A and the blocks of U* E U are most of a dense solve
         def fail(*args):
             raise AssertionError("solve worked on A and E before checking its options")
 
         monkeypatch.setattr(rs_solver, "_decompose", fail)  # hermitian_eig's core
-        monkeypatch.setattr(rs_solver, "partition", fail)
+        monkeypatch.setattr(rs_solver, "_blocks", fail)
         with pytest.raises(ValueError, match=message) as via_solve:
             solve(sample_goe(8, 3), sample_goe(8, 4), **kwargs)
         if "tol" in kwargs:  # solve_q checks tol alone, with solve's message
@@ -1402,6 +1401,40 @@ class TestSolveDriver:
             with pytest.raises(ValueError) as via_solve_q:
                 rs_solver.solve_q(part, spectrum(3, 2, 1), **kwargs)
             assert str(via_solve.value) == str(via_solve_q.value)
+
+    @pytest.mark.parametrize("pass_eig", [False, True])
+    def test_non_self_adjoint_noise_rejected_before_eigendecomposition(self, monkeypatch, pass_eig):
+        # on a dense basis E's self-adjointness is proved at solve's boundary,
+        # so a bad E costs no eigendecomposition of A (and no U* E U)
+        def fail(*args):
+            raise AssertionError("solve worked on A and E before checking E")
+
+        monkeypatch.setattr(rs_solver, "_decompose", fail)
+        monkeypatch.setattr(matcore, "_decompose", fail)
+        monkeypatch.setattr(rs_solver, "_blocks", fail)
+        n = 8
+        s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
+        Q = np.linalg.qr(rng_from_stream(5).standard_normal((n, n)))[0]
+        A = force_hermitian((Q * s.lambdas) @ Q.T)
+        E = sample_goe(n, 7)
+        E[6, 1] += 1e-3
+        with pytest.raises(ValueError, match="E is not exactly self-adjoint"):
+            solve(A, E, eig=EigDecomposition(s, Q) if pass_eig else None)
+
+    @pytest.mark.parametrize("coupling", [1e-100, 1e-30, 1e-16])
+    def test_identity_found_for_nondiagonal_A_verified_on_A(self, coupling):
+        # eigh returns exactly I for diag(8, ..., 1) with a tiny A[0, 1], but A
+        # is not diagonal: verification must take the A + E it was given, not
+        # diag(A) + E, so the residual reads the coupling instead of 0
+        A = np.diag(np.arange(8.0, 0.0, -1.0))
+        A[0, 1] = A[1, 0] = coupling
+        assert np.array_equal(hermitian_eig(A).basis, np.eye(8))
+        E = np.zeros((8, 8))
+        rep = solve(A, E)
+        assert rep.method == "rs" and rep.leading_certified
+        exact = np.linalg.norm((A + E) @ rep.u_tilde - rep.lambda_tilde * rep.u_tilde)
+        assert exact == coupling
+        assert rep.residual2 == pytest.approx(exact, rel=1e-15)
 
     def test_subnormal_tol_reports(self):
         # the step cap grows with log2(1/tol), which stays finite for any positive tol
@@ -1412,9 +1445,9 @@ class TestSolveDriver:
     @pytest.mark.parametrize("basis,checks", [("identity", 1), ("rotated", 2), ("none", 2)])
     def test_self_adjointness_checked_once_per_matrix(self, monkeypatch, basis, checks):
         # on the identity basis E in its one read (A is proved diagonal, and its
-        # diagonal real); on a general basis A at entry and E in partition, as
-        # U* E U is Hermitian by construction; without eig, hermitian_eig's core
-        # does not check A again
+        # diagonal real); on a general basis A and E at entry, as U* E U is
+        # Hermitian by construction; without eig, hermitian_eig's core does
+        # not check A again
         n = 16
         s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
         A, eig = np.diag(s.lambdas), diag_eig(s)
@@ -1601,9 +1634,6 @@ class TestSolveDriver:
             warnings.simplefilter("error")
             rep = solve(A, E, eig=diag_eig(s))
         assert rep.method == "rs" and rep.leading_certified
-        A[5, 5] += 1e-3j
-        with pytest.raises(ValueError, match="eig has the identity basis but A's diagonal is not real"):
-            verify_solution(A, E, rep, s, eig=diag_eig(s))
 
     def test_unit_norm_and_positive_overlap(self):
         n = 16
@@ -1669,7 +1699,7 @@ class TestLinearizedStatistic:
             vals = []
             for t in range(50):
                 E = sample_goe(n, derive_stream(97, n, t))
-                part = partition(diag_eig(s), E)
+                part = rs_solver._blocks(diag_eig(s), E)
                 d = build_shifted_gaps(s, part.e11)
                 x = np.linalg.solve(np.diag(d) - part.e22, part.e21)
                 vals.append(np.abs(d * x).max() / math.sqrt(math.log(n)))
