@@ -71,7 +71,6 @@ from .rs_solver import (
     assemble_eigvec,
     build_shifted_gaps,
     coordinate_bounds,
-    eigenvalue_from_q,
     is_leading,
     solve,
     solve_q,

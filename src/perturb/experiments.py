@@ -220,8 +220,10 @@ def _paper_norms(spectrum, E: np.ndarray, p: float) -> tuple[float, float]:
     A is diag(spectrum.lambdas), so the blocks are E's own. The first is a
     certified upper bound: exact at p in {1, inf}, proved by one Cholesky
     factorization at p = 2, interpolated at other p. It is a record
-    statistic only; solve gates its loop on ||D^{-1/2} E22 D^{-1/2}||_2,
-    which is at most this norm. Both are inf when the shifted gaps collapse
+    statistic only. solve gates its loop on the padded
+    ||D^{-1/2} E22 D^{-1/2}||_F, an upper bound on the loop's rate
+    ||D^{-1/2} E22 D^{-1/2}||_2, which is at most this norm; the gate's bound
+    itself may be above or below it. Both are inf when the shifted gaps collapse
     or the first cannot be computed.
     """
     try:

@@ -13,19 +13,19 @@ matvec per step. In y = D^{1/2} q the same loop reads
     y <- D (D + c)^{-1} (S y + D^{-1/2} E21),   S = D^{-1/2} E22 D^{-1/2},   c = Re(E12 q),
 
 so its linear part contracts at ||S||_2, the spectral radius of E22 D^{-1}
-(S is Hermitian and similar to it). The loop runs only when a proved upper
-bound on ||S||_2 is at or below a cap. The gate (_ladder) tries two rungs:
-the weighted Frobenius norm ||S||_F, padded for rounding, in O(n^2); then
-||S||_2 itself (a Lanczos estimate proved by one Cholesky factorization).
-The paper's ||E22 D^{-1}||_p is at least ||S||_2 for every p, so it is not
-on the solve path; the experiments record it. The report carries the bound
-that gated the loop and names its rung, along with the step count, the
-residuals and a leading-eigenvalue certificate. That certificate is for the
-exact A + E and needs no eigendecomposition of it: the residual bound puts
-an eigenvalue near lambda~, and Cauchy interlacing (identity basis, O(n),
-from the gate's bound on ||S||_2) or one Cholesky factorization
-(bounds.cholesky_below) shows that none lies above it. Only when these
-proofs are inconclusive does the dense computation decide (is_leading).
+(S is Hermitian and similar to it). The loop runs only when the gate, the
+weighted Frobenius norm ||S||_F padded for rounding, an O(n^2) upper bound
+on ||S||_2, is at or below a cap; above it solve falls back to the dense
+oracle. The paper's ||E22 D^{-1}||_p is at least ||S||_2 for every p, but
+not always at least ||S||_F, so the gate can refuse an input that the
+paper's norm admits; the experiments record that norm. The report carries
+the gate's bound, the step count, the residuals and a leading-eigenvalue
+certificate. That certificate is for the exact A + E and needs no
+eigendecomposition of it: the residual bound puts an eigenvalue near
+lambda~, and Cauchy interlacing (identity basis, O(n), from the gate's
+bound) or one Cholesky factorization (bounds.cholesky_below) shows that
+none lies above it. Only when these proofs are inconclusive does the dense
+computation decide (is_leading).
 
 solve is the one way through the pipeline: it proves its operands valid
 once, at its boundary, then runs each stage once (the blocks of U* E U, the
@@ -33,10 +33,10 @@ gate, the loop solve_q, assembly, verification). On the identity basis, the
 paper's own setting, A must be diag(eig.spectrum.lambdas), and each n x n
 operand is read as few times as the proofs allow: A's off-diagonal entries
 once, to prove them zero; E once before the loop, in one tiled pass that
-proves it finite and exactly self-adjoint, gives the gate's weighted
-Frobenius rung and bounds ||E||_F; then once per loop step, and once in
-verification, for E u~. No I* E I, no product with the identity and no
-A + E is formed unless the Cholesky proof or the oracle is reached.
+proves it finite and exactly self-adjoint, gives the gate's bound and
+bounds ||E||_F; then once per loop step, and once in verification, for
+E u~. No I* E I, no product with the identity and no A + E is formed unless
+the Cholesky proof or the oracle is reached.
 Verification takes this path only when E was read so: a basis that
 eigendecomposition finds to be I, for an A that need not be exactly
 diagonal, is verified on the formed A + E. On any other basis each operand
@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import cholesky_below, opnorm_pp_upper
+from .bounds import cholesky_below
 from .bounds import verify_shifted_domination  # noqa: F401  re-exported; its home is bounds
 from . import matcore
 from .errors import (
@@ -78,11 +78,9 @@ from .matcore import (
 __all__ = [
     "PartitionedPerturbation",
     "SolverReport",
-    "ContractionGate",
     "build_shifted_gaps",
     "solve_q",
     "assemble_eigvec",
-    "eigenvalue_from_q",
     "coordinate_bounds",
     "is_leading",
     "solve",
@@ -94,11 +92,12 @@ DEFAULT_TOL = 1e-12
 # nonnegative at the leading fixed point (lambda~ >= lambda1 + E11, the
 # Rayleigh quotient of u1). So ||D (D + c)^{-1}||_2 <= 1, and the linear part
 # contracts in the 2-norm of y at rate ||S||_2 = rho(E22 D^{-1}), which is at
-# most the paper's ||E22 D^{-1}||_p for every p. Every rung of the gate (_ladder)
-# is a proved upper bound on ||S||_2. The rest of the Jacobian comes from c's
-# dependence on q, is of order ||E21||_2 ||E12 D^{-1}||_2 / min(d), and so also
-# needs E12 not too large against the gaps. 0.9 accepts the slow band and flags
-# it in reports; inputs that still fail to converge fall back to the oracle.
+# most the paper's ||E22 D^{-1}||_p for every p. The gate compares the padded
+# ||S||_F, a proved upper bound on ||S||_2, with this cap. The rest of the
+# Jacobian comes from c's dependence on q, is of order
+# ||E21||_2 ||E12 D^{-1}||_2 / min(d), and so also needs E12 not too large
+# against the gaps. 0.9 accepts the slow band and flags it in reports; inputs
+# that still fail to converge fall back to the oracle.
 CERTIFICATE_CAP = 0.9
 # kappa of solve_q's rounding-level step test ||D dq||_2 <= kappa eps ||E21||_2.
 # Once the iteration has converged, a step repeats the map's roundings, and
@@ -146,11 +145,11 @@ class PartitionedPerturbation:
 class SolverReport:
     """Everything a solve produced, including its certificates.
 
-    ``contraction_upper`` is the bound that gated the loop and
-    ``contraction_rung`` the rung that proved it (see _ladder):
-    the first at or under the cap, else the smallest computed. The rung is
-    empty when the gate did not finish (collapsed shifted gaps, or a
-    NumericFailureError from the spectral rung; the bound is then inf).
+    ``contraction_upper`` is the gate's bound, the padded weighted Frobenius
+    norm ||D^{-1/2} E22 D^{-1/2}||_F (_weighted_frobenius_upper), on the
+    "rs" and the fallback path alike; it is inf when the shifted gaps
+    collapse before the gate runs, or when that norm is beyond the float
+    range.
     """
 
     q: np.ndarray
@@ -158,7 +157,6 @@ class SolverReport:
     lambda_tilde: float
     iterations: int
     contraction_upper: float
-    contraction_rung: str = ""
     residual2: float = math.nan
     orth_residual: float = math.nan
     coord_ratios: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -264,13 +262,17 @@ def _scale_and_weights(d: np.ndarray) -> tuple[float, np.ndarray | None]:
     """sigma, the power of two with sigma <= max(d) < 2 sigma, and v = sigma / d.
 
     (1, None) unless max(d) is normal and finite, and v is None unless every
-    d_j is positive. Dividing by sigma is exact, and every v_j exceeds 1/2.
+    d_j is positive. Dividing by sigma is exact, and every v_j exceeds 1/2;
+    a v_j beyond the float range is inf, and so are the sums it weights.
     """
     top = float(d.max())
     if not np.finfo(np.float64).tiny <= top < math.inf:
         return 1.0, None
     sigma = math.ldexp(1.0, math.frexp(top)[1] - 1)
-    return sigma, (sigma / d if float(d.min()) > 0 else None)
+    if not float(d.min()) > 0:
+        return sigma, None
+    with np.errstate(over="ignore"):
+        return sigma, sigma / d
 
 
 def _padded_root(s: float, pad: float) -> float:
@@ -304,75 +306,36 @@ def _weighted_frobenius_upper(M: np.ndarray, d: np.ndarray) -> float:
     and v = sigma / d (_scale_and_weights), from one read of M
     (_tile_sums), padded for rounding (_frobenius_pad) and rounded up. The
     value does not change when M and d are scaled by the same power of two.
-    Assumes no underflow (max(d) normal); a sum that is not finite gives inf.
-    Only the tiles on and above M's diagonal are read, each one above it
-    counted for its mirror too (_tile_sums' ``hermitian``), so M must be
-    exactly Hermitian, as _blocks' E22 is.
+    When that sum is not finite, as when a square of a finite M_ij / sigma
+    overflows, M is read once more over sigma 2^k in place of sigma, the
+    power of two with sigma 2^k <= max_ij max(|Re M_ij|, |Im M_ij|) <
+    sigma 2^(k+1), so no square reaches 4, and the norm is 2^k times the
+    root of that sum (exact scalings). A square there that falls below the
+    smallest normal number tiny, or whose M_ij 2^-k / sigma is subnormal,
+    errs by at most tiny, so w tiny (sum_j v_j)^2 (w = 1 real, 2 complex) is
+    added to the sum before the pad, whose factor 2 over the first-order
+    bound covers this term's own roundings. Assumes max(d) normal; a sum
+    that is still not finite gives inf. Only the tiles on and above M's
+    diagonal are read, each one above it counted for its mirror too
+    (_tile_sums' ``hermitian``), so M must be exactly Hermitian, as _blocks'
+    E22 is.
     """
     sigma, v = _scale_and_weights(d)
     if v is None:
         return math.inf
+    pad = _frobenius_pad(M.shape[0], np.iscomplexobj(M))
     weighted, _, _ = _tile_sums(M, sigma, v, hermitian=True)
-    return _padded_root(weighted, _frobenius_pad(M.shape[0], np.iscomplexobj(M)))
-
-
-class ContractionGate(NamedTuple):
-    """A proved upper bound on the loop's contraction rate ||S||_2 and the rung that proved it."""
-
-    bound: float
-    rung: str
-
-
-def _spectral_upper(e22: np.ndarray, d: np.ndarray) -> float:
-    """Upper bound on ||S||_2, S = D^{-1/2} E22 D^{-1/2}, from bounds.opnorm_pp_upper at p = 2.
-
-    S is formed as E22 * (w w^T) with w = 1 / sqrt(d). The product w_i w_j
-    equals w_j w_i bit for bit, so for an exactly Hermitian E22 the computed
-    S is exactly Hermitian too. The proof (bounds._spectral_norm_upper)
-    forms the Gram matrix S* S, an n^3 product, for its Lanczos estimate and
-    Cholesky factorization; only when that proof is inconclusive does the
-    exact-norm fallback read eigvalsh(S), with no Gram matrix.
-
-    Rounding, with u = eps/2 and m the order of S: d may carry one rounding,
-    as fl(t - a) does, and fl(sqrt(d_j)) and the reciprocal add one each, so
-    w_j errs by at most 2.5 u relative; the weight product and the product
-    with e_ij add one each. So fl(S) = S + S o Delta entrywise with
-    |Delta_ij| <= 7 u to first order, and
-    ||fl(S) - S||_2 <= ||S o Delta||_F <= 7 u ||S||_F <= 7 u sqrt(m) ||S||_2,
-    which gives ||S||_2 <= ||fl(S)||_2 / (1 - 7 sqrt(m) u). opnorm_pp_upper
-    bounds ||fl(S)||_2 for the matrix as computed, and the pad
-    14 sqrt(m) u is twice the first-order term, which absorbs the
-    second-order terms and the rounding of 1 + pad; the padded bound is
-    rounded up. The pad rests on ||S||_F <= sqrt(m) ||S||_2 alone, not on a
-    computed ||S||_F, which can overflow where ||S||_2 does not. Assumes no
-    underflow; an S or a norm that is not finite gives inf.
-    """
-    pad = 14.0 * math.sqrt(e22.shape[0]) * (np.finfo(np.float64).eps / 2.0)
-    with np.errstate(over="ignore", invalid="ignore"):  # a norm that is not finite gives inf
-        w = 1.0 / np.sqrt(d)
-        S = e22 * (w[:, np.newaxis] * w[np.newaxis, :])
-        if not np.all(np.isfinite(S)):
-            return math.inf
-        return float(np.nextafter(opnorm_pp_upper(S, 2) * (1.0 + pad), math.inf))
-
-
-def _ladder(frobenius: float, d: np.ndarray, e22: np.ndarray, cap: float) -> ContractionGate:
-    """The first proved upper bound on ||S||_2, S = D^{-1/2} E22 D^{-1/2}, that is at most ``cap``.
-
-    Rungs, cheapest first: "weighted-frobenius", the padded ||S||_F in
-    O(n^2) (||S||_2 <= ||S||_F), which the caller has computed and passes
-    as ``frobenius`` (_weighted_frobenius_upper, or solve's read of E on the
-    identity basis); then "spectral", ||S||_2 itself, padded
-    (_spectral_upper: a Lanczos estimate proved by one Cholesky
-    factorization of the Gram matrix S* S, an n^3 product formed in
-    bounds._spectral_norm_upper, within a relative 1e-9 of the exact norm).
-    When neither is at most ``cap``, returns the smaller.
-    """
-    frobenius = ContractionGate(frobenius, "weighted-frobenius")
-    if frobenius.bound <= cap:
-        return frobenius
-    spectral = ContractionGate(_spectral_upper(e22, d), "spectral")
-    return spectral if spectral.bound <= frobenius.bound else frobenius
+    if math.isfinite(weighted):
+        return _padded_root(weighted, pad)
+    parts = (M.real, M.imag) if np.iscomplexobj(M) else (M,)
+    k = math.frexp(max(float(np.abs(part).max()) for part in parts))[1] - math.frexp(sigma)[1]
+    if k <= 0:  # no square overflowed, so the weights did: a second sum overflows too
+        return math.inf
+    weighted, _, _ = _tile_sums(M, math.ldexp(sigma, k), v, hermitian=True)
+    total = float(v.sum())
+    weighted += len(parts) * np.finfo(np.float64).tiny * total * total
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(_padded_root(weighted, pad), k))
 
 
 def _unit(spectrum: Spectrum) -> float:
@@ -405,7 +368,7 @@ def solve_q(
     q <- D^{-1}(E22 q + E21 - (E12 q) q) can diverge.
 
     Runs the loop alone: the caller admits it (solve does so through its
-    gate, _ladder). Returns q and the number of steps. Stops when
+    gate). Returns q and the number of steps. Stops when
     ||D (q_next - q)||_2 <= step_tol and the quadratic residual is below
     tol * (||E21||_2 + unit), unit = min(1, max(|lambda_1|, |lambda_n|)),
     with step_tol the larger of tol * unit and the rounding level
@@ -485,7 +448,7 @@ def assemble_eigvec(eig: EigDecomposition, q: np.ndarray) -> np.ndarray:
     return u / math.sqrt(1.0 + float(np.vdot(q, q).real))
 
 
-def eigenvalue_from_q(spectrum: Spectrum, e11: float, e12: np.ndarray, q: np.ndarray) -> float:
+def _eigenvalue_from_q(spectrum: Spectrum, e11: float, e12: np.ndarray, q: np.ndarray) -> float:
     """Eigenvalue identity lambda1 + E11 + E12 q; the product must be real.
 
     Its imaginary part may not exceed 1e-10 max(unit, sum_j |E12_j| |q_j|),
@@ -527,7 +490,7 @@ class _NoiseRead(NamedTuple):
     """What one read of E bounds on the identity basis, A = diag(a) (_read_noise)."""
 
     d: np.ndarray  # the shifted gaps fl(fl(a_1 - a_{j+1}) + E11), as build_shifted_gaps forms them
-    beta: float  # an upper bound on ||D^{-1/2} E22 D^{-1/2}||_2, inf unless every d_j > 0
+    beta: float  # the gate's bound, padded ||D^{-1/2} E22 D^{-1/2}||_F; inf unless every d_j > 0
     norm: float  # an upper bound on ||E||_F, inf when its sum is not finite
 
 
@@ -536,13 +499,15 @@ def _read_noise(E: np.ndarray, a: np.ndarray) -> tuple[_NoiseRead, bool, bool]:
 
     _tile_sums reads E with the weights v of the shifted gaps d on rows and
     columns 1..n-1 and 0 on row and column 0, so the weighted sum is E22's
-    alone, and beta, its padded root, is the gate's first rung; norm bounds
+    alone, and beta, its padded root, is the gate's bound; norm bounds
     ||E||_F by the padded root of the plain sum. The finiteness answer costs
     nothing when the plain sum is finite, since every entry of E is either
     squared into it or equal to the conjugate of one that is. A sum that is
     not finite, perhaps from finite entries whose squares overflow, leads to
-    one np.isfinite pass over E; an overflowing square in row 0, times its
-    weight 0, also makes beta inf.
+    one np.isfinite pass over E. A weighted sum that is not finite (an
+    overflowing square in E22, or in row 0 times its weight 0) is replaced,
+    for a finite self-adjoint E, by _weighted_frobenius_upper(E22, d), which
+    rescales.
     """
     d = (a[0] - a[1:]) + float(E[0, 0].real)
     sigma, v = _scale_and_weights(d)
@@ -550,6 +515,8 @@ def _read_noise(E: np.ndarray, a: np.ndarray) -> tuple[_NoiseRead, bool, bool]:
     finite = math.isfinite(plain) or bool(np.all(np.isfinite(E)))
     pad = _frobenius_pad(E.shape[0], np.iscomplexobj(E))
     beta = math.inf if v is None else _padded_root(weighted, pad)
+    if beta == math.inf and finite and mirrored:
+        beta = _weighted_frobenius_upper(E[1:, 1:], d)
     return _NoiseRead(d, beta, sigma * _padded_root(plain, pad)), finite, mirrored
 
 
@@ -597,7 +564,7 @@ def _top_eigenvalue_within(
 
     On the identity basis A~ = diag(a) + M is the exact A + E, with a the
     (real) diagonal of A, M = E and ``read`` solve's one read of E
-    (_read_noise), with the gate's bound as beta. On other bases a and
+    (_read_noise), whose beta is the gate's bound. On other bases a and
     ``read`` are None and M is the floating-point sum fl(A + E), which the
     Cholesky proof overwrites. u~ is the report's vector. With u = eps/2 the
     unit roundoff, pad = 2 (n+2) u and ||A~|| taken as ||E||_F + max_i |a_i|
@@ -618,8 +585,9 @@ def _top_eigenvalue_within(
     * upper side, on the identity basis: let t = lam - r, rounded down.
       Cauchy interlacing gives lambda_2(A~) <= lambda_max(A~[1:, 1:])
       (Horn and Johnson, Matrix Analysis, sec. 4.3), which is below t when
-      _trailing_bound, from the gate's bound on ||D^{-1/2} E22 D^{-1/2}||_2
-      and the gaps alone, is below 1. So lambda_2 < lam - r, and the
+      _trailing_bound, from the gate's bound (the padded
+      ||D^{-1/2} E22 D^{-1/2}||_F, at least its 2-norm) and the gaps alone,
+      is below 1. So lambda_2 < lam - r, and the
       eigenvalue within r of lam is lambda_max. O(n), and conclusive when
       lam - r clears lambda1 + E11 by a little, as at the loop's fixed point.
     * upper side otherwise: cholesky_below on H = fl(A + E), formed here on
@@ -633,11 +601,10 @@ def _top_eigenvalue_within(
 
     pad is twice the first-order bound of the lower side, which absorbs the
     second-order terms, ||u~||_2 - 1 and the rounding of ||A~||: off the
-    identity basis ||M||_F comes from one dot product of its n^2 squares
-    (_frobenius), low by at most gamma_{2 n^2} relative, a fraction of the
-    factor 2 for any n up to 10^7. Assumes no
-    underflow. r > tau or an inconclusive upper side leaves the question to
-    the caller.
+    identity basis ||M||_F comes from the sum of one dot product per row
+    (_frobenius), low by at most gamma_{3n} relative, a small fraction of
+    the factor 2 at any n. Assumes no underflow. r > tau or an inconclusive
+    upper side leaves the question to the caller.
     """
     n = M.shape[0]
     norm = _frobenius(M) if a is None else read.norm + float(np.abs(a).max())
@@ -700,7 +667,7 @@ def _verify(
     InvalidSpectrumError when the top eigenvalue of A + E is not simple.
 
     ``read`` is solve's one read of E on the identity basis (_read_noise,
-    with the gate's bound as beta), made only when solve has proved A
+    whose beta is the gate's bound), made only when solve has proved A
     diagonal with a real diagonal. A~ u~ is then E u~ + a u~, a the diagonal
     of A, and A + E is formed only for the Cholesky proof or the oracle.
     Without it A + E is formed once, and the Cholesky proof factors it in
@@ -802,13 +769,17 @@ def solve(
     ``verify``, the residuals and the leading-eigenpair certificate. On the
     identity basis E is read once before the loop (_read_noise), on the
     calling thread and with no n x n temporary, which proves E finite and
-    exactly self-adjoint, gives the gate's weighted Frobenius rung and
-    bounds ||E||_F; verification then reads E only for E u~ and proves the
+    exactly self-adjoint, gives the gate's bound and bounds ||E||_F;
+    verification then reads E only for E u~ and proves the
     pair leading by interlacing in O(n). Without ``eig`` the eigenbasis of A
     comes from hermitian_eig's core, which does not check A again, and
-    verification forms A + E even when that basis is the identity. When the
-    gate's bound exceeds ``certificate_cap`` it raises
-    ContractionFailureError and the loop does not run. On any PerturbError
+    verification forms A + E even when that basis is the identity. The gate
+    is the padded weighted Frobenius norm ||D^{-1/2} E22 D^{-1/2}||_F
+    (_weighted_frobenius_upper), an O(n^2) upper bound on the loop's
+    contraction rate ||D^{-1/2} E22 D^{-1/2}||_2; when it exceeds
+    ``certificate_cap`` solve raises ContractionFailureError and the loop
+    does not run, so an input whose rate alone is under the cap may still
+    fall back. On any PerturbError
     in that chain (gap collapse, contraction failure, divergence, a complex
     eigenvalue) solve falls back to the dense oracle's leading eigenpair,
     top_eigpair(A + E), tags the report method "oracle-fallback" and records
@@ -818,12 +789,10 @@ def solve(
     needs its overlap with u1; when the overlap is at or below n eps, the
     rounding level of a computed overlap of two unit vectors, no such q can
     be told from a fabricated one and a PerturbError naming the overlap is
-    raised instead. Either way the report carries the gate's bound and rung;
-    the bound is inf and the rung empty when the shifted gaps collapse or
-    the spectral rung's eigensolver fails (a NumericFailureError, which
-    falls back like the others). ``tol`` must be finite and positive and
-    ``certificate_cap`` positive (inf allowed), else ValueError before any
-    work on A or E. A top eigenvalue that is not simple, of A or of A + E
+    raised instead. Either way the report carries the gate's bound (inf
+    when the shifted gaps collapse). ``tol`` must be finite and positive
+    and ``certificate_cap`` positive (inf allowed), else ValueError before
+    any work on A or E. A top eigenvalue that is not simple, of A or of A + E
     where the oracle decides, raises InvalidSpectrumError.
     """
     _check_tol(tol)
@@ -835,19 +804,18 @@ def solve(
         eig = _decompose(A)  # hermitian_eig without a second check of A
     part = _blocks(eig, E)
     spectrum = eig.spectrum
-    gate = ContractionGate(math.inf, "")
+    bound = math.inf
     try:
         d = build_shifted_gaps(spectrum, part.e11)
-        frobenius = _weighted_frobenius_upper(part.e22, d) if read is None else read.beta
-        gate = _ladder(frobenius, d, part.e22, certificate_cap)
-        if not gate.bound <= certificate_cap:
+        bound = _weighted_frobenius_upper(part.e22, d) if read is None else read.beta
+        if not bound <= certificate_cap:
             raise ContractionFailureError(
-                f"iteration operator norm bound {gate.bound:.4g} ({gate.rung}) "
+                f"iteration operator norm bound {bound:.4g} (weighted-frobenius) "
                 f"exceeds cap {certificate_cap}"
             )
         q, iterations = solve_q(part, spectrum, tol=tol)
         u = assemble_eigvec(eig, q)
-        lam = eigenvalue_from_q(spectrum, part.e11, part.e12, q)
+        lam = _eigenvalue_from_q(spectrum, part.e11, part.e12, q)
         method, reason = "rs", ""
     except PerturbError as err:
         lam, u = top_eigpair(A + E)
@@ -868,15 +836,12 @@ def solve(
         u_tilde=u,
         lambda_tilde=lam,
         iterations=iterations,
-        contraction_upper=gate.bound,
-        contraction_rung=gate.rung,
+        contraction_upper=bound,
         coord_ratios=coordinate_bounds(q, spectrum),
         q_norm2=float(np.linalg.norm(q)),
         method=method,
         fallback_reason=reason,
     )
     if verify:
-        if read is not None:
-            read = read._replace(beta=gate.bound)
         _verify(A, E, report, spectrum, read)
     return report

@@ -130,7 +130,7 @@ class TestSolve:
         assert report["lambda_tilde"] == 3.0
         assert report["leading_certified"] is True
         assert report["fallback_reason"] == ""
-        assert report["contraction_rung"] == "weighted-frobenius"
+        assert report["contraction_upper"] < 1e-300 and "contraction_rung" not in report
 
     def test_fallback_reason_exported(self, capsys, tmp_path):
         (tmp_path / "A.json").write_text(matrix_to_json(np.diag([3.0, 2.0, 1.0])))
@@ -145,7 +145,7 @@ class TestSolve:
         report = json.loads(out)
         assert report["method"] == "oracle-fallback"
         assert report["fallback_reason"].startswith("GapCollapseError: ")
-        assert report["contraction_rung"] == ""
+        assert report["contraction_upper"] == float("inf")  # the gate did not run
 
     def test_goe_noise_certifies(self, capsys, tmp_path):
         run_cli(capsys, "gen", "--kind", "diag", "--spectrum",

@@ -125,7 +125,7 @@ class TestPaperNorm:
             assert up.statistics["contraction_upper"] == paper
             assert ev.statistics["cert_p"] == paper
             report = rs_solver.solve(np.diag(s.lambdas), E, eig=eig)
-            assert report.contraction_rung == "weighted-frobenius"
+            assert report.method == "rs"
             assert report.contraction_upper < paper
 
 

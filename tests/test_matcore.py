@@ -13,6 +13,7 @@ from perturb.ensembles import (
     sample_goe,
     sample_gue,
 )
+from perturb import matcore
 from perturb.errors import InvalidSpectrumError, NumericFailureError, UnsupportedExponentError
 from perturb.matcore import (
     Spectrum,
@@ -64,6 +65,29 @@ class TestLpNorm:
             r, s = s, r
         v = np.array(vals)
         assert lp_norm(v, r) <= lp_norm(v, s) * (1 + 1e-12) + 1e-300
+
+
+class TestFrobenius:
+    @pytest.mark.parametrize("case", ["real", "complex", "overflowing", "underflowing"])
+    def test_matches_lp_norm(self, monkeypatch, case):
+        # one np.vecdot per row, never one np.vdot of the whole matrix: within
+        # gamma_{3n} of the max-rescaled lp_norm(M, 2), and lp_norm's own
+        # value when the sum of squares overflows or underflows
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.vdot called")
+
+        monkeypatch.setattr(np, "vdot", refuse)
+        rng = rng_from_stream(211)
+        n = 300
+        M = rng.standard_normal((n, n))
+        if case != "real":
+            M = M + 1j * rng.standard_normal((n, n))
+        M = M * {"overflowing": 1e200, "underflowing": 1e-170}.get(case, 1.0)
+        got, want = matcore._frobenius(M), lp_norm(M, 2)
+        if case in ("overflowing", "underflowing"):
+            assert got == want
+        else:
+            assert abs(got - want) <= 3 * n * np.finfo(float).eps * want
 
 
 class TestDualExponent:

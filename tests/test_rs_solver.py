@@ -20,7 +20,7 @@ from perturb.ensembles import (
     sample_gue,
     sample_subgaussian_hermitian,
 )
-from perturb import bounds, matcore, rs_solver
+from perturb import matcore, rs_solver
 from perturb.errors import (
     GapCollapseError,
     InconsistentEigenvalueError,
@@ -46,7 +46,6 @@ from perturb.rs_solver import (
     CERTIFICATE_CAP,
     DEFAULT_TOL,
     coordinate_bounds,
-    eigenvalue_from_q,
     is_leading,
     solve,
     solve_q,
@@ -217,9 +216,9 @@ class TestShiftedGaps:
         np.testing.assert_allclose(d, [1.5, 2.5])
 
 
-def run_gate(d: np.ndarray, e22: np.ndarray, cap: float) -> rs_solver.ContractionGate:
-    """solve's gate on the blocks given: the weighted-Frobenius rung, then the spectral one."""
-    return rs_solver._ladder(rs_solver._weighted_frobenius_upper(e22, d), d, e22, cap)
+def spectral_norm(e22: np.ndarray, d: np.ndarray) -> float:
+    """||S||_2 for S = D^{-1/2} E22 D^{-1/2}, from eigvalsh of the formed S."""
+    return float(np.abs(np.linalg.eigvalsh(e22 / np.sqrt(np.outer(d, d)))).max())
 
 
 def paper_norm(d: np.ndarray, e22: np.ndarray, p: float) -> float:
@@ -270,7 +269,7 @@ class TestJacobiInner:
     def test_inverse_norm_bound(self, p):
         # L q = rhs = E21 - (E12 q) q with L = D - E22. In y = D^{1/2} q,
         # y = (I - S)^{-1} D^{-1/2} rhs, so ||y||_2 <= 2 ||D^{-1/2} rhs||_2
-        # whenever the gate's bound on ||S||_2 is <= 1/2. In the paper's norm,
+        # whenever ||S||_2 <= 1/2. In the paper's norm,
         # D q = (I - E22 D^{-1})^{-1} rhs, so ||D q||_p <= 2 ||rhs||_p whenever
         # ||E22 D^{-1}||_p <= 1/2, which the gate no longer reads
         rng = rng_from_stream(43)
@@ -280,7 +279,7 @@ class TestJacobiInner:
             E = force_hermitian(rng.standard_normal((9, 9))) * 0.4
             part = rs_solver._blocks(diag_eig(s), E)
             d = build_shifted_gaps(s, part.e11)
-            if not run_gate(d, part.e22, 0.5).bound <= 0.5:
+            if not spectral_norm(part.e22, d) <= 0.5:
                 continue
             q, _ = solve_q(part, s)
             rhs = part.e21 - (part.e12 @ q) * q
@@ -311,18 +310,16 @@ class TestJacobiInner:
 
     def test_closed_shifted_gap_raises(self):
         # the loop runs ungated: E22 = -100 I drives Re(E12 q) to -1.2 on the
-        # second step, closing d_1 + Re(E12 q). The gate's bound at cap inf is
-        # ||S||_F = 100 sqrt(1 + 1/4) on the first rung, while the paper's
-        # ||E22 D^{-1}||_2 is 100
+        # second step, closing d_1 + Re(E12 q). The gate's bound is
+        # ||S||_F = 100 sqrt(1 + 1/4), while the paper's ||E22 D^{-1}||_2 is 100
         s = spectrum(3, 2, 1)
         part = PartitionedPerturbation(0.0, np.array([0.1, 0.1]), -100.0 * np.eye(2))
         with pytest.raises(NonConvergenceError, match="not positive"):
             solve_q(part, s)
         d = build_shifted_gaps(s, part.e11)
-        gate = run_gate(d, part.e22, math.inf)
-        assert gate.rung == "weighted-frobenius"
-        assert 100.0 * math.sqrt(1.25) <= gate.bound
-        assert gate.bound == pytest.approx(100.0 * math.sqrt(1.25), rel=1e-12)
+        bound = rs_solver._weighted_frobenius_upper(part.e22, d)
+        assert 100.0 * math.sqrt(1.25) <= bound
+        assert bound == pytest.approx(100.0 * math.sqrt(1.25), rel=1e-12)
         assert paper_norm(d, part.e22, 2.0) == pytest.approx(100.0, rel=1e-9)
 
     def test_certificate_rejection(self):
@@ -330,11 +327,11 @@ class TestJacobiInner:
         E = np.diag([0.0, 2.0, 0.0])  # E22 D^{-1} has norm 2 > cap
         E[0, 1] = E[1, 0] = 0.01  # so the fallback's eigenvector overlaps u1
         part = rs_solver._blocks(diag_eig(s), E)
-        gate = run_gate(build_shifted_gaps(s, part.e11), part.e22, CERTIFICATE_CAP)
-        assert gate.bound > 0.9
+        bound = rs_solver._weighted_frobenius_upper(part.e22, build_shifted_gaps(s, part.e11))
+        assert bound > 0.9
         rep = solve(np.diag(s.lambdas), E, eig=diag_eig(s))
         assert rep.fallback_reason.startswith("ContractionFailureError")
-        assert rep.contraction_upper == gate.bound
+        assert rep.contraction_upper == bound
 
     def test_iteration_budget(self):
         # iterations <= 10 log2(1/tol) when the certificate is <= 1/2 and
@@ -349,7 +346,7 @@ class TestJacobiInner:
             part = rs_solver._blocks(diag_eig(s), scaled_noise(s, rng, 0.5, coupling=1 / 8))
             d = build_shifted_gaps(s, part.e11)
             assert paper_norm(d, part.e22, 2.0) <= 0.5 + 1e-12
-            assert run_gate(d, part.e22, CERTIFICATE_CAP).bound <= CERTIFICATE_CAP
+            assert rs_solver._weighted_frobenius_upper(part.e22, d) <= CERTIFICATE_CAP
             _, iterations = solve_q(part, s, tol=1e-12)
             assert iterations <= budget
 
@@ -467,11 +464,9 @@ class TestContractionGate:
                 E = sample_arrowhead_noise(n, derive_stream(127, t))[1]
             part = rs_solver._blocks(EigDecomposition(s, Q), E)
             d = build_shifted_gaps(s, part.e11)
-            S = part.e22 / np.sqrt(np.outer(d, d))
-            gate = run_gate(d, part.e22, math.inf)
-            assert gate.rung == "weighted-frobenius"
-            assert np.abs(np.linalg.eigvalsh(S)).max() <= gate.bound
-            assert gate.bound <= np.linalg.norm(S) * (1 + 1e-9)
+            bound = rs_solver._weighted_frobenius_upper(part.e22, d)
+            assert spectral_norm(part.e22, d) <= bound
+            assert bound <= np.linalg.norm(part.e22 / np.sqrt(np.outer(d, d))) * (1 + 1e-9)
 
     @pytest.mark.parametrize("complex_case", [False, True])
     def test_frobenius_pad_covers_rounding(self, complex_case):
@@ -548,85 +543,52 @@ class TestContractionGate:
         assert 0.0 < bound < math.inf
         assert rs_solver._weighted_frobenius_upper(e22, d_k) == bound
 
-    def test_ladder(self):
-        # E22 = 0.5 I on unit gaps: ||S||_F = 1 exceeds the cap and the
-        # spectral rung's ||S||_2 = 0.5 admits the loop
-        s = spectrum(2, 1, 1, 1, 1)
-        d = build_shifted_gaps(s, 0.0)
-        gate = run_gate(d, 0.5 * np.eye(4), CERTIFICATE_CAP)
-        assert gate.rung == "spectral"
-        assert gate.bound == pytest.approx(0.5, rel=1e-9)
-        # both rungs above the cap: the smaller bound is returned, with its rung
-        gate = run_gate(d, 0.95 * np.eye(4), CERTIFICATE_CAP)
-        assert gate.rung == "spectral"
-        assert gate.bound == pytest.approx(0.95, rel=1e-9)
-        # gaps (1, 100) and E22 = [[0, 8], [8, 0]]: ||S||_F = 0.8 sqrt(2) is
-        # above the cap and ||S||_2 = 0.8 is not, so the loop runs, although
-        # the paper's ||E22 D^{-1}||_2 = 8 would have refused it
+    @pytest.mark.parametrize("complex_case", [False, True])
+    def test_frobenius_overflow_rescaled(self, complex_case):
+        # entries near 2^1017 overflow the first sum of squares, so M is read
+        # again over sigma 2^k: the bound still covers the exact norm, itself
+        # below 2^1022, within its pad. Entries 2^-600 underflow to zero in
+        # that second sum and are covered by its tiny term
+        rng = rng_from_stream(173)
+        for t in range(20):
+            m = int(rng.integers(3, 10))
+            e22 = random_hermitian(rng, m, complex_case) * 2.0 ** 1015
+            e22[0, 1] = e22[1, 0] = 2.0 ** -600
+            d = np.ldexp(rng.uniform(1.0, 2.0, m), rng.integers(0, 9, m))
+            sigma, v = rs_solver._scale_and_weights(d)
+            with np.errstate(over="ignore"):
+                first = rs_solver._tile_sums(e22, sigma, v, hermitian=True)[0]
+            assert first == math.inf
+            bound = rs_solver._weighted_frobenius_upper(e22, d)
+            exact = exact_weighted_square(e22, d)
+            assert exact <= Fraction(bound) ** 2 <= exact * (1 + Fraction(1, 10**12))
+        # weights whose products overflow: the norm itself is beyond the range
+        d = np.ldexp(1.0, [-1000, 1000])
+        assert rs_solver._weighted_frobenius_upper(np.ones((2, 2)), d) == math.inf
+
+    def test_readme_input_falls_back(self):
+        # gaps (1, 100) and E22 = [[0, 8], [8, 0]]: ||S||_2 = 0.8 is under the
+        # cap, but the gate's ||S||_F = 0.8 sqrt(2) is not, so the loop does
+        # not run and the oracle answers, certified, on both bases; the
+        # paper's ||E22 D^{-1}||_2 = 8 would have refused it too
         s = spectrum(101, 100, 1)
         A, E = np.diag(s.lambdas), np.zeros((3, 3))
         E[0, 1:] = E[1:, 0] = 0.01
         E[1, 2] = E[2, 1] = 8.0
-        rep = solve(A, E, eig=diag_eig(s))
-        assert (rep.method, rep.contraction_rung) == ("rs", "spectral")
-        assert rep.contraction_upper == pytest.approx(0.8, rel=1e-9)
-        assert rep.leading_certified
-        w, V = np.linalg.eigh(A + E)
-        assert abs(rep.lambda_tilde - w[-1]) <= 1e-9 * abs(w[-1])
-        assert 1.0 - abs(np.vdot(rep.u_tilde, V[:, -1])) <= 1e-9
         d = build_shifted_gaps(s, 0.0)
+        assert spectral_norm(E[1:, 1:], d) == pytest.approx(0.8, rel=1e-12)
         assert paper_norm(d, E[1:, 1:], 2.0) == pytest.approx(8.0, rel=1e-9)
-
-    @given(
-        m=st.integers(2, 40),
-        complex_case=st.booleans(),
-        seed=st.integers(0, 2**16),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_spectral_rung_between_spectral_and_paper_norms(self, m, complex_case, seed):
-        # with both rungs run (cap 0), the gate's bound is at least ||S||_2 and
-        # at most the paper's ||E22 D^{-1}||_p (1 + 1e-8) at every p, with d
-        # spread over 1e-6..1e6: no input the paper's norm admitted is refused
-        e22 = sample_gue(m, seed) if complex_case else sample_goe(m, seed)
-        d = 10.0 ** rng_from_stream(seed).uniform(-6.0, 6.0, m)
-        w = 1.0 / np.sqrt(d)
-        exact = np.abs(np.linalg.eigvalsh(e22 * np.outer(w, w))).max()
-        gate = run_gate(d, e22, 0.0)
-        assert exact <= gate.bound
-        for p in (1.0, 2.0, 3.0, math.inf):
-            assert gate.bound <= paper_norm(d, e22, p) * (1 + 1e-8)
-
-    @pytest.mark.parametrize("complex_case", [False, True])
-    def test_spectral_pad_covers_rounding(self, monkeypatch, complex_case):
-        # with sqrt(d_j) = s_j odd integers the exact S_ij = e_ij / (s_i s_j) is
-        # rational, while fl(1 / s_j) rounds. The Lanczos proof is made
-        # inconclusive, so the bound is the exact norm of the computed S, read
-        # from eigvalsh(S) with no Gram matrix (S is exactly Hermitian), and
-        # padded: it must reach the exact Rayleigh quotient
-        # |y* E22 y| / x* x <= ||S||_2, y_j = x_j / s_j, at eigh's top vector x
-        def no_gram(M):
-            raise AssertionError("Gram matrix formed for a Hermitian S")
-
-        monkeypatch.setattr(bounds, "_lanczos_top", lambda G: 0.0)
-        monkeypatch.setattr(matcore, "force_hermitian", no_gram)
-        rng = rng_from_stream(157)
-        for t in range(40):
-            m = int(rng.integers(3, 10))
-            e22 = random_hermitian(rng, m, complex_case)
-            root = 2 * rng.integers(1, 500, m) + 1
-            bound = rs_solver._spectral_upper(e22, (root * root).astype(float))
-            vals, vecs = np.linalg.eigh(e22 * np.outer(1.0 / root, 1.0 / root))
-            x = vecs[:, int(np.abs(vals).argmax())].astype(complex)
-            y = [(Fraction(z.real) / int(r), Fraction(z.imag) / int(r)) for z, r in zip(x, root)]
-            quad = Fraction(0)
-            for i in range(m):
-                for j in range(m):
-                    e = complex(e22[i, j])
-                    er, ei = Fraction(e.real), Fraction(e.imag)
-                    ar, ai = er * y[j][0] - ei * y[j][1], er * y[j][1] + ei * y[j][0]
-                    quad += y[i][0] * ar + y[i][1] * ai  # Re(conj(y_i) E_ij y_j)
-            norm2 = sum(Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 for z in x)
-            assert Fraction(bound) * norm2 >= abs(quad)
+        w, V = np.linalg.eigh(A + E)
+        for eig in (diag_eig(s), None):
+            rep = solve(A, E, eig=eig)
+            assert rep.method == "oracle-fallback" and rep.leading_certified
+            assert rep.contraction_upper == pytest.approx(0.8 * math.sqrt(2.0), rel=1e-9)
+            assert rep.fallback_reason == (
+                "ContractionFailureError: iteration operator norm bound 1.131 "
+                "(weighted-frobenius) exceeds cap 0.9"
+            )
+            assert abs(rep.lambda_tilde - w[-1]) <= 1e-9 * abs(w[-1])
+            assert 1.0 - abs(np.vdot(rep.u_tilde, V[:, -1])) <= 1e-9
 
 
 class TestSolveQ:
@@ -683,7 +645,7 @@ class TestSolveQ:
         E = sample_subgaussian_hermitian(n, EntryDistribution("gaussian"), "complex", 5)
         part = rs_solver._blocks(diag_eig(s), E)
         q, _ = solve_q(part, s)
-        lam = eigenvalue_from_q(s, part.e11, part.e12, q)
+        lam = rs_solver._eigenvalue_from_q(s, part.e11, part.e12, q)
         u = assemble_eigvec(diag_eig(s), q)
         A_tilde = np.diag(s.lambdas) + E
         assert np.linalg.norm(A_tilde @ u - lam * u) <= 1e-10 * np.linalg.norm(A_tilde, "fro")
@@ -764,7 +726,7 @@ class TestMatvec:
 
 class TestEigenvalueFromQ:
     def test_zero(self):
-        assert eigenvalue_from_q(spectrum(3, 2, 1), 0.0, np.zeros(2), np.zeros(2)) == 3.0
+        assert rs_solver._eigenvalue_from_q(spectrum(3, 2, 1), 0.0, np.zeros(2), np.zeros(2)) == 3.0
 
     @pytest.mark.parametrize("scale", [1.0, 1e-5, 1e-12, 1e-50])
     def test_complex_product_rejected_at_every_scale(self, scale):
@@ -773,14 +735,14 @@ class TestEigenvalueFromQ:
         s = Spectrum(scale * np.array([3.0, 2.0, 1.0]))
         e12 = scale * np.array([1.0 + 1.0j, 0.5])
         with pytest.raises(InconsistentEigenvalueError, match="imaginary part"):
-            eigenvalue_from_q(s, 0.0, e12, np.array([1.0, 0.2]))
+            rs_solver._eigenvalue_from_q(s, 0.0, e12, np.array([1.0, 0.2]))
 
     def test_2x2_quadratic_formula(self):
         s = spectrum(3.0, 1.0)
         E = force_hermitian(rng_from_stream(71).standard_normal((2, 2))) * 0.3
         part = rs_solver._blocks(diag_eig(s), E)
         q, _ = solve_q(part, s)
-        lam = eigenvalue_from_q(s, part.e11, part.e12, q)
+        lam = rs_solver._eigenvalue_from_q(s, part.e11, part.e12, q)
         top = hermitian_eig(np.diag(s.lambdas) + E).spectrum.lambdas[0]
         assert lam == pytest.approx(top, abs=1e-11)
 
@@ -790,7 +752,7 @@ class TestEigenvalueFromQ:
         E = sample_goe(n, 73)
         part = rs_solver._blocks(diag_eig(s), E)
         q, _ = solve_q(part, s)
-        lam = eigenvalue_from_q(s, part.e11, part.e12, q)
+        lam = rs_solver._eigenvalue_from_q(s, part.e11, part.e12, q)
         u = assemble_eigvec(diag_eig(s), q)
         direct = float(u @ (np.diag(s.lambdas) + E) @ u)
         assert lam == pytest.approx(direct, abs=1e-11)
@@ -833,14 +795,12 @@ class TestVerifySolution:
         eig = diag_eig(s)
         part = rs_solver._blocks(eig, E)
         q, iterations = solve_q(part, s)
-        gate = run_gate(build_shifted_gaps(s, part.e11), part.e22, math.inf)
         rep = SolverReport(
             q=q,
             u_tilde=assemble_eigvec(eig, q),
-            lambda_tilde=eigenvalue_from_q(s, part.e11, part.e12, q),
+            lambda_tilde=rs_solver._eigenvalue_from_q(s, part.e11, part.e12, q),
             iterations=iterations,
-            contraction_upper=gate.bound,
-            contraction_rung=gate.rung,
+            contraction_upper=rs_solver._read_noise(E, s.lambdas)[0].beta,
         )
         rs_solver._verify(A, E, rep, s, rs_solver._read_noise(E, s.lambdas)[0])
         assert np.allclose(rep.q, 0)
@@ -910,7 +870,7 @@ class TestVerifySolution:
     def test_interlacing_rejects_second_eigenpair(self):
         # the second eigenpair of A~ has a residual near zero, but by interlacing
         # lambda_max(A~[1:, 1:]) is at least its eigenvalue: the O(n) bound is
-        # never below 1 there, with either rung's bound on ||S||_2
+        # never below 1 there, with the gate's bound or ||S||_2 itself
         n = 32
         s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
         E = sample_goe(n, 41)
@@ -921,8 +881,7 @@ class TestVerifySolution:
         assert residual2 <= 1e-12 * abs(lam)
         read, finite, self_adjoint = rs_solver._read_noise(E, s.lambdas)
         assert finite and self_adjoint
-        spectral = rs_solver._spectral_upper(E[1:, 1:], read.d)
-        for beta in (read.beta, spectral):
+        for beta in (read.beta, spectral_norm(E[1:, 1:], read.d)):
             assert rs_solver._trailing_bound(s.lambdas, E[0, 0], read.d, beta, lam) >= 1.0
         tau = 1e-9 * (1.0 + abs(lam))
         assert not rs_solver._top_eigenvalue_within(E, s.lambdas, lam, residual2, tau, read)
@@ -944,8 +903,7 @@ class TestVerifySolution:
                     read = rs_solver._read_noise(E, s.lambdas)[0]
                     below = float(np.nextafter(lam - 1e-12 * (1.0 + abs(lam)), -math.inf))
                     if np.all(read.d > 0):
-                        spectral = rs_solver._spectral_upper(E[1:, 1:], read.d)
-                        for beta in (read.beta, spectral):
+                        for beta in (read.beta, spectral_norm(E[1:, 1:], read.d)):
                             bound = rs_solver._trailing_bound(s.lambdas, E[0, 0].real, read.d, beta, below)
                             assert bound >= 1.0
                     rep = SolverReport(
@@ -1134,12 +1092,12 @@ class TestSolveDriver:
         d = rep.to_dict()
         for key in (
             "q", "u_tilde", "lambda_tilde", "iterations",
-            "contraction_upper", "contraction_rung", "residual2", "orth_residual",
+            "contraction_upper", "residual2", "orth_residual",
             "coord_ratios", "q_norm2", "leading_certified", "method", "fallback_reason",
         ):
             assert key in d
-        assert d["fallback_reason"] == ""
-        assert d["contraction_rung"] == "weighted-frobenius"
+        assert d["fallback_reason"] == "" and d["contraction_upper"] < 1e-300
+        assert "contraction_rung" not in d
 
     @pytest.mark.parametrize("E,reason", [
         # E22 D^{-1} has norm 1.1, above the cap
@@ -1176,8 +1134,8 @@ class TestSolveDriver:
         assert len(calls) == (method == "oracle-fallback")
 
     def test_no_large_eigensolve_on_rs_path(self, monkeypatch):
-        # on the identity basis the gate's weighted-Frobenius rung and the
-        # interlacing proof need no eigenproblem and no factorization at all
+        # on the identity basis the gate and the interlacing proof need no
+        # eigenproblem and no factorization at all
         calls = []
         for name in ("eigvalsh", "eigh", "cholesky"):
             def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
@@ -1189,7 +1147,6 @@ class TestSolveDriver:
         s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
         rep = solve(np.diag(s.lambdas), sample_goe(n, 31), eig=diag_eig(s), verify=True)
         assert rep.method == "rs" and rep.leading_certified
-        assert rep.contraction_rung == "weighted-frobenius"
         assert calls == []
 
     @pytest.mark.parametrize("method,scale", [("rs", 1.0), ("oracle-fallback", 40.0)])
@@ -1202,10 +1159,10 @@ class TestSolveDriver:
 
     @pytest.mark.parametrize("pass_eig", [False, True])
     def test_overflowing_noise_entry(self, pass_eig):
-        # ||S||_F overflows for this finite E, but S is finite and exactly
-        # Hermitian: the spectral rung finds ||S||_2 = 1e308 / sqrt(4 * 10)
-        # (shifted gaps 4 and 10) from eigvalsh(S), far above the cap, and the
-        # oracle answers; E13 couples its eigenvector to u1
+        # the squares in ||S||_F overflow for this finite E, so the gate sums
+        # them again rescaled: ||S||_F = sqrt(2) ||S||_2 with
+        # ||S||_2 = 1e308 / sqrt(4 * 10) (shifted gaps 4 and 10), far above
+        # the cap, and the oracle answers; E13 couples its eigenvector to u1
         s = Spectrum(2.0 * np.arange(8, 0, -1.0))
         E = np.zeros((8, 8))
         E[2, 5] = E[5, 2] = 1e308
@@ -1214,8 +1171,9 @@ class TestSolveDriver:
             rep = solve(np.diag(s.lambdas), E, eig=diag_eig(s) if pass_eig else None)
         assert rep.method == "oracle-fallback"
         assert rep.fallback_reason.startswith("ContractionFailureError")
-        assert rep.contraction_rung == "spectral"
-        assert rep.contraction_upper == pytest.approx(1e308 / math.sqrt(40.0), rel=1e-12)
+        rate = spectral_norm(E[1:, 1:], build_shifted_gaps(s, 0.0))
+        assert rate == pytest.approx(1e308 / math.sqrt(40.0), rel=1e-12)
+        assert rate <= rep.contraction_upper <= math.sqrt(2.0) * rate * (1 + 1e-12)
         assert rep.leading_certified
         assert rep.lambda_tilde == pytest.approx(1e308 * math.sqrt(1.01), rel=1e-12)
         for name, value in vars(rep).items():
@@ -1232,42 +1190,41 @@ class TestSolveDriver:
         assert 0.0 < rep.residual2 < math.inf
         assert 0.0 < rep.orth_residual < math.inf
 
-    @pytest.mark.parametrize("case,upper,rung,reason", [
+    @pytest.mark.parametrize("case,upper,gate,reason", [
         ("gap-collapse", math.inf, "", "GapCollapseError: shifted gap collapsed"),
         ("frobenius", 1.1, "weighted-frobenius",
          "ContractionFailureError: iteration operator norm bound 1.1 (weighted-frobenius)"),
-        ("spectral", 0.95, "spectral",
-         "ContractionFailureError: iteration operator norm bound 0.95 (spectral)"),
+        ("rate-under-cap", 1.0, "weighted-frobenius",
+         "ContractionFailureError: iteration operator norm bound 1 (weighted-frobenius)"),
         ("diverging", 100.0 * math.sqrt(1.25), "weighted-frobenius",
          "NonConvergenceError: shifted gap d_j + Re(E12 q)"),
-        ("spectral-rung-failure", math.inf, "", "NumericFailureError: "),
     ])
-    def test_gate_fields_on_every_fallback(self, monkeypatch, case, upper, rung, reason):
-        # the report carries the gate's bound and rung whichever error made solve fall back
+    def test_gate_fields_on_every_fallback(self, case, upper, gate, reason):
+        # the report carries the bound of the gate that ran ("" when the gaps
+        # collapsed first) whichever error made solve fall back, and a
+        # contraction failure names that gate in its reason
         s, E, cap = spectrum(3, 2, 1), COUPLING.copy(), CERTIFICATE_CAP
         if case == "gap-collapse":
             E[0, 0] = -2.0  # closes the shifted gaps 1 and 2
         elif case == "frobenius":
-            E[1, 1] = 1.1  # rank one: ||S||_F = ||S||_2, and the first rung's pad is smaller
+            E[1, 1] = 1.1  # rank one: ||S||_F = ||S||_2
         elif case == "diverging":
             E[0, 1:] = E[1:, 0] = 0.1  # the loop closes d_1 + Re(E12 q); see TestJacobiInner
             E[1:, 1:] = -100.0 * np.eye(2)
             cap = math.inf
         else:
-            # unit gaps and E22 = 0.95 I: ||S||_F = 1.9 and ||S||_2 = 0.95, both above the cap
+            # unit gaps and E22 = 0.5 I: the loop's rate ||S||_2 = 0.5 is under
+            # the cap, but the gate's ||S||_F = 1 is not
             s, E = spectrum(2, 1, 1, 1, 1), np.zeros((5, 5))
             E[0, 1:] = E[1:, 0] = 0.01
-            E[1:, 1:] = 0.95 * np.eye(4)
-            if case == "spectral-rung-failure":
-                def fail(*args):
-                    raise NumericFailureError("eigenvalue solver did not converge")
-
-                monkeypatch.setattr(rs_solver, "_spectral_upper", fail)
+            E[1:, 1:] = 0.5 * np.eye(4)
         rep = solve(np.diag(s.lambdas), E, certificate_cap=cap, eig=diag_eig(s))
         assert rep.method == "oracle-fallback"
-        assert rep.contraction_rung == rung
         assert rep.contraction_upper == pytest.approx(upper, rel=1e-9)
+        assert math.isfinite(rep.contraction_upper) == (gate != "")
         assert rep.fallback_reason.startswith(reason)
+        if reason.startswith("ContractionFailureError"):
+            assert rep.fallback_reason.endswith(f"({gate}) exceeds cap {cap}")
 
     def test_fallback_oracle_past_singular_shift(self):
         # A + E = [[0, 5], [5, 6]]: the oracle's first shift meets an exactly zero pivot
@@ -1298,6 +1255,9 @@ class TestSolveDriver:
             rep = solve(np.diag(s.lambdas), E, eig=diag_eig(s) if pass_eig else None)
         assert rep.method == "oracle-fallback" and rep.leading_certified
         assert rep.fallback_reason.startswith("NonConvergenceError: fixed-point iteration overflowed")
+        # on the identity basis the read's square of E12 overflows at weight 0,
+        # and the gate is summed again over E22 alone
+        assert spectral_norm(E[1:, 1:], build_shifted_gaps(s, 0.0)) <= rep.contraction_upper
         for name, value in vars(rep).items():
             if not isinstance(value, str):
                 assert np.all(np.isfinite(value)), name
@@ -1306,14 +1266,13 @@ class TestSolveDriver:
         def complex_eigenvalue(*args, **kwargs):
             raise InconsistentEigenvalueError("E12 q has imaginary part 1")
 
-        monkeypatch.setattr(rs_solver, "eigenvalue_from_q", complex_eigenvalue)
+        monkeypatch.setattr(rs_solver, "_eigenvalue_from_q", complex_eigenvalue)
         s = spectrum(3, 2, 1)
         rep = solve(np.diag(s.lambdas), 0.1 * sample_goe(3, 7))
         assert rep.method == "oracle-fallback"
         assert rep.fallback_reason == "InconsistentEigenvalueError: E12 q has imaginary part 1"
         assert rep.leading_certified
         assert 0.0 < rep.contraction_upper <= 0.9  # the gate that admitted the loop
-        assert rep.contraction_rung == "weighted-frobenius"
 
     def test_strong_coupling_still_solved(self):
         # ||E21||_2 near the gap: the loop still converges on every draw, and
@@ -1331,22 +1290,16 @@ class TestSolveDriver:
 
     @pytest.mark.parametrize("method", ["rs", "oracle-fallback"])
     def test_certificate_computed_once(self, monkeypatch, method):
-        # one gate per solve (solve runs _ladder on the first rung it has
-        # read); its spectral rung runs only when the weighted-Frobenius rung
-        # exceeds the cap
-        gates, spectral = [], []
-        spectral_upper, ladder = rs_solver._spectral_upper, rs_solver._ladder
+        # one gate per solve, the weighted Frobenius bound, on the rs and
+        # the fallback path alike
+        gates = []
+        weighted_frobenius_upper = rs_solver._weighted_frobenius_upper
 
-        def counted_gate(*args, **kwargs):
+        def counted_gate(*args):
             gates.append(1)
-            return ladder(*args, **kwargs)
+            return weighted_frobenius_upper(*args)
 
-        def counted_spectral(*args):
-            spectral.append(1)
-            return spectral_upper(*args)
-
-        monkeypatch.setattr(rs_solver, "_ladder", counted_gate)
-        monkeypatch.setattr(rs_solver, "_spectral_upper", counted_spectral)
+        monkeypatch.setattr(rs_solver, "_weighted_frobenius_upper", counted_gate)
         s = spectrum(3, 2, 1)
         if method == "rs":
             E = 0.1 * sample_goe(3, 7)
@@ -1355,7 +1308,6 @@ class TestSolveDriver:
         rep = solve(np.diag(s.lambdas), E)
         assert rep.method == method
         assert len(gates) == 1
-        assert len(spectral) == (method == "oracle-fallback")
 
     @pytest.mark.parametrize("A,E,message", [
         (np.diag([3.0, 2.0, 1.0]), np.diag([0.0, math.nan, 0.0]), "E has non-finite entries"),
@@ -1554,7 +1506,9 @@ class TestSolveDriver:
             read, finite, self_adjoint = rs_solver._read_noise(E, s.lambdas)
         assert finite and self_adjoint
         assert read.norm == math.inf
-        assert read.beta == math.inf  # a square overflows, in E22 or in row 0 (weight 0)
+        # a square overflows, in E22 or in row 0 (weight 0), and the gate is
+        # summed again over E22 alone, rescaled: finite, and a bound on ||S||_2
+        assert spectral_norm(E[1:, 1:], read.d) <= read.beta < math.inf
         try:
             rep = solve(np.diag(s.lambdas), E, eig=diag_eig(s))
         except PerturbError as err:  # the top eigenvector is e3 + e6 or e4, orthogonal to u1
@@ -1678,12 +1632,11 @@ class TestSolveContract:
         assert rep.method in ("rs", "oracle-fallback")
         for name, value in vars(rep).items():
             if name == "contraction_upper" and value == math.inf:
-                assert rep.fallback_reason.startswith(("GapCollapseError", "NumericFailureError"))
+                assert rep.fallback_reason.startswith("GapCollapseError")
             elif not isinstance(value, str):
                 assert np.all(np.isfinite(value)), name
         if rep.method == "rs":
             assert rep.contraction_upper <= CERTIFICATE_CAP
-            assert rep.contraction_rung in ("weighted-frobenius", "spectral")
         if rep.leading_certified:
             w, V = np.linalg.eigh(A + scale * E)
             assert abs(rep.lambda_tilde - w[-1]) <= 1e-9 * (1.0 + abs(w[-1]))
