@@ -1,11 +1,14 @@
-"""Closed-form spectral-gap functionals and operator-norm estimators.
+"""Closed-form spectral-gap functionals, operator-norm estimators and the Weyl check.
 
 The gap functional K_{n,p} drives everything: it decides whether the
 fixed-point construction is expected to contract, it prices the sin-theta
 bound, and its mu-variant prices the eigenvalue-domination check, which
-verify_shifted_domination runs. The operator-norm estimators certify
-contraction (upper bounds, interpolated, proved at p = 2 by cholesky_below)
-and probe mixed-norm scaling (lower bounds, multistart projected ascent).
+verify_shifted_domination runs. That check takes its margin from
+rs_solver.solve on the identity basis when the solve proves it, else from a
+dense eigvalsh; this module sits above rs_solver, which imports nothing
+from it. The operator-norm estimators certify contraction (upper bounds,
+interpolated, proved at p = 2 by matcore.cholesky_below) and probe
+mixed-norm scaling (lower bounds, multistart projected ascent).
 """
 
 from __future__ import annotations
@@ -15,9 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpectrumError, NumericFailureError
+from .errors import InvalidSpectrumError, NumericFailureError, PerturbError
 from .matcore import (
+    EigDecomposition,
     Spectrum,
+    cholesky_below,
     dual_exponent,
     force_hermitian,
     is_hermitian,
@@ -25,6 +30,9 @@ from .matcore import (
     lp_norm,
     operator_norm_exact,
 )
+# Bound by name, as the matcore names are: code that replaces rs_solver.solve (the
+# campaign benchmark times upper_bound's solves so) does not see the Weyl check's.
+from .rs_solver import _leading_tolerance, solve
 
 __all__ = [
     "AssumptionReport",
@@ -38,7 +46,6 @@ __all__ = [
     "mu_assumption",
     "ellipsoid_covering_bound",
     "opnorm_pp_upper",
-    "cholesky_below",
     "opnorm_lower",
     "opnorm_dual_lower",
     "assumption_report",
@@ -215,34 +222,6 @@ def _lanczos_top(G: np.ndarray) -> float:
     return theta
 
 
-def cholesky_below(H: np.ndarray, t: float, max_shift: float = math.inf) -> bool:
-    """True when lambda_max(H) < t is proved by one Cholesky factorization; False when inconclusive.
-
-    H is Hermitian (m x m, one triangle read) and is overwritten by
-    M = (t - s) I - H, with s = 2 (m+2) u trace(t I - H) and u = eps/2. If
-    the factorization of M runs to completion, its factor R satisfies
-    R* R = M + dM with ||dM||_2 <= (m+1) u trace(M) / (1 - (m+1) u)
-    (Demmel's backward-error bound, the one Rump's isspd relies on), so
-    lambda_min(M) > -s and lambda_max(H) < t. s is twice that bound to first
-    order, which absorbs the second-order terms and the rounding of the two
-    diagonal shifts. Assumes no underflow. Returns False without factorizing
-    unless 0 <= s < max_shift.
-    """
-    m = H.shape[0]
-    pad = 2.0 * (m + 2) * (np.finfo(np.float64).eps / 2.0)
-    np.negative(H, out=H)
-    H.flat[:: m + 1] += t
-    s = pad * float(H.diagonal().real.sum())
-    if not 0.0 <= s < max_shift:
-        return False
-    H.flat[:: m + 1] -= s
-    try:
-        np.linalg.cholesky(H)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _spectral_norm_upper(M: np.ndarray) -> float:
     """Upper bound c on ||M||_2, proved by one Cholesky factorization.
 
@@ -254,7 +233,9 @@ def _spectral_norm_upper(M: np.ndarray) -> float:
       product errs by at most m u / (1 - m u) times the same entry of
       |M|* |M|, whose Frobenius norm is at most ||M||_F^2 (Higham, Accuracy
       and Stability of Numerical Algorithms, sec. 3.5), and the bound holds
-      for either triangle of G.
+      for either triangle of G. ||M||_F^2 is summed from one np.vecdot per
+      row of M, which starts no BLAS threads (see matcore._frobenius); its
+      rounding is a small fraction of pad's factor 2.
     * cholesky_below(G, t) with t = c^2 - g rounded down proves
       lambda_max(G) < t, so lambda_max(M* M) < c^2.
 
@@ -266,7 +247,8 @@ def _spectral_norm_upper(M: np.ndarray) -> float:
     """
     m = M.shape[1]
     pad = 2.0 * (m + 2) * (np.finfo(np.float64).eps / 2.0)
-    g = pad * float(np.vdot(M, M).real)
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum that is not finite is tested below
+        g = pad * float(np.vecdot(M, M).real.sum())
     if not math.isfinite(g):  # G's entries are bounded by ||M||_F^2 when it is finite
         return operator_norm_exact(M, 2)
     G = M.conj().T @ M
@@ -489,6 +471,44 @@ def _trs_sphere_min(B: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
     return val, z
 
 
+def _certified_margin(X: np.ndarray, mu: np.ndarray) -> float | None:
+    """lambda_min(D_mu - X) from solve on the identity basis, or None when it is not proved.
+
+    With P the stable ascending order of mu, lambda_min(D_mu - X) is
+    -lambda_max(diag(-mu[P]) + X[P][:, P]), the top eigenvalue that solve
+    computes with A = diag(-mu[P]), nonincreasing, on the identity basis:
+    one read of X, the fixed point in O(n^2) and, with verify, the O(n)
+    interlacing certificate. The margin is -lambda~ when the report is
+    leading_certified, so that |lambda_max - lambda~| <= tau with
+    tau = 1e-9 (unit + |lambda~|) (an oracle-fallback's lambda~ is the
+    oracle's own), and |lambda~| > tau, so that the margin's sign is the
+    true one. None, for the caller's dense eigvalsh, when n < 2, when X is
+    not exactly self-adjoint or of mu's order, when min(mu) is tied (A's top
+    eigenvalue is then not simple), when solve raises a PerturbError, or
+    when the report proves less.
+    """
+    n = mu.size
+    if n < 2 or mu.shape != (n,) or X.shape != (n, n) or not np.can_cast(X.dtype, np.complex128):
+        return None
+    order = np.argsort(mu, kind="stable")
+    lambdas = -mu[order]
+    if not lambdas[0] > lambdas[1]:
+        return None
+    if np.array_equal(order, np.arange(n - 1, -1, -1)):  # mu descending: slices copy ~8x faster
+        E = X[::-1, ::-1].copy()
+    else:
+        E = X[np.ix_(order, order)]
+    spectrum = Spectrum(lambdas)
+    try:
+        report = solve(np.diag(lambdas), E, eig=EigDecomposition(spectrum, np.eye(n)), verify=True)
+    except (PerturbError, ValueError):  # ValueError: solve finds E not exactly self-adjoint
+        return None
+    lam = report.lambda_tilde
+    if report.leading_certified and abs(lam) > _leading_tolerance(spectrum, lam):
+        return -lam
+    return None
+
+
 def verify_shifted_domination(
     X: np.ndarray,
     mu: np.ndarray,
@@ -498,9 +518,15 @@ def verify_shifted_domination(
     """Check z*Xz + tau ||z|| Re(g*z) <= z*D_mu z for all z; margin is the slack.
 
     tau = 0 reduces to the semidefinite test X <= D_mu with margin
-    lambda_min(D_mu - X); tau > 0 minimizes the shifted form on the unit
-    sphere via a trust-region-style secular solve. Raises ValueError unless
-    X, mu and g are finite, mu is positive and tau lies in [0, 1].
+    lambda_min(D_mu - X). It is taken from solve on the identity basis when
+    that proves it to within a tolerance that cannot flip its sign
+    (_certified_margin): X exactly self-adjoint, min(mu) unique, the report
+    leading_certified and |margin| > 1e-9 (unit + |margin|). Otherwise, and
+    for tau > 0 without a nonzero g, a dense eigvalsh of D_mu - X decides
+    (of its Hermitian part when X is not exactly self-adjoint). tau > 0
+    with a nonzero g minimizes the shifted form on the unit sphere via a
+    trust-region-style secular solve. Raises ValueError unless X, mu and g
+    are finite, mu is positive and tau lies in [0, 1].
     """
     X = np.atleast_2d(np.asarray(X))
     mu = np.asarray(mu, dtype=np.float64)
@@ -511,6 +537,10 @@ def verify_shifted_domination(
         raise ValueError("mu must be positive")
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
+    if tau == 0.0:
+        margin = _certified_margin(X, mu)
+        if margin is not None:
+            return bool(margin >= 0.0), margin
     B = np.diag(mu) - X
     if tau == 0.0 or g is None or not np.any(np.asarray(g)):
         margin = float(np.linalg.eigvalsh(B if is_hermitian(B) else force_hermitian(B))[0])

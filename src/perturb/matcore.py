@@ -6,7 +6,9 @@ deliberately boring: dense float64/complex128 arrays, deterministic output.
 :func:`hermitian_eig` is the full eigendecomposition, used for the eigenbasis
 of A. :func:`top_eigpair` is the leading eigenpair alone, from eigvalsh and
 inverse iteration; it is the oracle for A + E, where every caller reads only
-the top eigenvalue or its vector.
+the top eigenvalue or its vector. :func:`cholesky_below` proves
+lambda_max(H) < t by one Cholesky factorization; the solver's certificate
+and bounds' spectral-norm bound both rest on it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "operator_norm_exact",
     "hermitian_eig",
     "top_eigpair",
+    "cholesky_below",
     "is_hermitian",
     "force_hermitian",
     "check_keys",
@@ -255,6 +258,34 @@ def _frobenius(M: np.ndarray) -> float:
     return lp_norm(M, 2)
 
 
+def cholesky_below(H: np.ndarray, t: float, max_shift: float = math.inf) -> bool:
+    """True when lambda_max(H) < t is proved by one Cholesky factorization; False when inconclusive.
+
+    H is Hermitian (m x m, one triangle read) and is overwritten by
+    M = (t - s) I - H, with s = 2 (m+2) u trace(t I - H) and u = eps/2. If
+    the factorization of M runs to completion, its factor R satisfies
+    R* R = M + dM with ||dM||_2 <= (m+1) u trace(M) / (1 - (m+1) u)
+    (Demmel's backward-error bound, the one Rump's isspd relies on), so
+    lambda_min(M) > -s and lambda_max(H) < t. s is twice that bound to first
+    order, which absorbs the second-order terms and the rounding of the two
+    diagonal shifts. Assumes no underflow. Returns False without factorizing
+    unless 0 <= s < max_shift.
+    """
+    m = H.shape[0]
+    pad = 2.0 * (m + 2) * (np.finfo(np.float64).eps / 2.0)
+    np.negative(H, out=H)
+    H.flat[:: m + 1] += t
+    s = pad * float(H.diagonal().real.sum())
+    if not 0.0 <= s < max_shift:
+        return False
+    H.flat[:: m + 1] -= s
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def hermitian_eig(M: np.ndarray) -> EigDecomposition:
     """Dense eigendecomposition oracle with deterministic output.
 
@@ -358,8 +389,9 @@ def top_eigpair(M: np.ndarray) -> tuple[float, np.ndarray]:
     (or if M is 1 x 1); NumericFailureError when an entry is not finite,
     when eigvalsh fails, when every shift meets a zero pivot, when lambda
     overflows the float range, or when ||M u - lambda u||_2 exceeds
-    1e-10 ||M||_F, hermitian_eig's reconstruction threshold applied to this
-    one pair.
+    1e-10 ||M||_F (_frobenius: one np.vecdot per row, not one threaded BLAS
+    call over all n^2 entries), hermitian_eig's reconstruction threshold
+    applied to this one pair.
     """
     M = np.atleast_2d(np.asarray(M))
     if not is_hermitian(M):
@@ -404,7 +436,7 @@ def top_eigpair(M: np.ndarray) -> tuple[float, np.ndarray]:
         if np.linalg.norm(Mb - np.vdot(b, Mb).real * b) <= math.sqrt(n) * eps * norm2:
             break
     resid = float(np.linalg.norm(Mb - lam * b))
-    if not resid <= 1e-10 * float(np.linalg.norm(M)):
+    if not resid <= 1e-10 * _frobenius(M):
         raise NumericFailureError("inverse iteration residual too large", residual=resid)
     try:
         lam = math.ldexp(lam, exponent)

@@ -23,7 +23,7 @@ the gate's bound, the step count, the residuals and a leading-eigenvalue
 certificate. That certificate is for the exact A + E and needs no
 eigendecomposition of it: the residual bound puts an eigenvalue near
 lambda~, and Cauchy interlacing (identity basis, O(n), from the gate's
-bound) or one Cholesky factorization (bounds.cholesky_below) shows that
+bound) or one Cholesky factorization (matcore.cholesky_below) shows that
 none lies above it. Only when these proofs are inconclusive does the dense
 computation decide (is_leading).
 
@@ -42,7 +42,8 @@ eigendecomposition finds to be I, for an A that need not be exactly
 diagonal, is verified on the formed A + E. On any other basis each operand
 is proved self-adjoint once on entry, U* E U is built exactly Hermitian from
 3/4 of its second product, and verification factors the A + E it forms.
-The randomized Weyl domination check is in bounds.
+This module imports nothing from bounds: bounds calls solve for its
+randomized Weyl domination check (verify_shifted_domination).
 """
 
 from __future__ import annotations
@@ -53,8 +54,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import cholesky_below
-from .bounds import verify_shifted_domination  # noqa: F401  re-exported; its home is bounds
 from . import matcore
 from .errors import (
     ContractionFailureError,
@@ -69,6 +68,7 @@ from .matcore import (
     _decompose,
     _frobenius,
     _hermitian_product,
+    cholesky_below,
     is_hermitian,
     json_fields,
     lp_norm,
@@ -299,6 +299,27 @@ def _frobenius_pad(m: int, complex_case: bool) -> float:
     return ((3 if complex_case else 2) * m + 7) * (np.finfo(np.float64).eps / 2.0)
 
 
+def _underflow_floor(M: np.ndarray, total: float) -> float:
+    """w tiny total^2 (w = 1 real, 2 complex): what squares below tiny can take from a sum of _tile_sums.
+
+    total is the sum of the weights, so the weighted terms' products
+    v_i v_j sum to total^2. A square that falls below the smallest normal
+    number tiny, or whose M_ij / sigma is subnormal, errs by at most tiny.
+    """
+    return (2 if np.iscomplexobj(M) else 1) * np.finfo(np.float64).tiny * total * total
+
+
+def _lost_range(s: float, floor: float) -> bool:
+    """Whether a sum s of _tile_sums may have lost range: not finite, or its underflow floor above eps s.
+
+    Below that, squares under tiny take at most eps relative from s, which
+    the factor 2 of _frobenius_pad over the first-order bound absorbs, so s
+    keeps its bits and needs no second read. The test is O(1); its floor
+    needs only the O(m) sum of the weights.
+    """
+    return not (math.isfinite(s) and floor <= np.finfo(np.float64).eps * s)
+
+
 def _weighted_frobenius_upper(M: np.ndarray, d: np.ndarray) -> float:
     """Upper bound on ||D^{-1/2} M D^{-1/2}||_F for D = diag(d) > 0 and Hermitian M, in O(m^2).
 
@@ -306,36 +327,42 @@ def _weighted_frobenius_upper(M: np.ndarray, d: np.ndarray) -> float:
     and v = sigma / d (_scale_and_weights), from one read of M
     (_tile_sums), padded for rounding (_frobenius_pad) and rounded up. The
     value does not change when M and d are scaled by the same power of two.
-    When that sum is not finite, as when a square of a finite M_ij / sigma
-    overflows, M is read once more over sigma 2^k in place of sigma, the
-    power of two with sigma 2^k <= max_ij max(|Re M_ij|, |Im M_ij|) <
-    sigma 2^(k+1), so no square reaches 4, and the norm is 2^k times the
-    root of that sum (exact scalings). A square there that falls below the
-    smallest normal number tiny, or whose M_ij 2^-k / sigma is subnormal,
-    errs by at most tiny, so w tiny (sum_j v_j)^2 (w = 1 real, 2 complex) is
-    added to the sum before the pad, whose factor 2 over the first-order
-    bound covers this term's own roundings. Assumes max(d) normal; a sum
-    that is still not finite gives inf. Only the tiles on and above M's
-    diagonal are read, each one above it counted for its mirror too
-    (_tile_sums' ``hermitian``), so M must be exactly Hermitian, as _blocks'
-    E22 is.
+    When that sum lost range (_lost_range), as when a square of a finite
+    M_ij / sigma overflows or when M is so small that its squares fall
+    below the smallest normal number tiny, M is read once more over
+    sigma 2^k in place of sigma, the power of two with sigma 2^k <=
+    max_ij max(|Re M_ij|, |Im M_ij|) < sigma 2^(k+1), raised where needed so
+    that sigma 2^k stays normal: no square reaches 4, and the norm is 2^k
+    times the root of that sum (exact scalings, the result rounded up when
+    it is subnormal). The squares there that fall below tiny are covered by
+    adding _underflow_floor to the sum before the pad, whose factor 2 over
+    the first-order bound covers this term's own roundings. Assumes max(d)
+    normal; a sum that is still not finite gives inf. Only the tiles on and
+    above M's diagonal are read, each one above it counted for its mirror
+    too (_tile_sums' ``hermitian``), so M must be exactly Hermitian, as
+    _blocks' E22 is.
     """
     sigma, v = _scale_and_weights(d)
     if v is None:
         return math.inf
     pad = _frobenius_pad(M.shape[0], np.iscomplexobj(M))
     weighted, _, _ = _tile_sums(M, sigma, v, hermitian=True)
-    if math.isfinite(weighted):
+    floor = _underflow_floor(M, float(v.sum()))
+    if not _lost_range(weighted, floor):
         return _padded_root(weighted, pad)
     parts = (M.real, M.imag) if np.iscomplexobj(M) else (M,)
-    k = math.frexp(max(float(np.abs(part).max()) for part in parts))[1] - math.frexp(sigma)[1]
-    if k <= 0:  # no square overflowed, so the weights did: a second sum overflows too
+    top = max(float(np.abs(part).max()) for part in parts)
+    if top == 0.0:  # the sum is exact
+        return _padded_root(weighted, pad)
+    e = math.frexp(sigma)[1]
+    k = max(math.frexp(top)[1] - e, -1021 - e)
+    if k <= 0 and not math.isfinite(weighted):  # no square overflowed, so the weights did
         return math.inf
-    weighted, _, _ = _tile_sums(M, math.ldexp(sigma, k), v, hermitian=True)
-    total = float(v.sum())
-    weighted += len(parts) * np.finfo(np.float64).tiny * total * total
+    if k != 0:
+        weighted, _, _ = _tile_sums(M, math.ldexp(sigma, k), v, hermitian=True)
     with np.errstate(over="ignore"):
-        return float(np.ldexp(_padded_root(weighted, pad), k))
+        bound = float(np.ldexp(_padded_root(weighted + floor, pad), k))
+    return bound if bound >= np.finfo(np.float64).tiny else math.nextafter(bound, math.inf)
 
 
 def _unit(spectrum: Spectrum) -> float:
@@ -504,19 +531,27 @@ def _read_noise(E: np.ndarray, a: np.ndarray) -> tuple[_NoiseRead, bool, bool]:
     nothing when the plain sum is finite, since every entry of E is either
     squared into it or equal to the conjugate of one that is. A sum that is
     not finite, perhaps from finite entries whose squares overflow, leads to
-    one np.isfinite pass over E. A weighted sum that is not finite (an
-    overflowing square in E22, or in row 0 times its weight 0) is replaced,
-    for a finite self-adjoint E, by _weighted_frobenius_upper(E22, d), which
-    rescales.
+    one np.isfinite pass over E. A weighted sum that lost range
+    (_lost_range: not finite, from an overflowing square in E22 or in row 0
+    times its weight 0, or so small that squares below tiny may matter) is
+    replaced, for a finite self-adjoint E, by _weighted_frobenius_upper(E22,
+    d), which rescales. A finite plain sum that lost range gets its
+    _underflow_floor added before the pad, so norm still bounds ||E||_F.
+    Normal inputs pass both O(1) tests and keep the one read.
     """
+    n = E.shape[0]
     d = (a[0] - a[1:]) + float(E[0, 0].real)
     sigma, v = _scale_and_weights(d)
     weighted, plain, mirrored = _tile_sums(E, sigma, None if v is None else np.append(0.0, v))
     finite = math.isfinite(plain) or bool(np.all(np.isfinite(E)))
-    pad = _frobenius_pad(E.shape[0], np.iscomplexobj(E))
+    pad = _frobenius_pad(n, np.iscomplexobj(E))
     beta = math.inf if v is None else _padded_root(weighted, pad)
-    if beta == math.inf and finite and mirrored:
+    lost = v is not None and _lost_range(weighted, _underflow_floor(E, float(v.sum())))
+    if lost and finite and mirrored:
         beta = _weighted_frobenius_upper(E[1:, 1:], d)
+    floor = _underflow_floor(E, float(n))
+    if math.isfinite(plain) and _lost_range(plain, floor):
+        plain += floor
     return _NoiseRead(d, beta, sigma * _padded_root(plain, pad)), finite, mirrored
 
 

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from perturb.arrowhead import arrowhead_eigvec, lower_bound_check, solve_gamma
-from perturb.bounds import opnorm_dual_lower, opnorm_lower
+from perturb.bounds import opnorm_dual_lower, opnorm_lower, verify_shifted_domination
 from perturb.ensembles import (
     SpectrumSpec,
     derive_stream,
@@ -21,7 +21,7 @@ from perturb.ensembles import (
 )
 from perturb.experiments import ExperimentConfig, run_and_export, run_experiment
 from perturb.matcore import EigDecomposition, dual_exponent, lp_norm, top_eigpair
-from perturb.rs_solver import solve, verify_shifted_domination
+from perturb.rs_solver import solve
 
 MULTISCALE = SpectrumSpec("multiscale", 0, {"eps": 1.0})
 

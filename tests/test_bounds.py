@@ -9,7 +9,6 @@ from perturb import bounds
 from perturb.bounds import (
     assumption_report,
     best_p,
-    cholesky_below,
     conjugate_gap_norm,
     davis_kahan_bound,
     ellipsoid_covering_bound,
@@ -32,6 +31,7 @@ from perturb.ensembles import (
 from perturb.errors import InvalidSpectrumError, NumericFailureError
 from perturb.matcore import (
     Spectrum,
+    cholesky_below,
     dual_exponent,
     force_hermitian,
     hermitian_eig,
@@ -243,6 +243,21 @@ class TestSpectralNormCertificate:
         M = dense_certificate_input(128, scale, 41)
         exact = operator_norm_exact(M, 2)
         assert exact <= opnorm_pp_upper(M, 2) <= exact * (1 + 1e-9)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_no_vdot_over_the_matrix(self, monkeypatch, kind):
+        # the pad's ||M||_F^2 is a sum of one np.vecdot per row, never one
+        # threaded np.vdot over all entries; the Lanczos vectors may use it
+        vdot = np.vdot
+
+        def checked(a, b):
+            assert np.ndim(a) < 2, "np.vdot over a matrix"
+            return vdot(a, b)
+
+        M = random_matrix(kind, (70, 70), 6)
+        want = opnorm_pp_upper(M, 2)
+        monkeypatch.setattr(np, "vdot", checked)
+        assert opnorm_pp_upper(M, 2) == want
 
     def test_failed_factorization_uses_exact(self, monkeypatch):
         def cholesky(*args, **kwargs):

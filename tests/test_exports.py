@@ -33,3 +33,17 @@ def test_package_imports_are_exported_by_their_home():
             else:
                 assert alias.name in exported, f"{alias.name} is not in perturb.{node.module}.__all__"
             assert getattr(perturb, alias.asname or alias.name) is getattr(module, alias.name)
+
+
+def test_rs_solver_imports_nothing_from_bounds():
+    # the solver sits below bounds: bounds calls solve, so an import the
+    # other way would be a cycle
+    source = Path(importlib.import_module("perturb.rs_solver").__file__).read_text()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            assert module not in (".bounds", "perturb.bounds"), f"from {module} import ..."
+            if module in (".", "perturb"):
+                assert "bounds" not in {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert "perturb.bounds" not in {alias.name for alias in node.names}

@@ -271,6 +271,23 @@ class TestTopEigpair:
         anchor = u[np.abs(u).argmax()]
         assert anchor.real > 0 and abs(anchor.imag) <= 1e-14 * abs(anchor)
 
+    @pytest.mark.parametrize("kind", ["goe", "gue"])
+    def test_no_level1_blas_over_the_matrix(self, monkeypatch, kind):
+        # ||M||_F comes from one np.vecdot per row (_frobenius), never from
+        # one threaded BLAS call over all n^2 entries; vectors are fine
+        def refuse(name, fn):
+            def checked(x, *args, **kwargs):
+                assert np.ndim(x) < 2, f"{name} over a matrix"
+                return fn(x, *args, **kwargs)
+            return checked
+
+        M = _oracle_input(kind, 64)
+        want = top_eigpair(M)
+        monkeypatch.setattr(np, "vdot", refuse("np.vdot", np.vdot))
+        monkeypatch.setattr(np.linalg, "norm", refuse("np.linalg.norm", np.linalg.norm))
+        lam, u = top_eigpair(M)
+        assert lam == want[0] and np.array_equal(u, want[1])
+
     @pytest.mark.parametrize("n", [2, 3, 64, 256])
     def test_diagonal_gives_unit_vector_exactly(self, n):
         # the zero ensemble's A + E: no singular LU, and e_k exactly

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perturb.bounds import best_p, opnorm_pp_upper
+from perturb.bounds import best_p, opnorm_pp_upper, verify_shifted_domination
 from perturb.ensembles import (
     EntryDistribution,
     SpectrumSpec,
@@ -20,7 +21,7 @@ from perturb.ensembles import (
     sample_gue,
     sample_subgaussian_hermitian,
 )
-from perturb import matcore, rs_solver
+from perturb import bounds, matcore, rs_solver
 from perturb.errors import (
     GapCollapseError,
     InconsistentEigenvalueError,
@@ -49,7 +50,6 @@ from perturb.rs_solver import (
     is_leading,
     solve,
     solve_q,
-    verify_shifted_domination,
 )
 
 
@@ -565,6 +565,53 @@ class TestContractionGate:
         # weights whose products overflow: the norm itself is beyond the range
         d = np.ldexp(1.0, [-1000, 1000])
         assert rs_solver._weighted_frobenius_upper(np.ones((2, 2)), d) == math.inf
+
+    @pytest.mark.parametrize("complex_case", [False, True])
+    def test_frobenius_underflow_rescaled(self, complex_case):
+        # E = 1e-160 * GOE/GUE: the squares of E / sigma fall below tiny in
+        # the first pass, so the gate's bound and the read's ||E||_F bound
+        # come from a pass rescaled to k < 0 or carry the underflow floor;
+        # both still cover the exact norms, on the identity basis and on a
+        # random one
+        n = 64
+        s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
+        E = 1e-160 * (sample_gue(n, 179) if complex_case else sample_goe(n, 179))
+        rep = solve(np.diag(s.lambdas), E, eig=diag_eig(s))
+        d = build_shifted_gaps(s, float(E[0, 0].real))
+        exact = exact_weighted_square(E[1:, 1:], d)
+        assert exact <= Fraction(rep.contraction_upper) ** 2 <= exact * (1 + Fraction(1, 10**12))
+        read = rs_solver._read_noise(E, s.lambdas)[0]
+        assert read.beta == rep.contraction_upper
+        assert sum((abs2(x) for x in E.ravel()), Fraction(0)) <= Fraction(read.norm) ** 2
+        Q = np.linalg.qr(random_hermitian(rng_from_stream(179), n, complex_case))[0]
+        A = force_hermitian((Q * s.lambdas) @ Q.conj().T)
+        rep = solve(A, E)
+        eig = rs_solver._decompose(A)
+        part = rs_solver._blocks(eig, E)
+        exact = exact_weighted_square(part.e22, build_shifted_gaps(eig.spectrum, part.e11))
+        assert exact <= Fraction(rep.contraction_upper) ** 2 <= exact * (1 + Fraction(1, 10**12))
+
+    @pytest.mark.parametrize("complex_case", [False, True])
+    def test_frobenius_subnormal_entries_rescaled(self, complex_case):
+        # entries down to 2^-1074: the rescaled pass keeps sigma 2^k normal,
+        # and a subnormal result is rounded up
+        rng = rng_from_stream(181)
+        for t in range(10):
+            m = int(rng.integers(3, 10))
+            e22 = random_hermitian(rng, m, complex_case) * 2.0 ** -530 * 2.0 ** -530
+            e22[0, 1] = e22[1, 0] = 2.0 ** -1074
+            d = np.ldexp(rng.uniform(1.0, 2.0, m), rng.integers(-4, 9, m))
+            bound = rs_solver._weighted_frobenius_upper(e22, d)
+            exact = exact_weighted_square(e22, d)
+            assert 0.0 < bound and exact <= Fraction(bound) ** 2
+        assert rs_solver._weighted_frobenius_upper(np.zeros((3, 3)), np.ones(3)) == 5e-324
+        # a square rounded in the subnormal range, weighted by about 2^2000,
+        # dominates the sum: only the underflow floor covers its rounding
+        x = (1.0 + 2.0 ** -20) * 2.0 ** -530
+        e22 = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, x], [0.0, x, 0.0]])
+        d = np.array([1.5, 2.0 ** -1000, 2.0 ** -1000])
+        bound = rs_solver._weighted_frobenius_upper(e22, d)
+        assert bound < math.inf and exact_weighted_square(e22, d) <= Fraction(bound) ** 2
 
     def test_readme_input_falls_back(self):
         # gaps (1, 100) and E22 = [[0, 8], [8, 0]]: ||S||_2 = 0.8 is under the
@@ -1714,3 +1761,77 @@ class TestShiftedDomination:
         args[name][1 if name != "X" else (1, 2)] = bad
         with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
             verify_shifted_domination(args["X"], args["mu"], 0.5, args["g"])
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record the reports of the solves verify_shifted_domination makes."""
+        reports, inner = [], bounds.solve
+
+        def recorded(*args, **kwargs):
+            reports.append(inner(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(bounds, "solve", recorded)
+        return reports
+
+    @pytest.mark.parametrize("noise", ["goe", "gue", "shuffled"])
+    def test_certified_margin_on_criterion_6_draws(self, monkeypatch, noise):
+        # every draw takes the rs path, certified: the margin is -lambda~ and
+        # lies within tau = 1e-9 (1 + |margin|) of eigvalsh, which cannot flip
+        # its sign, so holds is the dense path's
+        reports = self.spy(monkeypatch)
+        n = 256
+        j = np.arange(1, n + 1, dtype=np.float64)
+        mu = 10.0 * (n + 1 - j) * math.log(n) ** 3
+        if noise == "shuffled":
+            mu = rng_from_stream(1006).permutation(mu)
+        draws = 200 if noise == "goe" else 20
+        for t in range(draws):
+            stream = derive_stream(1006, n, t)
+            X = sample_gue(n, stream) if noise == "gue" else sample_goe(n, stream)
+            holds, margin = verify_shifted_domination(X, mu, tau=0.0)
+            rep = reports[-1]
+            assert (rep.method, rep.leading_certified) == ("rs", True)
+            assert margin == -rep.lambda_tilde
+            dense = float(np.linalg.eigvalsh(np.diag(mu) - X)[0])
+            assert abs(margin - dense) <= 1e-9 * (1.0 + abs(margin))
+            assert abs(margin - dense) <= 1e-12 * mu.max()
+            assert holds == (dense >= 0.0)
+        assert len(reports) == draws
+
+    @pytest.mark.parametrize("case", ["tied", "not-hermitian", "n1", "tau", "near-zero", "uncertified"])
+    def test_dense_path_kept(self, monkeypatch, case):
+        # inputs the certified path does not take, whose margin its
+        # tolerance could flip, or whose report is not leading_certified,
+        # get today's eigvalsh margin bit for bit
+        reports = self.spy(monkeypatch)
+        if case == "uncertified":
+            recorded = bounds.solve
+
+            def uncertified(*args, **kwargs):  # moved by 1, so a margin taken from it shows
+                report = recorded(*args, **kwargs)
+                return replace(report, leading_certified=False, lambda_tilde=report.lambda_tilde + 1.0)
+
+            monkeypatch.setattr(bounds, "solve", uncertified)
+        n = 1 if case == "n1" else 8
+        X = 0.1 * sample_goe(n, 1107)
+        mu = 10.0 * np.arange(1.0, n + 1)
+        tau = 0.5 if case == "tau" else 0.0
+        if case == "tied":
+            mu[1] = mu[0]
+        elif case == "not-hermitian":
+            X[0, 1] += 1e-3
+        elif case == "near-zero":
+            X = X - float(np.linalg.eigvalsh(X - np.diag(mu))[-1]) * np.eye(n)
+        B = np.diag(mu) - X
+        want = float(np.linalg.eigvalsh(B if is_hermitian(B) else force_hermitian(B))[0])
+        holds, margin = verify_shifted_domination(X, mu, tau=tau)
+        assert margin == want and holds == (want >= 0.0)
+        if case == "near-zero":
+            assert abs(want) <= 1e-12 and len(reports) == 1
+            assert reports[0].leading_certified and abs(reports[0].lambda_tilde) <= 1e-9
+        elif case == "uncertified":
+            assert len(reports) == 1 and reports[0].leading_certified
+            assert reports[0].method == "rs" and abs(-reports[0].lambda_tilde - want) <= 1e-9
+        else:
+            assert reports == []
