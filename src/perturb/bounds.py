@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import InvalidSpectrumError, NumericFailureError, PerturbError
 from .matcore import (
-    EigDecomposition,
     Spectrum,
     cholesky_below,
     dual_exponent,
@@ -476,16 +475,16 @@ def _certified_margin(X: np.ndarray, mu: np.ndarray) -> float | None:
 
     With P the stable ascending order of mu, lambda_min(D_mu - X) is
     -lambda_max(diag(-mu[P]) + X[P][:, P]), the top eigenvalue that solve
-    computes with A = diag(-mu[P]), nonincreasing, on the identity basis:
-    one read of X, the fixed point in O(n^2) and, with verify, the O(n)
-    interlacing certificate. The margin is -lambda~ when the report is
-    leading_certified, so that |lambda_max - lambda~| <= tau with
-    tau = 1e-9 (unit + |lambda~|) (an oracle-fallback's lambda~ is the
-    oracle's own), and |lambda~| > tau, so that the margin's sign is the
-    true one. None, for the caller's dense eigvalsh, when n < 2, when X is
-    not exactly self-adjoint or of mu's order, when min(mu) is tied (A's top
-    eigenvalue is then not simple), when solve raises a PerturbError, or
-    when the report proves less.
+    computes with the 1-D A = -mu[P], nonincreasing, on the identity basis
+    (no n x n array but the permuted X): one read of X, the fixed point in
+    O(n^2) and, with verify, the O(n) interlacing certificate. The margin
+    is -lambda~ when the report is leading_certified, so that
+    |lambda_max - lambda~| <= tau with tau = 1e-9 (unit + |lambda~|) (an
+    oracle-fallback's lambda~ is the oracle's own), and |lambda~| > tau, so
+    that the margin's sign is the true one. None, for the caller's dense
+    eigvalsh, when n < 2, when X is not exactly self-adjoint or of mu's
+    order, when min(mu) is tied (A's top eigenvalue is then not simple),
+    when solve raises a PerturbError, or when the report proves less.
     """
     n = mu.size
     if n < 2 or mu.shape != (n,) or X.shape != (n, n) or not np.can_cast(X.dtype, np.complex128):
@@ -500,7 +499,7 @@ def _certified_margin(X: np.ndarray, mu: np.ndarray) -> float | None:
         E = X[np.ix_(order, order)]
     spectrum = Spectrum(lambdas)
     try:
-        report = solve(np.diag(lambdas), E, eig=EigDecomposition(spectrum, np.eye(n)), verify=True)
+        report = solve(lambdas, E, verify=True)
     except (PerturbError, ValueError):  # ValueError: solve finds E not exactly self-adjoint
         return None
     lam = report.lambda_tilde

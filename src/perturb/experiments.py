@@ -34,7 +34,6 @@ from .ensembles import (
 )
 from .errors import GapCollapseError, NumericFailureError
 from .matcore import (
-    EigDecomposition,
     check_keys,
     dual_exponent,
     json_fields,
@@ -207,11 +206,9 @@ def _draw_noise(ensemble: dict, n: int, stream: int) -> np.ndarray:
 
 
 def _diag_instance(cfg: ExperimentConfig, n: int):
-    """Spectrum realized at size n, with A diagonal and the identity eigenbasis."""
+    """Spectrum realized at size n, and A = diag(spectrum.lambdas)."""
     spectrum = realize_spectrum(cfg.spectrum.with_n(n))
-    A = np.diag(spectrum.lambdas)
-    eig = EigDecomposition(spectrum=spectrum, basis=np.eye(n))
-    return spectrum, A, eig
+    return spectrum, np.diag(spectrum.lambdas)
 
 
 def _paper_norms(spectrum, E: np.ndarray, p: float) -> tuple[float, float]:
@@ -234,16 +231,17 @@ def _paper_norms(spectrum, E: np.ndarray, p: float) -> tuple[float, float]:
     return cert, lp_norm(E[0, 1:].conj() / d, dual_exponent(p))
 
 
-def _oracle_angle(spectrum, A: np.ndarray, eig: EigDecomposition, E: np.ndarray):
-    """top_eigpair(A + E): its eigenvalue, and its vector's sin-theta to u1 beside two bounds.
+def _oracle_angle(spectrum, A: np.ndarray, E: np.ndarray):
+    """top_eigpair(A + E), A diagonal: its eigenvalue, and its vector's sin-theta to u1 = e1 beside two bounds.
 
     The bounds are Davis-Kahan's and the paper's sin-theta bound. sin-theta
     is the norm of the top vector's component orthogonal to u1 (||v[1:]||_2
-    on the identity basis), which resolves angles far below the ~1.5e-8
-    floor of sqrt(1 - overlap^2).
+    up to rounding), which resolves angles far below the ~1.5e-8 floor of
+    sqrt(1 - overlap^2).
     """
     lambda_max, top = top_eigpair(A + E)
-    u1 = eig.leading_vector()
+    u1 = np.zeros(spectrum.n)
+    u1[0] = 1.0
     return lambda_max, {
         "sin_theta": min(1.0, float(np.linalg.norm(top - u1 * np.vdot(u1, top)))),
         "dk_bound": bounds.davis_kahan_bound(spectrum, operator_norm_exact(E, 2)),
@@ -252,10 +250,10 @@ def _oracle_angle(spectrum, A: np.ndarray, eig: EigDecomposition, E: np.ndarray)
 
 
 def _trial_upper_bound(cfg: ExperimentConfig, n: int, stream: int) -> dict:
-    spectrum, A, eig = _diag_instance(cfg, n)
+    spectrum, A = _diag_instance(cfg, n)
     E = _draw_noise(cfg.ensemble, n, stream)
-    report = rs_solver.solve(A, E, eig=eig, verify=False)
-    lambda_max, oracle = _oracle_angle(spectrum, A, eig, E)
+    report = rs_solver.solve(spectrum.lambdas, E, verify=False)
+    lambda_max, oracle = _oracle_angle(spectrum, A, E)
     q_norm = report.q_norm2
     return {
         "max_coord_ratio": float(report.coord_ratios.max()),
@@ -313,9 +311,9 @@ def _trial_weyl(cfg: ExperimentConfig, n: int, stream: int) -> dict:
 
 
 def _trial_dk_compare(cfg: ExperimentConfig, n: int, stream: int) -> dict:
-    spectrum, A, eig = _diag_instance(cfg, n)
+    spectrum, A = _diag_instance(cfg, n)
     E = _draw_noise(cfg.ensemble, n, stream)
-    return _oracle_angle(spectrum, A, eig, E)[1]
+    return _oracle_angle(spectrum, A, E)[1]
 
 
 def _trial_opnorm_scaling(cfg: ExperimentConfig, n: int, stream: int) -> dict:
@@ -338,7 +336,7 @@ def _trial_event_diagnostics(cfg: ExperimentConfig, n: int, stream: int) -> dict
 
 
 def _trial_phase_transition(cfg: ExperimentConfig, n: int, stream: int) -> dict:
-    spectrum, A, _ = _diag_instance(cfg, n)
+    spectrum, A = _diag_instance(cfg, n)
     E = _draw_noise(cfg.ensemble, n, stream) / math.sqrt(n)  # edge-normalized noise
     lambda_max, top = top_eigpair(A + E)
     return {"overlap_sq": float(abs(top[0]) ** 2), "lambda_max": lambda_max}

@@ -86,12 +86,15 @@ class Spectrum:
 class EigDecomposition:
     """Spectral decomposition M = U diag(lambdas) U* with orthonormal columns u_j.
 
-    ``basis`` must not be mutated after construction: is_identity is decided
-    on first use and cached with the decomposition.
+    ``basis`` None stands for the identity, the basis of a diagonal M with a
+    nonincreasing diagonal, held without an n x n array: rs_solver.solve
+    builds it so for a 1-D A. ``basis`` must not be mutated after
+    construction: is_identity is decided on first use and cached with the
+    decomposition.
     """
 
     spectrum: Spectrum
-    basis: np.ndarray
+    basis: np.ndarray | None
 
     @property
     def n(self) -> int:
@@ -99,16 +102,36 @@ class EigDecomposition:
 
     @cached_property
     def is_identity(self) -> bool:
-        """True when the basis is exactly the identity, as for M diagonal and nonincreasing."""
+        """True when the basis is None or exactly I: off-diagonal zeros (_is_diagonal), diagonal ones."""
         basis = self.basis
-        return bool(np.all(basis.diagonal() == 1) and np.count_nonzero(basis) == basis.shape[0])
+        if basis is None:
+            return True
+        square = basis.ndim == 2 and basis.shape[0] == basis.shape[1]
+        return bool(square and _is_diagonal(basis) and np.all(basis.diagonal() == 1))
 
     def leading_vector(self) -> np.ndarray:
-        return self.basis[:, 0]
+        """u_1, a fresh e_1 when the basis is None."""
+        if self.basis is not None:
+            return self.basis[:, 0]
+        e1 = np.zeros(self.n)
+        e1[0] = 1.0
+        return e1
 
     def tail_basis(self) -> np.ndarray:
-        """Columns u_2 .. u_n, the orthogonal complement of the leading vector."""
-        return self.basis[:, 1:]
+        """Columns u_2 .. u_n, the orthogonal complement of the leading vector (built when basis is None)."""
+        basis = np.eye(self.n) if self.basis is None else self.basis
+        return basis[:, 1:]
+
+
+def _is_diagonal(M: np.ndarray) -> bool:
+    """True when every off-diagonal entry of the square M is zero; NaN counts as nonzero.
+
+    One read of the off-diagonal entries: after M's first entry, its n^2 - 1
+    remaining entries in row-major order form n - 1 rows of n + 1, each
+    ending on the diagonal.
+    """
+    n = M.shape[0]
+    return n < 2 or not np.any(M.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n])
 
 
 def lp_norm(v, p) -> float:

@@ -29,11 +29,14 @@ computation decide (is_leading).
 
 solve is the one way through the pipeline: it proves its operands valid
 once, at its boundary, then runs each stage once (the blocks of U* E U, the
-gate, the loop solve_q, assembly, verification). On the identity basis, the
-paper's own setting, A must be diag(eig.spectrum.lambdas), and each n x n
-operand is read as few times as the proofs allow: A's off-diagonal entries
-once, to prove them zero; E once before the loop, in one tiled pass that
-proves it finite and exactly self-adjoint, gives the gate's bound and
+gate, the loop solve_q, assembly, verification). The identity basis is
+the paper's own setting, a diagonal A. A 1-D A gives it directly: A lists
+the eigenvalues of diag(A), the basis is held as no array, and E is the
+one n x n operand. A 2-D A with the identity basis passed as ``eig`` must
+be diag(eig.spectrum.lambdas), which one read of its off-diagonal entries
+proves. Past these checks both forms run the same stages, and E is read
+as few times as the proofs allow: once before the loop, in one tiled pass
+that proves it finite and exactly self-adjoint, gives the gate's bound and
 bounds ||E||_F; then once per loop step, and once in verification, for
 E u~. No I* E I, no product with the identity and no A + E is formed unless
 the Cholesky proof or the oracle is reached.
@@ -68,6 +71,7 @@ from .matcore import (
     _decompose,
     _frobenius,
     _hermitian_product,
+    _is_diagonal,
     cholesky_below,
     is_hermitian,
     json_fields,
@@ -181,8 +185,8 @@ def _blocks(eig: EigDecomposition, E: np.ndarray) -> PartitionedPerturbation:
     rest mirrored (_hermitian_product).
     """
     basis = eig.basis
-    if eig.is_identity:
-        tilde = E.astype(np.result_type(E, basis), copy=False)
+    if eig.is_identity:  # a basis held as None is real
+        tilde = E.astype(np.result_type(E, np.float64 if basis is None else basis), copy=False)
     else:
         tilde = _hermitian_product(basis.conj().T, E @ basis)
     return PartitionedPerturbation(float(tilde[0, 0].real), tilde[0, 1:], tilde[1:, 1:])
@@ -381,6 +385,20 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
+def _step_norm(v: np.ndarray) -> float:
+    """||v||_2 from one np.vecdot, or from lp_norm(v, 2) when that sum lost range.
+
+    The sum of squares is kept when it is finite and at least m tiny, m the
+    length of v, as matcore._frobenius decides: the squares lost below tiny
+    then take at most eps from it. It sets no errstate of its own, which
+    would cost more than the sum; solve_q's loop runs under one.
+    """
+    square = float(np.vecdot(v, v).real)
+    if v.size * np.finfo(np.float64).tiny <= square < math.inf:
+        return math.sqrt(square)
+    return lp_norm(v, 2)
+
+
 def solve_q(
     part: PartitionedPerturbation, spectrum: Spectrum, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, int]:
@@ -422,6 +440,8 @@ def solve_q(
 
     q = np.zeros_like(e21)
     e22q = np.zeros_like(e21)  # E22 q, carried so each step costs one matvec
+    q_next, work, den = np.empty_like(e21), np.empty_like(e21), np.empty_like(d)
+    real = not np.iscomplexobj(e22)  # _matvec's choice, made once
     prev_change = math.inf
     bad_steps = 0
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test below stops the loop
@@ -431,8 +451,12 @@ def solve_q(
                 raise NonConvergenceError(
                     f"shifted gap d_j + Re(E12 q) = {d_min + shift:.4g} is not positive"
                 )
-            q_next = (e22q + e21) / (d + shift)
-            change = lp_norm(d * (q_next - q), 2)
+            np.add(e22q, e21, out=work)
+            np.add(d, shift, out=den)
+            np.divide(work, den, out=q_next)  # (E22 q + E21) / (d + shift)
+            np.subtract(q_next, q, out=work)
+            np.multiply(d, work, out=work)  # D dq
+            change = _step_norm(work)
             if not (math.isfinite(shift) and math.isfinite(change)):
                 raise NonConvergenceError(
                     f"fixed-point iteration overflowed: Re(E12 q) = {shift:.4g}, "
@@ -447,8 +471,11 @@ def solve_q(
             else:
                 bad_steps = 0
             prev_change = change
-            q = q_next
-            e22q = _matvec(e22, q)
+            q, q_next = q_next, q
+            if real:
+                np.vecdot(q, e22, out=e22q)
+            else:
+                np.matmul(e22, q, out=e22q)
             if change <= step_tol:
                 resid = lp_norm(d * q - e22q - (e21 - (e12 @ q) * q), 2)
                 if resid <= target:
@@ -467,7 +494,8 @@ def assemble_eigvec(eig: EigDecomposition, q: np.ndarray) -> np.ndarray:
     if q.size != eig.n - 1:
         raise ValueError(f"q must have length n-1 = {eig.n - 1}")
     if eig.is_identity:
-        u = np.zeros(eig.n, dtype=np.result_type(eig.basis, q))
+        basis = np.float64 if eig.basis is None else eig.basis
+        u = np.zeros(eig.n, dtype=np.result_type(basis, q))
         u[0] = 1.0
         u[1:] += q
     else:
@@ -500,17 +528,6 @@ def coordinate_bounds(q: np.ndarray, spectrum: Spectrum) -> np.ndarray:
     q = np.asarray(q)
     scale = 1.0 / math.sqrt(1.0 + float(np.vdot(q, q).real))
     return spectrum.gaps() * np.abs(q) * scale / math.sqrt(math.log(spectrum.n))
-
-
-def _is_diagonal(M: np.ndarray) -> bool:
-    """True when every off-diagonal entry of the square M is zero; NaN counts as nonzero.
-
-    One read of the off-diagonal entries: after M's first entry, its n^2 - 1
-    remaining entries in row-major order form n - 1 rows of n + 1, each
-    ending on the diagonal.
-    """
-    n = M.shape[0]
-    return n < 2 or not np.any(M.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n])
 
 
 class _NoiseRead(NamedTuple):
@@ -715,7 +732,7 @@ def _verify(
     """
     u, lam = report.u_tilde, report.lambda_tilde
     if read is not None:
-        M, a = E, A.diagonal().real
+        M, a = E, A if A.ndim == 1 else A.diagonal().real
         w = _matvec(E, u) + a * u
     else:
         M, a = A + E, None
@@ -730,8 +747,21 @@ def _verify(
     elif _top_eigenvalue_within(M, a, lam, report.residual2, tau, read):
         report.leading_certified = True
     else:
-        report.leading_certified = is_leading(spectrum, lam, top_eigpair(A + E)[0])
+        report.leading_certified = is_leading(spectrum, lam, top_eigpair(_dense_sum(A, E))[0])
     return report
+
+
+def _dense_sum(A: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """A + E, a 1-D A standing for diag(A): entry for entry the sum np.diag(A) + E forms.
+
+    Off the diagonal that sum is 0 + E_ij, which reads a -0.0 as +0.0; the
+    first pass adds the same 0, and the diagonal is A_i + E_ii.
+    """
+    if A.ndim == 2:
+        return A + E
+    H = np.add(E, 0.0, dtype=np.result_type(A, E))
+    H[np.diag_indices(A.size)] = A + E.diagonal()
+    return H
 
 
 def _check_operands(
@@ -739,43 +769,51 @@ def _check_operands(
 ) -> _NoiseRead | None:
     """Raise ValueError unless A and E are valid operands and ``eig`` fits them.
 
-    A and E must be nonempty, square and alike in shape, of a dtype that
-    casts safely to complex128 (the dtypes numpy.linalg takes), finite and
-    exactly self-adjoint, and of the order of ``eig``'s basis. On the
-    identity basis A must be diag(eig.spectrum.lambdas) exactly. One read of
-    A's off-diagonal entries proves it diagonal (_is_diagonal), after which
-    its finiteness and self-adjointness are O(n) checks on its diagonal; E
-    is then read once (_read_noise), which proves it finite and
+    A is a matrix or, 1-D, the eigenvalues of the diagonal A it stands for,
+    which solve has checked and whose identity-basis ``eig`` it has built.
+    A matrix A and E must be nonempty, square and alike in shape, of a
+    dtype that casts safely to complex128 (the dtypes numpy.linalg takes),
+    finite and exactly self-adjoint, and of the order of ``eig``'s basis;
+    with a 1-D A, E must be all that and n x n. On the identity basis a
+    matrix A must be
+    diag(eig.spectrum.lambdas) exactly. One read of its off-diagonal
+    entries proves it diagonal (_is_diagonal), after which its finiteness
+    and self-adjointness are O(n) checks on its diagonal; E is then read
+    once (_read_noise), as it is for a 1-D A, which proves it finite and
     self-adjoint, and what that read bounds is returned for solve's gate and
     certificate. Otherwise E's finiteness and self-adjointness are checked
-    by whole-matrix passes and None is returned. The messages come in the
+    by whole-matrix passes and the read is None. The messages come in the
     same order either way: A's and E's finiteness, A's self-adjointness, the
     shapes, the identity basis, E's order against the basis, E's
-    self-adjointness. All of them come before any eigendecomposition. A
-    non-identity ``eig`` is trusted, not checked.
+    self-adjointness (a 1-D A's own checks, and E's shape and dtype, come
+    first). All of them come before any eigendecomposition. A non-identity
+    ``eig`` is trusted, not checked.
     """
-    for name, M in (("A", A), ("E", E)):
+    for name, M in (("A", A), ("E", E)) if A.ndim != 1 else (("E", E),):
         if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
             raise ValueError(f"{name} must be a square matrix of order >= 1, got shape {M.shape}")
         if not np.can_cast(M.dtype, np.complex128):
             raise ValueError(f"{name} has dtype {M.dtype}, not safely castable to complex128")
-    identity = eig is not None and eig.is_identity and A.shape == (eig.n, eig.n)
-    diagonal = identity and _is_diagonal(A)
-    if not np.all(np.isfinite(A.diagonal() if diagonal else A)):
+    square = (A.shape[0], A.shape[0])
+    identity = eig is not None and eig.is_identity and square == (eig.n, eig.n)
+    diagonal = identity and (A.ndim == 1 or _is_diagonal(A))
+    a = A if A.ndim == 1 else A.diagonal()
+    if not np.all(np.isfinite(a if diagonal else A)):
         raise ValueError("A has non-finite entries")
     read = None
-    if diagonal and E.shape == A.shape:
-        tilde = E.astype(np.result_type(E, eig.basis), copy=False)
+    if diagonal and E.shape == square:
+        basis = np.float64 if eig.basis is None else eig.basis  # a basis held as None is real
+        tilde = E.astype(np.result_type(E, basis), copy=False)
         read, finite, self_adjoint = _read_noise(tilde, eig.spectrum.lambdas)
     else:
         finite = bool(np.all(np.isfinite(E)))
     if not finite:
         raise ValueError("E has non-finite entries")
-    if not (np.all(A.diagonal().imag == 0) if diagonal else is_hermitian(A)):
+    if not (np.all(a.imag == 0) if diagonal else is_hermitian(A)):
         raise ValueError("A is not exactly self-adjoint (M != M*)")
-    if A.shape != E.shape:
+    if E.shape != square:
         raise ValueError(f"A has shape {A.shape} but E has shape {E.shape}")
-    if identity and not (diagonal and np.array_equal(A.diagonal(), eig.spectrum.lambdas)):
+    if identity and not (diagonal and np.array_equal(a, eig.spectrum.lambdas)):
         raise ValueError("eig has the identity basis, but A is not diag(eig.spectrum.lambdas)")
     if eig is not None and E.shape != (eig.n, eig.n):
         raise ValueError(f"noise shape {E.shape} does not match basis dimension {eig.n}")
@@ -794,21 +832,28 @@ def solve(
 ) -> SolverReport:
     """End-to-end solve with oracle fallback.
 
-    A and E must be numeric, finite, square, nonempty, of one shape and
-    exactly self-adjoint; anything else raises ValueError. An ``eig`` with
+    A is a matrix or, 1-D, the nonincreasing eigenvalues of a diagonal A.
+    A 1-D A must be real, finite, of length n >= 2 with a simple top entry
+    (InvalidSpectrumError otherwise), and comes with no ``eig`` (else
+    ValueError); it takes the identity-basis path with no n x n array but E,
+    and its report equals that of solve(np.diag(A), E, eig=<identity>)
+    field for field. A matrix A and E must be numeric, finite, square,
+    nonempty, of one shape and exactly self-adjoint, and E must be n x n
+    for a 1-D A; anything else raises ValueError. An ``eig`` with
     the identity basis must describe A, which must then be exactly
     diag(eig.spectrum.lambdas), else ValueError; any other ``eig`` is
     trusted, but E must have its order. All these checks come before any
     eigendecomposition. Then each stage runs once: the blocks of U* E U, the
     gate on the shifted gaps, the loop (solve_q), assembly and, with
     ``verify``, the residuals and the leading-eigenpair certificate. On the
-    identity basis E is read once before the loop (_read_noise), on the
-    calling thread and with no n x n temporary, which proves E finite and
-    exactly self-adjoint, gives the gate's bound and bounds ||E||_F;
-    verification then reads E only for E u~ and proves the
-    pair leading by interlacing in O(n). Without ``eig`` the eigenbasis of A
-    comes from hermitian_eig's core, which does not check A again, and
-    verification forms A + E even when that basis is the identity. The gate
+    identity basis (a 1-D A, or the identity ``eig``) E is read once before
+    the loop (_read_noise), on the calling thread and with no n x n
+    temporary, which proves E finite and exactly self-adjoint, gives the
+    gate's bound and bounds ||E||_F; verification then reads E only for
+    E u~ and proves the pair leading by interlacing in O(n). Without
+    ``eig`` the eigenbasis of A comes from hermitian_eig's core, which does
+    not check A again, and verification forms A + E even when that basis is
+    the identity. The gate
     is the padded weighted Frobenius norm ||D^{-1/2} E22 D^{-1/2}||_F
     (_weighted_frobenius_upper), an O(n^2) upper bound on the loop's
     contraction rate ||D^{-1/2} E22 D^{-1/2}||_2; when it exceeds
@@ -834,7 +879,19 @@ def solve(
     if not certificate_cap > 0.0:
         raise ValueError(f"certificate_cap must be positive, got {certificate_cap}")
     A, E = np.asarray(A), np.asarray(E)
+    if A.ndim == 1:  # diag(A)'s eigenvalues: its basis is the identity, held as None
+        if eig is not None:
+            raise ValueError(
+                "a 1-D A is the eigenvalues of diag(A), whose basis is the identity; pass no eig"
+            )
+        if not np.can_cast(A.dtype, np.float64):
+            raise ValueError(f"a 1-D A lists real eigenvalues, but has dtype {A.dtype}")
+        if not np.all(np.isfinite(A)):
+            raise ValueError("A has non-finite entries")
+        eig = EigDecomposition(Spectrum(A.astype(np.float64)), None)  # a copy: Spectrum freezes it
     read = _check_operands(A, E, eig)
+    if A.ndim == 1:
+        A = eig.spectrum.lambdas  # diag(A) from here on, in float64
     if eig is None:
         eig = _decompose(A)  # hermitian_eig without a second check of A
     part = _blocks(eig, E)
@@ -853,7 +910,7 @@ def solve(
         lam = _eigenvalue_from_q(spectrum, part.e11, part.e12, q)
         method, reason = "rs", ""
     except PerturbError as err:
-        lam, u = top_eigpair(A + E)
+        lam, u = top_eigpair(_dense_sum(A, E))
         head = complex(np.vdot(eig.leading_vector(), u))
         level = eig.n * np.finfo(np.float64).eps
         if not abs(head) > level:
@@ -863,7 +920,7 @@ def solve(
                 f"fallback after {type(err).__name__}: {err}"
             ) from err
         u = u * (abs(head) / head)  # overlap with u1 real positive
-        q = (eig.tail_basis().conj().T @ u) / abs(head)
+        q = (u[1:] if eig.is_identity else eig.tail_basis().conj().T @ u) / abs(head)
         iterations = 0
         method, reason = "oracle-fallback", f"{type(err).__name__}: {err}"
     report = SolverReport(

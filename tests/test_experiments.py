@@ -160,13 +160,25 @@ class TestRunExperiment:
             if r.statistics["certified"] == 1.0:
                 assert abs(r.statistics["sin_theta"] - r.statistics["sin_theta_oracle"]) <= 1e-9
 
+    def test_upper_bound_solves_on_eigenvalues(self, monkeypatch):
+        # the trial hands solve A's eigenvalues, no n x n A or basis, through
+        # the module attribute rs_solver.solve
+        calls, inner = [], rs_solver.solve
+
+        def recorded(A, E, **kwargs):
+            calls.append((np.ndim(A), "eig" in kwargs))
+            return inner(A, E, **kwargs)
+
+        monkeypatch.setattr(rs_solver, "solve", recorded)
+        run_experiment(make_cfg("upper_bound", n_list=(12,), trials=3))
+        assert calls == [(1, False)] * 3
+
     def test_oracle_angle_resolves_small_angles(self):
         # sin theta ~ 5e-11 here; sqrt(1 - overlap^2) of the same vector reads 0
         n = 16
         spectrum = realize_spectrum(MULTISCALE.with_n(n))
-        eig = EigDecomposition(spectrum=spectrum, basis=np.eye(n))
         E = 1e-9 * sample_goe(n, 4)
-        _, oracle = experiments._oracle_angle(spectrum, np.diag(spectrum.lambdas), eig, E)
+        _, oracle = experiments._oracle_angle(spectrum, np.diag(spectrum.lambdas), E)
         first_order = float(np.linalg.norm(E[1:, 0] / spectrum.gaps()))
         assert oracle["sin_theta"] == pytest.approx(first_order, rel=1e-3)
 

@@ -16,6 +16,7 @@ from perturb.ensembles import (
 from perturb import matcore
 from perturb.errors import InvalidSpectrumError, NumericFailureError, UnsupportedExponentError
 from perturb.matcore import (
+    EigDecomposition,
     Spectrum,
     dual_exponent,
     force_hermitian,
@@ -406,6 +407,40 @@ class TestNormLemmas:
             assert lp_norm(x, 2) <= N ** (1.0 / p) * lp_norm(x, rhs_exp)
             checks += 1
         assert checks == 1000
+
+
+class TestEigDecomposition:
+    def spectrum(self, n):
+        return Spectrum(np.arange(n, 0, -1.0))
+
+    @pytest.mark.parametrize("value,identity", [
+        (math.nan, False), (-0.0, True), (5e-324, False), (-5e-324, False), (1.0, False),
+    ])
+    def test_is_identity_reads_every_off_diagonal_entry(self, value, identity):
+        # NaN is not zero, -0.0 is, and a subnormal is not; the first and last
+        # off-diagonal entries of each row and column are read
+        n = 5
+        for i, j in [(0, 1), (1, 0), (0, n - 1), (n - 1, 0), (n - 2, n - 1), (n - 1, n - 2), (2, 3)]:
+            basis = np.eye(n)
+            basis[i, j] = value
+            assert EigDecomposition(self.spectrum(n), basis).is_identity == identity
+
+    @pytest.mark.parametrize("value", [np.nextafter(1.0, 2.0), -1.0, 0.0, math.nan, 1.0 + 1e-300j])
+    def test_is_identity_needs_unit_diagonal(self, value):
+        n = 4
+        for k in (0, n - 1):
+            basis = np.eye(n, dtype=np.result_type(value, np.float64))
+            basis[k, k] = value
+            assert not EigDecomposition(self.spectrum(n), basis).is_identity
+
+    def test_complex_identity(self):
+        assert EigDecomposition(self.spectrum(3), np.eye(3, dtype=complex)).is_identity
+
+    def test_none_basis_is_the_identity(self):
+        eig = EigDecomposition(self.spectrum(4), None)
+        assert eig.is_identity
+        assert np.array_equal(eig.leading_vector(), np.eye(4)[:, 0])
+        assert np.array_equal(eig.tail_basis(), np.eye(4)[:, 1:])
 
 
 class TestHermitianHelpers:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -180,11 +181,9 @@ class TestPartition:
 
     def test_identity_decided_once_per_decomposition(self, monkeypatch):
         eig = diag_eig(spectrum(3, 2, 1))
-        seen = []
-        count_nonzero = np.count_nonzero
+        seen, is_diagonal = [], matcore._is_diagonal
         monkeypatch.setattr(
-            np, "count_nonzero", lambda a, *args, **kw: seen.append(a is eig.basis)
-            or count_nonzero(a, *args, **kw)
+            matcore, "_is_diagonal", lambda M: seen.append(M is eig.basis) or is_diagonal(M)
         )
         for _ in range(2):
             solve(np.diag(eig.spectrum.lambdas), 0.1 * sample_goe(3, 7), eig=eig)
@@ -1646,26 +1645,204 @@ class TestSolveDriver:
         assert rep.u_tilde[0].real >= 0  # e1 is the leading eigenvector of diagonal A
 
 
+def identity_forms(lam, E, **kwargs):
+    """solve on the 1-D A = lam, and on diag(lam) with the identity basis passed in."""
+    s = Spectrum(lam)
+    return solve(lam, E, **kwargs), solve(np.diag(s.lambdas), E, eig=diag_eig(s), **kwargs)
+
+
+def same_json(one: SolverReport, two: SolverReport) -> bool:
+    return json.dumps(one.to_dict()) == json.dumps(two.to_dict())
+
+
+def dense_case(case: str):
+    """(lam, E, certificate_cap) of an identity-path input that reaches a dense matrix.
+
+    "gate" and "gap-collapse" fall back to the oracle; with verify, "cholesky"
+    is certified by the Cholesky proof (the gate's ||S||_F = 1.2 leaves
+    interlacing inconclusive, while the loop contracts at ||S||_2 = 0.6), and
+    "oracle" by the dense oracle (||A~|| ~ 1e8 puts the residual radius
+    above tau).
+    """
+    if case == "gate":
+        n = 32
+        s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
+        return s.lambdas, 40.0 * sample_goe(n, 31), CERTIFICATE_CAP
+    if case == "gap-collapse":
+        return np.array([3.0, 2.0, 1.0]), np.diag([-2.0, 0.0, 0.0]) + COUPLING, CERTIFICATE_CAP
+    if case == "cholesky":
+        E = np.zeros((5, 5))
+        E[0, 1:] = E[1:, 0] = 0.01
+        E[1:, 1:] = 0.6 * np.eye(4)
+        return np.array([2.0, 1.0, 1.0, 1.0, 1.0]), E, math.inf
+    return np.array([1.0, 0.0, -1e8]), 1e-3 * sample_goe(3, 23), CERTIFICATE_CAP
+
+
+class TestEigenvalueInput:
+    """A 1-D A lists the eigenvalues of diag(A): solve's identity path with no n x n array but E."""
+
+    @pytest.mark.parametrize("verify", [False, True])
+    @pytest.mark.parametrize("noise", ["goe", "gue", "int", "float32"])
+    def test_rs_report_equals_identity_form(self, noise, verify):
+        n = 64
+        lam = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0})).lambdas
+        E = {
+            "goe": sample_goe(n, 51),
+            "gue": sample_gue(n, 51),
+            "int": np.rint(3.0 * sample_goe(n, 51)).astype(np.int64),
+            "float32": sample_goe(n, 51).astype(np.float32),
+        }[noise]
+        one, two = identity_forms(lam, E, verify=verify)
+        assert one.method == "rs" and one.leading_certified == verify
+        assert same_json(one, two)
+
+    @pytest.mark.parametrize("verify", [False, True])
+    @pytest.mark.parametrize("case,reason", [
+        ("gate", "ContractionFailureError"), ("gap-collapse", "GapCollapseError"),
+    ])
+    def test_fallback_report_equals_identity_form(self, case, reason, verify):
+        lam, E, cap = dense_case(case)
+        one, two = identity_forms(lam, E, certificate_cap=cap, verify=verify)
+        assert one.method == "oracle-fallback" and one.fallback_reason.startswith(reason)
+        # E11 = -2 moves the top eigenvalue below the midpoint: not certified
+        assert one.leading_certified == (verify and case == "gate")
+        assert same_json(one, two)
+
+    @pytest.mark.parametrize("case", ["cholesky", "oracle"])
+    def test_verification_equals_identity_form(self, monkeypatch, case):
+        # interlacing is inconclusive on both inputs; the Cholesky proof or the
+        # dense oracle decides, on the 1-D form as on the 2-D one
+        calls = []
+        for name in ("cholesky_below", "top_eigpair"):
+            def counted(*args, _name=name, _real=getattr(rs_solver, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(rs_solver, name, counted)
+        lam, E, cap = dense_case(case)
+        one, two = identity_forms(lam, E, certificate_cap=cap, verify=True)
+        decider = "cholesky_below" if case == "cholesky" else "top_eigpair"
+        assert calls == [decider, decider]
+        assert one.method == "rs" and one.leading_certified
+        assert same_json(one, two)
+
+    @pytest.mark.parametrize("case", ["gate", "gap-collapse", "cholesky", "oracle"])
+    def test_dense_matrices_are_diag_plus_E(self, monkeypatch, case):
+        # every n x n matrix the 1-D form hands to the oracle or the Cholesky
+        # proof is diag(A) + E, never A broadcast along the rows of E
+        seen = []
+        for name in ("cholesky_below", "top_eigpair"):
+            def recorded(M, *args, _real=getattr(rs_solver, name), **kwargs):
+                seen.append(M.copy())  # cholesky_below factors M in place
+                return _real(M, *args, **kwargs)
+
+            monkeypatch.setattr(rs_solver, name, recorded)
+        lam, E, cap = dense_case(case)
+        solve(lam, E, certificate_cap=cap, verify=True)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], np.diag(lam) + E)
+
+    def test_no_n_by_n_allocation(self):
+        # the identity is held as no array, diag(A) is never formed on the rs
+        # path: a verified solve at n = 1024 allocates far less than the 8 MiB
+        # of one n x n float64 array
+        n = 1024
+        lam = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0})).lambdas
+        E = sample_goe(n, 61)
+        solve(lam, E)  # first-call allocations are not the solve's
+        tracemalloc.start()
+        try:
+            rep = solve(lam, E, verify=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.method == "rs" and rep.leading_certified
+        assert peak < 2**20
+
+    def test_caller_array_left_writeable(self):
+        lam = np.array([3.0, 2.0, 1.0])
+        solve(lam, 0.1 * sample_goe(3, 7))
+        assert lam.flags.writeable
+
+    @pytest.mark.parametrize("A,E,error,message", [
+        (np.array([3.0, 2.0, 1.0]) + 0j, np.zeros((3, 3)), ValueError, "lists real eigenvalues"),
+        (np.array([3.0, math.nan, 1.0]), np.zeros((3, 3)), ValueError, "A has non-finite entries"),
+        (np.array([1.0]), np.zeros((1, 1)), InvalidSpectrumError, "at least two"),
+        (np.zeros(0), np.zeros((0, 0)), InvalidSpectrumError, "at least two"),
+        (np.array([3.0, 1.0, 2.0]), np.zeros((3, 3)), InvalidSpectrumError, "nonincreasing"),
+        (np.array([3.0, 3.0, 1.0]), np.zeros((3, 3)), InvalidSpectrumError, "simple"),
+        (np.array([3.0, 2.0, 1.0]), np.zeros((2, 2)), ValueError,
+         r"A has shape \(3,\) but E has shape \(2, 2\)"),
+        (np.array([3.0, 2.0, 1.0]), np.zeros(3), ValueError, "E must be a square matrix"),
+        (np.array([3.0, 2.0, 1.0]), np.diag([0.0, math.inf, 0.0]), ValueError,
+         "E has non-finite entries"),
+        (np.array([3.0, 2.0, 1.0]), np.triu(np.ones((3, 3))), ValueError,
+         "E is not exactly self-adjoint"),
+        (np.array([3.0, 2.0, 1.0]), np.zeros((3, 3), dtype=object), ValueError,
+         "E has dtype object"),
+    ])
+    def test_bad_operands_rejected(self, A, E, error, message):
+        for verify in (False, True):
+            with pytest.raises(error, match=message):
+                solve(A, E, verify=verify)
+
+    def test_eig_with_eigenvalues_rejected(self):
+        s = spectrum(3, 2, 1)
+        with pytest.raises(ValueError, match="pass no eig"):
+            solve(s.lambdas, 0.1 * sample_goe(3, 7), eig=diag_eig(s))
+
+    @pytest.mark.parametrize("scale,rescaled", [(1.0, False), (1e200, True), (1e-170, True)])
+    def test_step_norm_is_lp_norm(self, monkeypatch, scale, rescaled):
+        # each step's ||D dq||_2, from one np.vecdot, is within a few ulps of
+        # lp_norm's; where its squares overflow or underflow it is lp_norm's
+        steps, norms = [], []
+        step_norm, lp = rs_solver._step_norm, rs_solver.lp_norm
+
+        def recorded_lp(v, p):
+            norms.append(v)
+            return lp(v, p)
+
+        def recorded_step(v):
+            before = len(norms)
+            change = step_norm(v)
+            steps.append((v.copy(), change, len(norms) > before))
+            return change
+
+        monkeypatch.setattr(rs_solver, "lp_norm", recorded_lp)
+        monkeypatch.setattr(rs_solver, "_step_norm", recorded_step)
+        n = 64
+        lam = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0})).lambdas
+        rep = solve(scale * lam, scale * sample_goe(n, 3), verify=False)
+        assert rep.method == "rs" and rep.iterations == len(steps)
+        eps = np.finfo(np.float64).eps
+        for v, change, fell_back in steps:
+            want = lp(v, 2)
+            assert fell_back == (rescaled or want == 0.0)
+            assert abs(change - want) <= 4 * eps * want
+
+
 class TestSolveContract:
     @given(
         n=st.integers(2, 48),
         scale=st.floats(0.0, 100.0),
         tol=st.sampled_from([1e-6, 1e-9, DEFAULT_TOL]),
         noise=st.sampled_from(["goe", "gue", "arrowhead"]),
-        basis=st.sampled_from(["identity", "oracle", "rotated"]),
+        basis=st.sampled_from(["identity", "eigenvalues", "oracle", "rotated"]),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=60, deadline=None)
     def test_tagged_finite_and_correct(self, n, scale, tol, noise, basis, seed):
         # solve returns a finite, method-tagged report or raises a typed error;
-        # rs implies a gate bound under the cap, and a certified pair is eigh's
+        # rs implies a gate bound under the cap, and a certified pair is eigh's.
+        # A 1-D A (its eigenvalues) gets the identity form's report.
         s = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0}))
         A, eig = np.diag(s.lambdas), diag_eig(s)
         if basis == "rotated":
             Q = np.linalg.qr(rng_from_stream(seed).standard_normal((n, n)))[0]
             A, eig = force_hermitian((Q * s.lambdas) @ Q.T), EigDecomposition(s, Q)
-        elif basis == "oracle":
+        elif basis != "identity":
             eig = None
+        operand = s.lambdas if basis == "eigenvalues" else A
         if noise == "goe":
             E = sample_goe(n, seed)
         elif noise == "gue":
@@ -1673,9 +1850,11 @@ class TestSolveContract:
         else:
             E = sample_arrowhead_noise(n, seed)[1]
         try:
-            rep = solve(A, scale * E, tol=tol, eig=eig)
+            rep = solve(operand, scale * E, tol=tol, eig=eig)
         except (PerturbError, ValueError):
             return
+        if basis == "eigenvalues":
+            assert same_json(rep, solve(A, scale * E, tol=tol, eig=diag_eig(s)))
         assert rep.method in ("rs", "oracle-fallback")
         for name, value in vars(rep).items():
             if name == "contraction_upper" and value == math.inf:
@@ -1798,6 +1977,18 @@ class TestShiftedDomination:
             assert abs(margin - dense) <= 1e-12 * mu.max()
             assert holds == (dense >= 0.0)
         assert len(reports) == draws
+
+    def test_certified_margin_solves_on_eigenvalues(self, monkeypatch):
+        # the margin's solve takes -mu[P] as a 1-D A: no n x n diag or basis
+        calls, inner = [], bounds.solve
+
+        def recorded(A, E, **kwargs):
+            calls.append((np.ndim(A), "eig" in kwargs))
+            return inner(A, E, **kwargs)
+
+        monkeypatch.setattr(bounds, "solve", recorded)
+        verify_shifted_domination(0.1 * sample_goe(8, 1107), 10.0 * np.arange(1.0, 9.0), tau=0.0)
+        assert calls == [(1, False)]
 
     @pytest.mark.parametrize("case", ["tied", "not-hermitian", "n1", "tau", "near-zero", "uncertified"])
     def test_dense_path_kept(self, monkeypatch, case):
