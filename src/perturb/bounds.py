@@ -21,6 +21,8 @@ import numpy as np
 from .errors import InvalidSpectrumError, NumericFailureError, PerturbError
 from .matcore import (
     Spectrum,
+    _leading_tolerance,
+    _rounding_pad,
     cholesky_below,
     dual_exponent,
     force_hermitian,
@@ -31,7 +33,7 @@ from .matcore import (
 )
 # Bound by name, as the matcore names are: code that replaces rs_solver.solve (the
 # campaign benchmark times upper_bound's solves so) does not see the Weyl check's.
-from .rs_solver import _leading_tolerance, solve
+from .rs_solver import solve
 
 __all__ = [
     "AssumptionReport",
@@ -224,7 +226,8 @@ def _lanczos_top(G: np.ndarray) -> float:
 def _spectral_norm_upper(M: np.ndarray) -> float:
     """Upper bound c on ||M||_2, proved by one Cholesky factorization.
 
-    With G the floating-point M* M (m x m), u = eps/2 and pad = 2 (m+2) u:
+    With G the floating-point M* M (m x m), u = eps/2 and pad = 2 (m+2) u
+    (matcore._rounding_pad):
 
     * c^2 = theta (1 + 1e-9), with theta the Lanczos estimate of
       lambda_max(G); c is sqrt(c^2) rounded up.
@@ -244,10 +247,8 @@ def _spectral_norm_upper(M: np.ndarray) -> float:
     decides whether the proof succeeds. When it does not (theta too low, or
     non-finite entries), operator_norm_exact(M, 2) decides.
     """
-    m = M.shape[1]
-    pad = 2.0 * (m + 2) * (np.finfo(np.float64).eps / 2.0)
     with np.errstate(over="ignore", invalid="ignore"):  # a sum that is not finite is tested below
-        g = pad * float(np.vecdot(M, M).real.sum())
+        g = _rounding_pad(M.shape[1]) * float(np.vecdot(M, M).real.sum())
     if not math.isfinite(g):  # G's entries are bounded by ||M||_F^2 when it is finite
         return operator_norm_exact(M, 2)
     G = M.conj().T @ M

@@ -48,15 +48,16 @@ __all__ = [
 class Spectrum:
     """Nonincreasing eigenvalue list with a simple top eigenvalue.
 
-    ``lambdas`` is stored as a read-only float64 array. Construction rejects
-    lambda1 == lambda2 (the whole construction needs a simple top eigenvalue)
-    and any increase along the list.
+    ``lambdas`` is stored as a read-only float64 copy, so the caller's array
+    stays writable and later changes to it do not reach the spectrum.
+    Construction rejects lambda1 == lambda2 (the whole construction needs a
+    simple top eigenvalue) and any increase along the list.
     """
 
     lambdas: np.ndarray
 
     def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=np.float64)
+        lam = np.array(self.lambdas, dtype=np.float64)
         if lam.ndim != 1 or lam.size < 2:
             raise InvalidSpectrumError("spectrum needs at least two eigenvalues")
         if not np.all(np.isfinite(lam)):
@@ -80,6 +81,25 @@ class Spectrum:
     def gaps(self) -> np.ndarray:
         """Vector of lambda1 - lambda_{j+1}, length n-1, all positive."""
         return self.lambdas[0] - self.lambdas[1:]
+
+
+def _unit(spectrum: Spectrum) -> float:
+    """min(1, max(|lambda_1|, |lambda_n|)): the absolute unit of the solver's tolerances.
+
+    At or above unit scale it is 1; below it the stop test, the residual
+    target and tau scale with A, so a scaled-down input is solved as its
+    unit-scale copy is.
+    """
+    return min(1.0, max(abs(float(spectrum.lambdas[0])), abs(float(spectrum.lambdas[-1]))))
+
+
+def _leading_tolerance(spectrum: Spectrum, lam: float) -> float:
+    """tau = 1e-9 (unit + |lambda~|), unit = _unit(spectrum): how far lambda~ may sit from lambda_max(A + E).
+
+    rs_solver.is_leading certifies lambda~ as the top eigenvalue within it,
+    and bounds takes a solve's margin only when it exceeds it.
+    """
+    return 1e-9 * (_unit(spectrum) + abs(lam))
 
 
 @dataclass(frozen=True)
@@ -166,8 +186,8 @@ def dual_exponent(p) -> float:
     return p / (p - 1.0)
 
 
-# Side of the square tiles in which is_hermitian, force_hermitian and
-# rs_solver._tile_sums read a matrix: a tile and its mirror stay in cache.
+# Side of the square tiles in which is_hermitian and _certified_frobenius
+# read a matrix: a tile and its mirror stay in cache.
 _TILE = 128
 
 
@@ -190,21 +210,157 @@ def is_hermitian(M: np.ndarray) -> bool:
 
 
 def force_hermitian(M: np.ndarray) -> np.ndarray:
-    """Return (M + M*)/2, which is exactly self-adjoint in IEEE arithmetic.
-
-    Large square matrices are done tile by tile, like is_hermitian; every
-    entry comes from the same expression either way.
-    """
+    """Return (M + M*)/2, which is exactly self-adjoint in IEEE arithmetic."""
     M = np.asarray(M)
-    t = _TILE
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] <= t:
-        return (M + M.conj().T) / 2.0
-    n = M.shape[0]
-    out = np.empty(M.shape, dtype=np.result_type(M, 2.0))
-    for i in range(0, n, t):
-        for j in range(0, n, t):
-            out[i:i + t, j:j + t] = (M[i:i + t, j:j + t] + M[j:j + t, i:i + t].conj().T) / 2.0
-    return out
+    return (M + M.conj().T) / 2.0
+
+
+def _rounding_pad(m: int) -> float:
+    """pad = 2 (m + 2) u, u = eps/2: twice a first-order rounding bound of order m u.
+
+    The factor 2 absorbs the second-order terms. cholesky_below shifts by
+    pad times a trace, the solver's residual radius adds pad ||A~||, and
+    bounds' spectral-norm proof pads the error of M* M by pad ||M||_F^2.
+    """
+    return 2.0 * (m + 2) * (np.finfo(np.float64).eps / 2.0)
+
+
+def _certified_frobenius(
+    M: np.ndarray, d: np.ndarray, hermitian: bool = False
+) -> tuple[float, float, bool]:
+    """Upper bounds on ||D^{-1/2} B D^{-1/2}||_F and ||M||_F, and whether M = M* exactly, in O(m^2).
+
+    M is square of order m, D = diag(d) and B the trailing block of M of d's
+    order k (k = m, or m - 1 for B = E22 inside E): d weighs B's rows and
+    columns, and the leading m - k rows and columns weigh 0.
+
+    * Scale. sigma is the power of two with sigma <= max(d) < 2 sigma and
+      v = sigma / d: dividing by sigma is exact, and every v_j exceeds 1/2;
+      a v_j beyond the float range is inf, and so are the sums it weights.
+      When max(d) is not normal and finite, sigma is 1; then, or when some
+      d_j <= 0, the first bound is inf. Neither bound changes when M and d
+      are scaled by the same power of two.
+    * Read. One read of M in tiles of side _TILE (one tile when m is at most
+      twice that, where fewer tiles save more calls than they cost in cache),
+      on the calling thread, with no temporary larger than a tile, sums
+      p_ij v_i v_j and p_ij, p_ij = |M_ij / sigma|^2 (a complex entry as its
+      real and imaginary parts). Each tile on or above the diagonal is
+      compared with the conjugate transpose of its mirror tile; when they are
+      equal, |M_ij| = |M_ji| entry for entry and the tile counts twice, by
+      doubled weights (exact), in place of reading the mirror, otherwise the
+      mirror is summed as well, so the sums are M's for any M. ``hermitian``
+      says M is exactly Hermitian by construction, as rs_solver's E22 is:
+      the comparisons are skipped and every mirror counts as equal. Per tile
+      M / sigma is squared into a contiguous buffer, one np.vecdot dots each
+      row of squares with the weights and with ones, a row's dot products
+      over its tiles are summed, and the sums are those row totals dotted
+      with v and summed, so a term passes through at most the roundings of
+      one row's dot product of N terms (N = m real, 2 m complex) and one of
+      m terms.
+    * Pad. d may carry one rounding, as fl(t - a) does, and fl(sigma / d_j)
+      adds one, so each weighted term carries five relative errors of at
+      most u = eps/2 (the square and two per weight). A row's N terms and
+      the m rows add gamma_N and gamma_m in any order of summation, fused
+      multiply-adds allowed (Higham, Accuracy and Stability of Numerical
+      Algorithms, sec. 3.1), so the pad holds whatever order the dot
+      products and the tiles sum in. All terms are nonnegative, so the sum
+      errs by at most gamma_{N + m + 5} relative, and the square root halves
+      that and adds u. pad = (N + m + 7) u is twice the first-order bound,
+      which absorbs the second-order terms; the plain sum carries fewer
+      roundings. Each bound is sqrt(sum) (1 + pad) rounded up, inf unless
+      the sum is finite; the second is sigma times that of the plain sum.
+    * Range loss. A square below the smallest normal number tiny, or of a
+      subnormal M_ij / sigma, errs by at most tiny, so a sum whose weights
+      total T loses at most floor = w tiny T^2 (w = 1 real, 2 complex) to
+      underflow. A sum is kept when it is finite and floor <= eps sum:
+      what it lost then is absorbed by the pad's factor 2. A finite plain
+      sum that lost range gets floor (T = m) added before the pad.
+    * Rescale. A weighted sum that lost range, as when a square of a finite
+      M_ij / sigma overflows or M is so small that its squares fall below
+      tiny, is summed again. For k < m that is over B alone (the leading
+      rows may hold the overflow, at weight 0), which then rescales on its
+      own. For k = m, M is read once more over sigma 2^s in place of sigma,
+      the power of two with sigma 2^s <= max_ij max(|Re M_ij|, |Im M_ij|) <
+      sigma 2^(s+1), raised where needed so that sigma 2^s stays normal: no
+      square reaches 4, and the norm is 2^s times the root of that sum
+      (exact scalings), the floor added before the pad, whose factor 2 over
+      the first-order bound covers this term's own roundings. Only then is
+      a subnormal bound rounded up once more. The first sum is kept when M
+      is zero (it is exact), and inf when s <= 0 and it is not finite: no
+      square overflowed, so the weights did.
+
+    Assumes finite entries; a sum that is still not finite gives inf.
+    """
+    m, k = M.shape[0], d.size
+    width = 2 if np.iscomplexobj(M) else 1
+    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+    pad = ((width + 1) * m + 7) * (eps / 2.0)
+    weights = np.ones((2, width * m))  # of (weighted, plain), per real square
+    top = float(d.max())
+    sigma, v = 1.0, None
+    if tiny <= top < math.inf:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] - 1)
+        if float(d.min()) > 0:
+            with np.errstate(over="ignore"):
+                v = sigma / d
+            rows = weights[0].reshape(m, width)  # a view: the weights of M's rows
+            rows[: m - k] = 0.0
+            rows[m - k :] = v[:, np.newaxis]
+    double = 2.0 * weights
+    side = m if m <= 2 * _TILE else _TILE
+    buffer = np.empty(side ** 2, dtype=np.result_type(M, np.float64))
+
+    def read(over: float, skip_mirrors: bool) -> tuple[float, float, bool]:
+        scale = 1.0 / over
+        dots = np.zeros((-(-m // side), m, 2))  # per tile column and row
+
+        def add(block, i, j, w):
+            W = buffer[: block.size].reshape(block.shape)  # contiguous for every tile
+            np.multiply(block, scale, out=W)
+            R = W.view(np.float64)
+            R *= R
+            columns = w[:, width * j : width * j + R.shape[1]]
+            np.vecdot(R[:, np.newaxis, :], columns, out=dots[j // side, i : i + R.shape[0]])
+
+        mirrored = True
+        for i in range(0, m, side):
+            for j in range(i, m, side):
+                U, L = M[i : i + side, j : j + side], M[j : j + side, i : i + side]
+                same = skip_mirrors or np.array_equal(U, L.conj().T)
+                mirrored = mirrored and same
+                add(U, i, j, double if same and i != j else weights)
+                if not same and i != j:
+                    add(L, j, i, weights)
+        y, z = dots.sum(axis=0).T
+        return float(y @ weights[0, ::width]), float(z.sum()), mirrored
+
+    def root(s: float) -> float:
+        return math.nextafter(math.sqrt(s) * (1.0 + pad), math.inf) if math.isfinite(s) else math.inf
+
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum that is not finite is tested below
+        weighted, plain, mirrored = read(sigma, hermitian)
+        beta = math.inf
+        if v is not None:
+            beta = root(weighted)
+            total = float(v.sum())
+            floor = width * tiny * total * total
+            if not (math.isfinite(weighted) and floor <= eps * weighted):
+                if k < m:
+                    beta = _certified_frobenius(M[m - k :, m - k :], d, mirrored)[0]
+                else:
+                    parts = (M.real, M.imag) if width == 2 else (M,)
+                    big = max(float(np.abs(part).max()) for part in parts)
+                    e = math.frexp(sigma)[1]
+                    shift = max(math.frexp(big)[1] - e, -1021 - e)
+                    if big > 0.0 and (shift > 0 or math.isfinite(weighted)):
+                        if shift != 0:
+                            weighted = read(math.ldexp(sigma, shift), mirrored)[0]
+                        beta = float(np.ldexp(root(weighted + floor), shift))
+                        beta = beta if beta >= tiny else math.nextafter(beta, math.inf)
+        floor = width * tiny * float(m) * float(m)
+        if math.isfinite(plain) and floor > eps * plain:
+            plain += floor
+        return beta, sigma * root(plain), mirrored
 
 
 def operator_norm_exact(M, p) -> float:
@@ -257,36 +413,44 @@ def _hermitian_product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _root_of_squares(M: np.ndarray, s: float) -> float:
+    """sqrt(s), s the float sum of M's squared magnitudes, or lp_norm(M, 2) when s lost range.
+
+    s is kept when it is finite and at least N tiny, N the number of
+    entries: its squares that underflowed then changed it by at most
+    N 2^-1074 (half a subnormal spacing per real square, two per complex
+    entry), at most eps relative. Otherwise (an overflowing square, entries
+    below about 1e-154, or a NaN) the max-rescaled lp_norm decides. It sets
+    no errstate, which would cost more than a vector's sum: solve_q's loop
+    runs under one and passes each step's sum from one np.vecdot.
+    """
+    if M.size * np.finfo(np.float64).tiny <= s < math.inf:
+        return math.sqrt(s)
+    return lp_norm(M, 2)
+
+
 def _frobenius(M: np.ndarray) -> float:
     """||M||_F from one dot product per row of M, or from lp_norm(M, 2) when that sum lost range.
 
-    The sum of squares is kept when it is finite and at least N tiny, N the
-    number of entries: its squares that underflowed then changed it by at
-    most N 2^-1074 (half a subnormal spacing per real square, two per
-    complex entry), at most eps relative. Otherwise (an overflowing square,
-    entries below about 1e-154, or a NaN) the max-rescaled lp_norm decides.
-    Each row's np.vecdot sums its c real squares (c its length, doubled
-    when complex) and the sum of the r row totals adds r terms; every term
-    is nonnegative, so the result errs by at most gamma_{c + r} relative in
-    any order of summation, fused multiply-adds allowed (Higham, sec. 3.1).
-    Unlike one np.vdot of the whole matrix, the row products do not start
-    BLAS threads: on a 512 x 512 complex M, np.vdot took ~8 ms in 3 of 6
-    fresh processes and the row sum 0.20-0.23 ms in all 6 (2-core VM,
-    numpy 2.4.6).
+    _root_of_squares decides between the two. Each row's np.vecdot sums its
+    c real squares (c its length, doubled when complex) and the sum of the
+    r row totals adds r terms; every term is nonnegative, so the result errs
+    by at most gamma_{c + r} relative in any order of summation, fused
+    multiply-adds allowed (Higham, sec. 3.1). Unlike one np.vdot of the
+    whole matrix, the row products do not start BLAS threads: on a
+    512 x 512 complex M, np.vdot took ~8 ms in 3 of 6 fresh processes and
+    the row sum 0.20-0.23 ms in all 6 (2-core VM, numpy 2.4.6).
     """
     with np.errstate(over="ignore", invalid="ignore"):  # lp_norm decides then
-        s = float(np.vecdot(M, M).real.sum())
-    if math.isfinite(s) and s >= M.size * np.finfo(np.float64).tiny:
-        return math.sqrt(s)
-    return lp_norm(M, 2)
+        return _root_of_squares(M, float(np.vecdot(M, M).real.sum()))
 
 
 def cholesky_below(H: np.ndarray, t: float, max_shift: float = math.inf) -> bool:
     """True when lambda_max(H) < t is proved by one Cholesky factorization; False when inconclusive.
 
     H is Hermitian (m x m, one triangle read) and is overwritten by
-    M = (t - s) I - H, with s = 2 (m+2) u trace(t I - H) and u = eps/2. If
-    the factorization of M runs to completion, its factor R satisfies
+    M = (t - s) I - H, with s = 2 (m+2) u trace(t I - H) (_rounding_pad) and
+    u = eps/2. If the factorization of M runs to completion, its factor R satisfies
     R* R = M + dM with ||dM||_2 <= (m+1) u trace(M) / (1 - (m+1) u)
     (Demmel's backward-error bound, the one Rump's isspd relies on), so
     lambda_min(M) > -s and lambda_max(H) < t. s is twice that bound to first
@@ -295,10 +459,9 @@ def cholesky_below(H: np.ndarray, t: float, max_shift: float = math.inf) -> bool
     unless 0 <= s < max_shift.
     """
     m = H.shape[0]
-    pad = 2.0 * (m + 2) * (np.finfo(np.float64).eps / 2.0)
     np.negative(H, out=H)
     H.flat[:: m + 1] += t
-    s = pad * float(H.diagonal().real.sum())
+    s = _rounding_pad(m) * float(H.diagonal().real.sum())
     if not 0.0 <= s < max_shift:
         return False
     H.flat[:: m + 1] -= s

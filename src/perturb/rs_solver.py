@@ -57,7 +57,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import matcore
 from .errors import (
     ContractionFailureError,
     GapCollapseError,
@@ -68,10 +67,15 @@ from .errors import (
 from .matcore import (
     EigDecomposition,
     Spectrum,
+    _certified_frobenius,
     _decompose,
     _frobenius,
     _hermitian_product,
     _is_diagonal,
+    _leading_tolerance,
+    _root_of_squares,
+    _rounding_pad,
+    _unit,
     cholesky_below,
     is_hermitian,
     json_fields,
@@ -179,7 +183,8 @@ def _blocks(eig: EigDecomposition, E: np.ndarray) -> PartitionedPerturbation:
     E is not checked here: solve has proved it exactly self-adjoint and of
     the basis's order. On the identity basis (A diagonal) the two products
     are skipped, as I* E I equals E entry for entry in IEEE arithmetic, and
-    the blocks are views of E (or of its complex copy for a complex basis).
+    the blocks are views of E cast to the basis's dtype: E itself for a real
+    basis, as solve has cast E to float64 or complex128.
     Otherwise they are views of the fresh U* E U, exactly Hermitian with a
     real diagonal by construction: F = E U once, then 3/4 of U* F with the
     rest mirrored (_hermitian_product).
@@ -202,201 +207,34 @@ def build_shifted_gaps(spectrum: Spectrum, e11: float) -> np.ndarray:
     return d
 
 
-def _tile_sums(
-    M: np.ndarray, sigma: float, v: np.ndarray | None, hermitian: bool = False
-) -> tuple[float, float, bool]:
-    """sum_ij |M_ij / sigma|^2 v_i v_j, sum_ij |M_ij / sigma|^2 and whether M = M* exactly.
-
-    One read of the square M in tiles of side matcore._TILE (one tile when
-    M's order is at most twice that, where fewer tiles save more calls than
-    they cost in cache), on the calling thread, with no temporary larger
-    than a tile.
-    Each tile on or above the diagonal is compared with the conjugate
-    transpose of its mirror tile. When the two are equal, |M_ij| = |M_ji|
-    entry for entry, so the tile's terms count twice, by doubled weights
-    (exact), in place of reading the mirror's; otherwise the mirror tile is
-    summed as well, so the sums are M's for any M. ``hermitian`` says that M
-    is exactly Hermitian by construction, as _blocks' E22 is: the
-    comparisons are then skipped and every mirror tile counts as equal.
-    Per tile, M / sigma is squared into a contiguous buffer (a complex
-    entry as its real and imaginary parts), and one np.vecdot dots each row
-    of squares with the weights v and with ones. A row's dot products over
-    its tiles are then summed, and the sums are y . v and the sum of the row
-    totals, so a term passes through at most the roundings of one row's dot
-    product of N terms (N = m real, 2 m complex) and one of m terms. Without
-    v the weights are ones. Overflow is not trapped: a sum that is not
-    finite is returned as computed.
-    """
-    m = M.shape[0]
-    width = 2 if np.iscomplexobj(M) else 1
-    scale = 1.0 / sigma
-    single = np.ones((2, width * m))  # the weights of (weighted, plain), per real square
-    if v is not None:
-        single[0] = v if width == 1 else np.repeat(v, 2)
-    double = 2.0 * single
-    side = m if m <= 2 * matcore._TILE else matcore._TILE
-    buffer = np.empty(side ** 2, dtype=np.result_type(M, np.float64))
-    dots = np.zeros((-(-m // side), m, 2))  # per tile column and row
-
-    def add(block, i, j, weights):
-        W = buffer[: block.size].reshape(block.shape)  # contiguous for every tile
-        np.multiply(block, scale, out=W)
-        R = W.view(np.float64)
-        R *= R
-        columns = weights[:, width * j : width * j + R.shape[1]]
-        np.vecdot(R[:, np.newaxis, :], columns, out=dots[j // side, i : i + R.shape[0]])
-
-    mirrored = True
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, m, side):
-            for j in range(i, m, side):
-                U, L = M[i : i + side, j : j + side], M[j : j + side, i : i + side]
-                same = hermitian or np.array_equal(U, L.conj().T)
-                mirrored = mirrored and same
-                add(U, i, j, double if same and i != j else single)
-                if not same and i != j:
-                    add(L, j, i, single)
-        y, z = dots.sum(axis=0).T
-        weighted = float(y @ single[0, ::width])
-        plain = float(z.sum())
-    return weighted, plain, mirrored
-
-
-def _scale_and_weights(d: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """sigma, the power of two with sigma <= max(d) < 2 sigma, and v = sigma / d.
-
-    (1, None) unless max(d) is normal and finite, and v is None unless every
-    d_j is positive. Dividing by sigma is exact, and every v_j exceeds 1/2;
-    a v_j beyond the float range is inf, and so are the sums it weights.
-    """
-    top = float(d.max())
-    if not np.finfo(np.float64).tiny <= top < math.inf:
-        return 1.0, None
-    sigma = math.ldexp(1.0, math.frexp(top)[1] - 1)
-    if not float(d.min()) > 0:
-        return sigma, None
-    with np.errstate(over="ignore"):
-        return sigma, sigma / d
-
-
-def _padded_root(s: float, pad: float) -> float:
-    """sqrt(s) (1 + pad), rounded up; inf unless s is finite."""
-    if not math.isfinite(s):
-        return math.inf
-    return math.nextafter(math.sqrt(s) * (1.0 + pad), math.inf)
-
-
-def _frobenius_pad(m: int, complex_case: bool) -> float:
-    """(N + m + 7) u for the sums of _tile_sums over a block of order m, N squares per row.
-
-    d may carry one rounding, as fl(t - a) does, and fl(sigma / d_j) adds
-    one, so each weighted term p_ij v_i v_j carries five relative errors of
-    at most u = eps/2 (the square and two per weight). A row's N terms and
-    the m rows add gamma_N and gamma_m in any order of summation, fused
-    multiply-adds allowed (Higham, Accuracy and Stability of Numerical
-    Algorithms, sec. 3.1), so the pad holds whatever order the BLAS dot and
-    the tiles sum in. All terms are nonnegative, so the sum errs by at most
-    gamma_{N + m + 5} relative; the square root halves that and adds u.
-    (N + m + 7) u is twice the first-order bound, which absorbs the
-    second-order terms. The plain sum carries fewer roundings.
-    """
-    return ((3 if complex_case else 2) * m + 7) * (np.finfo(np.float64).eps / 2.0)
-
-
-def _underflow_floor(M: np.ndarray, total: float) -> float:
-    """w tiny total^2 (w = 1 real, 2 complex): what squares below tiny can take from a sum of _tile_sums.
-
-    total is the sum of the weights, so the weighted terms' products
-    v_i v_j sum to total^2. A square that falls below the smallest normal
-    number tiny, or whose M_ij / sigma is subnormal, errs by at most tiny.
-    """
-    return (2 if np.iscomplexobj(M) else 1) * np.finfo(np.float64).tiny * total * total
-
-
-def _lost_range(s: float, floor: float) -> bool:
-    """Whether a sum s of _tile_sums may have lost range: not finite, or its underflow floor above eps s.
-
-    Below that, squares under tiny take at most eps relative from s, which
-    the factor 2 of _frobenius_pad over the first-order bound absorbs, so s
-    keeps its bits and needs no second read. The test is O(1); its floor
-    needs only the O(m) sum of the weights.
-    """
-    return not (math.isfinite(s) and floor <= np.finfo(np.float64).eps * s)
-
-
 def _weighted_frobenius_upper(M: np.ndarray, d: np.ndarray) -> float:
     """Upper bound on ||D^{-1/2} M D^{-1/2}||_F for D = diag(d) > 0 and Hermitian M, in O(m^2).
 
     The square of the norm is sum_ij p_ij v_i v_j with p_ij = |M_ij / sigma|^2
-    and v = sigma / d (_scale_and_weights), from one read of M
-    (_tile_sums), padded for rounding (_frobenius_pad) and rounded up. The
-    value does not change when M and d are scaled by the same power of two.
-    When that sum lost range (_lost_range), as when a square of a finite
-    M_ij / sigma overflows or when M is so small that its squares fall
-    below the smallest normal number tiny, M is read once more over
-    sigma 2^k in place of sigma, the power of two with sigma 2^k <=
+    and v = sigma / d, sigma the power of two with sigma <= max(d) < 2 sigma,
+    from one read of M, padded for rounding and rounded up
+    (matcore._certified_frobenius). The value does not change when M and d
+    are scaled by the same power of two. When that sum lost range, as when a
+    square of a finite M_ij / sigma overflows or when M is so small that its
+    squares fall below the smallest normal number tiny, M is read once more
+    over sigma 2^k in place of sigma, the power of two with sigma 2^k <=
     max_ij max(|Re M_ij|, |Im M_ij|) < sigma 2^(k+1), raised where needed so
     that sigma 2^k stays normal: no square reaches 4, and the norm is 2^k
     times the root of that sum (exact scalings, the result rounded up when
-    it is subnormal). The squares there that fall below tiny are covered by
-    adding _underflow_floor to the sum before the pad, whose factor 2 over
-    the first-order bound covers this term's own roundings. Assumes max(d)
+    it is subnormal). What the squares there that fall below tiny can take
+    from the sum is added to it before the pad, whose factor 2 over the
+    first-order bound covers this term's own roundings. Assumes max(d)
     normal; a sum that is still not finite gives inf. Only the tiles on and
     above M's diagonal are read, each one above it counted for its mirror
-    too (_tile_sums' ``hermitian``), so M must be exactly Hermitian, as
-    _blocks' E22 is.
+    too, so M must be exactly Hermitian, as _blocks' E22 is.
     """
-    sigma, v = _scale_and_weights(d)
-    if v is None:
-        return math.inf
-    pad = _frobenius_pad(M.shape[0], np.iscomplexobj(M))
-    weighted, _, _ = _tile_sums(M, sigma, v, hermitian=True)
-    floor = _underflow_floor(M, float(v.sum()))
-    if not _lost_range(weighted, floor):
-        return _padded_root(weighted, pad)
-    parts = (M.real, M.imag) if np.iscomplexobj(M) else (M,)
-    top = max(float(np.abs(part).max()) for part in parts)
-    if top == 0.0:  # the sum is exact
-        return _padded_root(weighted, pad)
-    e = math.frexp(sigma)[1]
-    k = max(math.frexp(top)[1] - e, -1021 - e)
-    if k <= 0 and not math.isfinite(weighted):  # no square overflowed, so the weights did
-        return math.inf
-    if k != 0:
-        weighted, _, _ = _tile_sums(M, math.ldexp(sigma, k), v, hermitian=True)
-    with np.errstate(over="ignore"):
-        bound = float(np.ldexp(_padded_root(weighted + floor, pad), k))
-    return bound if bound >= np.finfo(np.float64).tiny else math.nextafter(bound, math.inf)
-
-
-def _unit(spectrum: Spectrum) -> float:
-    """min(1, max(|lambda_1|, |lambda_n|)): the absolute unit of the tolerances.
-
-    At or above unit scale it is 1; below it the stop test, the residual
-    target and tau scale with A, so a scaled-down input is solved as its
-    unit-scale copy is.
-    """
-    return min(1.0, max(abs(float(spectrum.lambdas[0])), abs(float(spectrum.lambdas[-1]))))
+    return _certified_frobenius(M, d, hermitian=True)[0]
 
 
 def _check_tol(tol: float) -> None:
     """ValueError unless tol is finite and positive."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-
-
-def _step_norm(v: np.ndarray) -> float:
-    """||v||_2 from one np.vecdot, or from lp_norm(v, 2) when that sum lost range.
-
-    The sum of squares is kept when it is finite and at least m tiny, m the
-    length of v, as matcore._frobenius decides: the squares lost below tiny
-    then take at most eps from it. It sets no errstate of its own, which
-    would cost more than the sum; solve_q's loop runs under one.
-    """
-    square = float(np.vecdot(v, v).real)
-    if v.size * np.finfo(np.float64).tiny <= square < math.inf:
-        return math.sqrt(square)
-    return lp_norm(v, 2)
 
 
 def solve_q(
@@ -455,8 +293,8 @@ def solve_q(
             np.add(d, shift, out=den)
             np.divide(work, den, out=q_next)  # (E22 q + E21) / (d + shift)
             np.subtract(q_next, q, out=work)
-            np.multiply(d, work, out=work)  # D dq
-            change = _step_norm(work)
+            np.multiply(d, work, out=work)
+            change = _root_of_squares(work, float(np.vecdot(work, work).real))  # ||D dq||_2
             if not (math.isfinite(shift) and math.isfinite(change)):
                 raise NonConvergenceError(
                     f"fixed-point iteration overflowed: Re(E12 q) = {shift:.4g}, "
@@ -541,35 +379,25 @@ class _NoiseRead(NamedTuple):
 def _read_noise(E: np.ndarray, a: np.ndarray) -> tuple[_NoiseRead, bool, bool]:
     """One read of E on the identity basis: its bounds, whether E is finite, and whether E = E*.
 
-    _tile_sums reads E with the weights v of the shifted gaps d on rows and
-    columns 1..n-1 and 0 on row and column 0, so the weighted sum is E22's
-    alone, and beta, its padded root, is the gate's bound; norm bounds
-    ||E||_F by the padded root of the plain sum. The finiteness answer costs
-    nothing when the plain sum is finite, since every entry of E is either
-    squared into it or equal to the conjugate of one that is. A sum that is
-    not finite, perhaps from finite entries whose squares overflow, leads to
-    one np.isfinite pass over E. A weighted sum that lost range
-    (_lost_range: not finite, from an overflowing square in E22 or in row 0
-    times its weight 0, or so small that squares below tiny may matter) is
-    replaced, for a finite self-adjoint E, by _weighted_frobenius_upper(E22,
-    d), which rescales. A finite plain sum that lost range gets its
-    _underflow_floor added before the pad, so norm still bounds ||E||_F.
-    Normal inputs pass both O(1) tests and keep the one read.
+    matcore._certified_frobenius reads E with the weights v of the shifted
+    gaps d on rows and columns 1..n-1 and 0 on row and column 0, so the
+    weighted sum is E22's alone, and beta, its padded root, is the gate's
+    bound; norm bounds ||E||_F by the padded root of the plain sum. The
+    finiteness answer costs nothing when norm is finite, since every entry
+    of E is either squared into its sum or equal to the conjugate of one
+    that is. A norm that is not finite, perhaps from finite entries whose
+    squares overflow, leads to one np.isfinite pass over E. A weighted sum
+    that lost range (not finite, from an overflowing square in E22 or in
+    row 0 times its weight 0, or so small that squares below tiny may
+    matter) is summed again over E22 alone, as _weighted_frobenius_upper(E22,
+    d) sums it, which rescales. A finite plain sum that lost range gets what
+    squares below tiny can take from it added before the pad, so norm still
+    bounds ||E||_F. Normal inputs pass both O(1) tests and keep the one read.
     """
-    n = E.shape[0]
     d = (a[0] - a[1:]) + float(E[0, 0].real)
-    sigma, v = _scale_and_weights(d)
-    weighted, plain, mirrored = _tile_sums(E, sigma, None if v is None else np.append(0.0, v))
-    finite = math.isfinite(plain) or bool(np.all(np.isfinite(E)))
-    pad = _frobenius_pad(n, np.iscomplexobj(E))
-    beta = math.inf if v is None else _padded_root(weighted, pad)
-    lost = v is not None and _lost_range(weighted, _underflow_floor(E, float(v.sum())))
-    if lost and finite and mirrored:
-        beta = _weighted_frobenius_upper(E[1:, 1:], d)
-    floor = _underflow_floor(E, float(n))
-    if math.isfinite(plain) and _lost_range(plain, floor):
-        plain += floor
-    return _NoiseRead(d, beta, sigma * _padded_root(plain, pad)), finite, mirrored
+    beta, norm, mirrored = _certified_frobenius(E, d)
+    finite = norm < math.inf or bool(np.all(np.isfinite(E)))
+    return _NoiseRead(d, beta, norm), finite, mirrored
 
 
 def _trailing_bound(a: np.ndarray, e11: float, d: np.ndarray, beta: float, t: float) -> float:
@@ -599,11 +427,6 @@ def _trailing_bound(a: np.ndarray, e11: float, d: np.ndarray, beta: float, t: fl
     return float(np.nextafter(beta * float((d / h).max()) * (1.0 + 4.0 * eps), math.inf))
 
 
-def _residual_radius(residual2: float, n: int, norm: float) -> float:
-    """r = residual2 + 2 (n + 2) u ||A~||, u = eps/2: the lower side of _top_eigenvalue_within."""
-    return residual2 + 2.0 * (n + 2) * (np.finfo(np.float64).eps / 2.0) * norm
-
-
 def _top_eigenvalue_within(
     M: np.ndarray,
     a: np.ndarray | None,
@@ -619,8 +442,9 @@ def _top_eigenvalue_within(
     (_read_noise), whose beta is the gate's bound. On other bases a and
     ``read`` are None and M is the floating-point sum fl(A + E), which the
     Cholesky proof overwrites. u~ is the report's vector. With u = eps/2 the
-    unit roundoff, pad = 2 (n+2) u and ||A~|| taken as ||E||_F + max_i |a_i|
-    (identity basis) or ||M||_F, the proof needs no eigendecomposition:
+    unit roundoff, pad = 2 (n+2) u (_rounding_pad) and ||A~|| taken as
+    ||E||_F + max_i |a_i| (identity basis) or ||M||_F, the proof needs no
+    eigendecomposition:
 
     * lower side: the computed residual2 errs from the exact
       ||A~ u~ - lam u~||_2 / ||u~||_2 by at most (n + 5) u ||A~|| to first
@@ -660,7 +484,7 @@ def _top_eigenvalue_within(
     """
     n = M.shape[0]
     norm = _frobenius(M) if a is None else read.norm + float(np.abs(a).max())
-    r = _residual_radius(residual2, n, norm)
+    r = residual2 + _rounding_pad(n) * norm
     if not r <= tau:
         return False
     if a is not None:
@@ -674,11 +498,6 @@ def _top_eigenvalue_within(
     t = float(np.nextafter(lam + tau, -math.inf))
     t = float(np.nextafter(t - np.finfo(np.float64).eps * norm, -math.inf))
     return cholesky_below(H, t, max_shift=tau)
-
-
-def _leading_tolerance(spectrum: Spectrum, lam: float) -> float:
-    """tau = 1e-9 (unit + |lambda~|), unit = min(1, max(|lambda_1|, |lambda_n|)), for is_leading."""
-    return 1e-9 * (_unit(spectrum) + abs(lam))
 
 
 def _above_midpoint(spectrum: Spectrum, lam: float) -> bool:
@@ -766,8 +585,8 @@ def _dense_sum(A: np.ndarray, E: np.ndarray) -> np.ndarray:
 
 def _check_operands(
     A: np.ndarray, E: np.ndarray, eig: EigDecomposition | None
-) -> _NoiseRead | None:
-    """Raise ValueError unless A and E are valid operands and ``eig`` fits them.
+) -> tuple[_NoiseRead | None, np.ndarray]:
+    """Raise ValueError unless A and E are valid operands and ``eig`` fits them; return the read and E.
 
     A is a matrix or, 1-D, the eigenvalues of the diagonal A it stands for,
     which solve has checked and whose identity-basis ``eig`` it has built.
@@ -781,13 +600,16 @@ def _check_operands(
     and self-adjointness are O(n) checks on its diagonal; E is then read
     once (_read_noise), as it is for a 1-D A, which proves it finite and
     self-adjoint, and what that read bounds is returned for solve's gate and
-    certificate. Otherwise E's finiteness and self-adjointness are checked
-    by whole-matrix passes and the read is None. The messages come in the
-    same order either way: A's and E's finiteness, A's self-adjointness, the
-    shapes, the identity basis, E's order against the basis, E's
-    self-adjointness (a 1-D A's own checks, and E's shape and dtype, come
-    first). All of them come before any eigendecomposition. A non-identity
-    ``eig`` is trusted, not checked.
+    certificate, with E cast to float64 or complex128, so that solve makes
+    one copy of a float32 E, say, not one per stage (the read and the
+    blocks take a complex copy of a real E only for a complex basis).
+    Otherwise E's finiteness and self-adjointness are checked by
+    whole-matrix passes, the read is None and E is returned as given. The
+    messages come in the same order either way: A's and E's finiteness, A's
+    self-adjointness, the shapes, the identity basis, E's order against the
+    basis, E's self-adjointness (a 1-D A's own checks, and E's shape and
+    dtype, come first). All of them come before any eigendecomposition. A
+    non-identity ``eig`` is trusted, not checked.
     """
     for name, M in (("A", A), ("E", E)) if A.ndim != 1 else (("E", E),):
         if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
@@ -802,6 +624,7 @@ def _check_operands(
         raise ValueError("A has non-finite entries")
     read = None
     if diagonal and E.shape == square:
+        E = E.astype(np.result_type(E, np.float64), copy=False)  # the one cast solve makes
         basis = np.float64 if eig.basis is None else eig.basis  # a basis held as None is real
         tilde = E.astype(np.result_type(E, basis), copy=False)
         read, finite, self_adjoint = _read_noise(tilde, eig.spectrum.lambdas)
@@ -819,7 +642,7 @@ def _check_operands(
         raise ValueError(f"noise shape {E.shape} does not match basis dimension {eig.n}")
     if not (self_adjoint if read is not None else is_hermitian(E)):
         raise ValueError("E is not exactly self-adjoint (M != M*)")
-    return read
+    return read, E
 
 
 def solve(
@@ -888,8 +711,8 @@ def solve(
             raise ValueError(f"a 1-D A lists real eigenvalues, but has dtype {A.dtype}")
         if not np.all(np.isfinite(A)):
             raise ValueError("A has non-finite entries")
-        eig = EigDecomposition(Spectrum(A.astype(np.float64)), None)  # a copy: Spectrum freezes it
-    read = _check_operands(A, E, eig)
+        eig = EigDecomposition(Spectrum(A), None)
+    read, E = _check_operands(A, E, eig)
     if A.ndim == 1:
         A = eig.spectrum.lambdas  # diag(A) from here on, in float64
     if eig is None:

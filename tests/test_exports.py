@@ -47,3 +47,26 @@ def test_rs_solver_imports_nothing_from_bounds():
                 assert "bounds" not in {alias.name for alias in node.names}
         elif isinstance(node, ast.Import):
             assert "perturb.bounds" not in {alias.name for alias in node.names}
+
+
+def _tree(name):
+    return ast.parse(Path(importlib.import_module(f"perturb.{name}").__file__).read_text())
+
+
+def test_bounds_imports_no_private_solver_name():
+    # what bounds shares with the solver below it (tolerances, pads) lives in
+    # matcore; from rs_solver it takes only public names
+    for node in ast.walk(_tree("bounds")):
+        if isinstance(node, ast.ImportFrom) and node.module in ("rs_solver", "perturb.rs_solver"):
+            private = [alias.name for alias in node.names if alias.name.startswith("_")]
+            assert not private, f"bounds imports {private} from rs_solver"
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "matcore"])
+def test_tile_read_only_in_matcore(name):
+    # the tile side is matcore's decision: no other module reads or imports it
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, ast.Attribute):
+            assert node.attr != "_TILE", f"perturb.{name} reads matcore._TILE"
+        elif isinstance(node, ast.ImportFrom):
+            assert "_TILE" not in {alias.name for alias in node.names}, f"perturb.{name} imports _TILE"

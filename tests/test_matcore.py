@@ -393,6 +393,15 @@ class TestSpectrum:
         assert s.delta == 1.0
         np.testing.assert_allclose(s.gaps(), [1.0, 2.0])
 
+    def test_copies_caller_array(self):
+        # the spectrum keeps a read-only copy: the caller's array stays
+        # writable, and writing to it does not reach the spectrum
+        lam = np.array([3.0, 2.0, 1.0])
+        s = Spectrum(lam)
+        assert lam.flags.writeable and not s.lambdas.flags.writeable
+        lam[0] = 0.0
+        assert s.lambdas[0] == 3.0
+
 
 class TestNormLemmas:
     def test_l2_vs_conjugate_norm(self):
@@ -453,8 +462,8 @@ class TestHermitianHelpers:
 
     @pytest.mark.parametrize("complex_case", [False, True])
     def test_force_hermitian_tiles_match_formula(self, complex_case):
-        # the tiled path (n > 128, last tile partial) gives the bytes of (M + M*)/2,
-        # signed zeros included
+        # a matrix wider than the 128-wide tiles, last tile partial, gets the
+        # bytes of (M + M*)/2, signed zeros included
         rng = rng_from_stream(4)
         M = rng.standard_normal((300, 300))
         if complex_case:

@@ -502,7 +502,7 @@ class TestContractionGate:
     @pytest.mark.parametrize("complex_case", [False, True])
     def test_tile_sums_any_matrix(self, monkeypatch, complex_case):
         # a mirror tile that is not the conjugate transpose of its tile is
-        # summed on its own, so the sums are M's for any M; one flipped sign,
+        # summed on its own, so the bounds are M's for any M; one flipped sign,
         # which keeps |M_ij| = |M_ji|, is enough to clear the mirrored flag.
         # Tiles of 16 put m = 40 over three tile rows, the last one partial
         monkeypatch.setattr(matcore, "_TILE", 16)
@@ -510,20 +510,19 @@ class TestContractionGate:
         m = 40
         M = random_hermitian(rng, m, complex_case)
         d = np.ldexp(1.0 + rng.integers(0, 64, m) / 64.0, rng.integers(-4, 5, m))
-        sigma, v = rs_solver._scale_and_weights(d)
-        close = Fraction(1, 10**12)
+        close = 1 + Fraction(1, 10**12)
         for defect in ("none", "sign", "general"):
             X = M.copy()
             if defect == "sign":
                 X[37, 3] = -X[37, 3]
             elif defect == "general":
                 X = rng.standard_normal((m, m))
-            weighted, plain, mirrored = rs_solver._tile_sums(X, sigma, v)
+            weighted, plain, mirrored = matcore._certified_frobenius(X, d)
             assert mirrored == (defect == "none")
             exact = exact_weighted_square(X, d)
-            assert abs(Fraction(weighted) - exact) <= close * exact
-            exact = sum((abs2(x) for x in X.ravel()), Fraction(0)) / Fraction(sigma) ** 2
-            assert abs(Fraction(plain) - exact) <= close * exact
+            assert exact <= Fraction(weighted) ** 2 <= close * exact
+            exact = sum((abs2(x) for x in X.ravel()), Fraction(0))
+            assert exact <= Fraction(plain) ** 2 <= close * exact
 
     @pytest.mark.parametrize("complex_case", [False, True])
     @pytest.mark.parametrize("k", [500, 900, 1000, -500, -900, -1000])
@@ -554,10 +553,9 @@ class TestContractionGate:
             e22 = random_hermitian(rng, m, complex_case) * 2.0 ** 1015
             e22[0, 1] = e22[1, 0] = 2.0 ** -600
             d = np.ldexp(rng.uniform(1.0, 2.0, m), rng.integers(0, 9, m))
-            sigma, v = rs_solver._scale_and_weights(d)
-            with np.errstate(over="ignore"):
-                first = rs_solver._tile_sums(e22, sigma, v, hermitian=True)[0]
-            assert first == math.inf
+            sigma = math.ldexp(1.0, math.frexp(d.max())[1] - 1)
+            top = max(np.abs(e22.real).max(), np.abs(e22.imag).max())
+            assert (Fraction(top) / Fraction(sigma)) ** 2 > Fraction(np.finfo(float).max)
             bound = rs_solver._weighted_frobenius_upper(e22, d)
             exact = exact_weighted_square(e22, d)
             assert exact <= Fraction(bound) ** 2 <= exact * (1 + Fraction(1, 10**12))
@@ -1026,7 +1024,7 @@ class TestVerifySolution:
             )
             read = rs_solver._read_noise(E, s.lambdas)[0]
             rs_solver._verify(np.diag(s.lambdas), E, rep, s, read)
-            r = rs_solver._residual_radius(rep.residual2, m, read.norm + float(np.abs(s.lambdas).max()))
+            r = rep.residual2 + matcore._rounding_pad(m) * (read.norm + float(np.abs(s.lambdas).max()))
             u = [exact_entry(x) for x in rep.u_tilde]
             lam = Fraction(rep.lambda_tilde)
             residual = Fraction(0)
@@ -1759,6 +1757,25 @@ class TestEigenvalueInput:
         assert rep.method == "rs" and rep.leading_certified
         assert peak < 2**20
 
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_float32_noise_cast_once(self, verify):
+        # a float32 E is cast to float64 once, for the read, the blocks and
+        # verification alike: the solve's peak holds one n x n float64 copy
+        # (2 MiB at n = 512) and little else, not a second one
+        n = 512
+        lam = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0})).lambdas
+        E = sample_goe(n, 61).astype(np.float32)
+        solve(lam, E)  # first-call allocations are not the solve's
+        tracemalloc.start()
+        try:
+            rep = solve(lam, E, verify=verify)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.method == "rs" and rep.leading_certified == verify
+        copy = n * n * np.dtype(np.float64).itemsize
+        assert peak < copy + copy // 4
+
     def test_caller_array_left_writeable(self):
         lam = np.array([3.0, 2.0, 1.0])
         solve(lam, 0.1 * sample_goe(3, 7))
@@ -1796,20 +1813,20 @@ class TestEigenvalueInput:
         # each step's ||D dq||_2, from one np.vecdot, is within a few ulps of
         # lp_norm's; where its squares overflow or underflow it is lp_norm's
         steps, norms = [], []
-        step_norm, lp = rs_solver._step_norm, rs_solver.lp_norm
+        step_norm, lp = rs_solver._root_of_squares, matcore.lp_norm
 
         def recorded_lp(v, p):
             norms.append(v)
             return lp(v, p)
 
-        def recorded_step(v):
+        def recorded_step(v, square):
             before = len(norms)
-            change = step_norm(v)
+            change = step_norm(v, square)
             steps.append((v.copy(), change, len(norms) > before))
             return change
 
-        monkeypatch.setattr(rs_solver, "lp_norm", recorded_lp)
-        monkeypatch.setattr(rs_solver, "_step_norm", recorded_step)
+        monkeypatch.setattr(matcore, "lp_norm", recorded_lp)
+        monkeypatch.setattr(rs_solver, "_root_of_squares", recorded_step)
         n = 64
         lam = realize_spectrum(SpectrumSpec("multiscale", n, {"eps": 1.0})).lambdas
         rep = solve(scale * lam, scale * sample_goe(n, 3), verify=False)
